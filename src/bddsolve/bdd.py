@@ -3,8 +3,14 @@
 Each diagram encodes the feasible set of one integer linear row over its
 support, ordered by the global variable order.  Every root-to-true path
 visits every support level exactly once, so nodes whose two children agree
-are kept rather than skipped.  Mutations (arc redirects, node removals) go
-through a journal so checkpointed states can be restored exactly.
+are kept rather than skipped.
+
+Mutations (arc redirects, node removals) are written as `(diagram, entry)`
+undo records to a `Trail`.  A lone diagram gets a trail of its own at its
+first checkpoint; the rounding search attaches all diagrams to one shared
+trail, so a checkpoint is a single mark on it and a rollback undoes only
+the records written since that mark, whichever diagrams they belong to.
+Restoration is bit-exact.
 """
 
 from __future__ import annotations
@@ -29,6 +35,63 @@ class BddBuildError(BddError):
     """Construction exceeded the per-level state budget."""
 
 
+class Trail:
+    """Undo records of every diagram attached to it, oldest first.
+
+    A checkpoint marks the current record count under a token that is never
+    reused; rolling back to it pops the records written since, restoring
+    each diagram's arcs, liveness and arc counters, and closes every
+    checkpoint opened after it.
+    """
+
+    __slots__ = ("records", "marks", "_last_token")
+
+    def __init__(self):
+        self.records = []  # (diagram, entry), oldest first
+        self.marks = []  # (token, record count), oldest first
+        self._last_token = 0
+
+    def attach(self, bdds):
+        """Record the mutations of `bdds` here; returns their previous trails."""
+        previous = [b.trail for b in bdds]
+        for b in bdds:
+            b.trail = self
+        return previous
+
+    def checkpoint(self):
+        """Mark the trail; rolling back restores the current exact state."""
+        self._last_token += 1
+        token = self._last_token
+        self.marks.append((token, len(self.records)))
+        return token
+
+    def rollback(self, token):
+        """Undo every mutation after `token`; later checkpoints die with it."""
+        marks = self.marks
+        for idx in range(len(marks) - 1, -1, -1):
+            if marks[idx][0] == token:
+                break
+        else:
+            raise BddError(f"unknown checkpoint {token!r}")
+        keep = marks[idx][1]
+        del marks[idx:]
+        records = self.records
+        while len(records) > keep:
+            bdd, entry = records.pop()
+            indeg = bdd.indeg
+            if entry[0] == _ARC:
+                _, u, bit, old = entry
+                arr = bdd.hi if bit else bdd.lo
+                indeg[arr[u]] -= 1
+                arr[u] = old
+                indeg[old] += 1
+            else:
+                v = entry[1]
+                bdd.alive[v] = True
+                indeg[bdd.lo[v]] += 1
+                indeg[bdd.hi[v]] += 1
+
+
 class Bdd:
     """Leveled decision diagram for one constraint.
 
@@ -48,10 +111,8 @@ class Bdd:
         "alive",
         "pred",
         "indeg",
-        "journal",
+        "trail",
         "_level_of",
-        "_checkpoints",
-        "_next_token",
     )
 
     def __init__(self, constraint_name, support, root, lo, hi, node_level, level_nodes, pred, indeg):
@@ -65,16 +126,21 @@ class Bdd:
         self.alive = [True] * len(lo)
         self.pred = pred
         self.indeg = indeg
-        self.journal = []
+        self.trail = None  # made by the first checkpoint unless attached to a shared one
         self._level_of = {v: k for k, v in enumerate(self.support)}
-        self._checkpoints = []
-        self._next_token = 0
 
     # -- queries ------------------------------------------------------------
 
     @property
     def num_levels(self):
         return len(self.support)
+
+    @property
+    def journal(self):
+        """This diagram's undo entries on its trail, oldest first."""
+        if self.trail is None:
+            return []
+        return [entry for owner, entry in self.trail.records if owner is self]
 
     def level_of(self, var):
         return self._level_of[var]
@@ -148,45 +214,26 @@ class Bdd:
     # -- mutation -----------------------------------------------------------
 
     def checkpoint(self):
-        """Mark the journal; rolling back restores today's exact state."""
-        self._next_token += 1
-        token = self._next_token
-        self._checkpoints.append((token, len(self.journal)))
-        return token
+        """Mark the trail; on a shared trail this covers every diagram on it."""
+        if self.trail is None:
+            self.trail = Trail()
+        return self.trail.checkpoint()
 
     def rollback(self, token):
-        """Undo every mutation after `token`; later checkpoints die with it."""
-        for idx in range(len(self._checkpoints) - 1, -1, -1):
-            if self._checkpoints[idx][0] == token:
-                break
-        else:
+        """Undo every mutation on the trail after `token`."""
+        if self.trail is None:
             raise BddError(f"unknown checkpoint {token!r}")
-        mark = self._checkpoints[idx][1]
-        del self._checkpoints[idx:]
-        journal = self.journal
-        lo, hi, alive, indeg = self.lo, self.hi, self.alive, self.indeg
-        while len(journal) > mark:
-            entry = journal.pop()
-            if entry[0] == _ARC:
-                _, u, bit, old = entry
-                arr = hi if bit else lo
-                indeg[arr[u]] -= 1
-                arr[u] = old
-                indeg[old] += 1
-            else:
-                v = entry[1]
-                alive[v] = True
-                indeg[lo[v]] += 1
-                indeg[hi[v]] += 1
+        self.trail.rollback(token)
 
     def fix(self, var, value):
         """Restrict to assignments with var == value; False means emptied.
 
-        Requires an open checkpoint so the restriction can be undone.  Arcs
-        for the discarded value are redirected to the false terminal; nodes
-        left unreachable or cut off from the true terminal are removed.
+        Requires an open checkpoint on the diagram's trail so the restriction
+        can be undone.  Arcs for the discarded value are redirected to the
+        false terminal; nodes left unreachable or cut off from the true
+        terminal are removed.
         """
-        if not self._checkpoints:
+        if self.trail is None or not self.trail.marks:
             raise BddError("fix requires an open checkpoint")
         if self.root == TRUE:
             raise BddError(f"variable {var} not in support")
@@ -195,7 +242,7 @@ class Bdd:
         lev = self._level_of.get(var)
         if lev is None:
             raise BddError(f"variable {var} not in support")
-        lo, hi, alive, indeg, journal = self.lo, self.hi, self.alive, self.indeg, self.journal
+        lo, hi, alive, indeg, journal = self.lo, self.hi, self.alive, self.indeg, self.trail.records
         arr = lo if value else hi
         bit = 0 if value else 1
         for v in self.level_nodes[lev]:
@@ -203,7 +250,7 @@ class Bdd:
                 continue
             target = arr[v]
             if target != FALSE:
-                journal.append((_ARC, v, bit, target))
+                journal.append((self, (_ARC, v, bit, target)))
                 arr[v] = FALSE
                 indeg[FALSE] += 1
                 indeg[target] -= 1
@@ -218,13 +265,13 @@ class Bdd:
 
     def _remove_unreachable(self, start):
         """Drop nodes with no incoming arcs, cascading toward the terminals."""
-        lo, hi, alive, indeg, journal = self.lo, self.hi, self.alive, self.indeg, self.journal
+        lo, hi, alive, indeg, journal = self.lo, self.hi, self.alive, self.indeg, self.trail.records
         stack = [start]
         while stack:
             v = stack.pop()
             if not alive[v]:
                 continue
-            journal.append((_DEACT, v))
+            journal.append((self, (_DEACT, v)))
             alive[v] = False
             for child in (lo[v], hi[v]):
                 indeg[child] -= 1
@@ -233,7 +280,7 @@ class Bdd:
 
     def _remove_deadend(self, start):
         """Drop nodes whose both arcs are dead, redirecting parents upward."""
-        lo, hi, alive, indeg, journal = self.lo, self.hi, self.alive, self.indeg, self.journal
+        lo, hi, alive, indeg, journal = self.lo, self.hi, self.alive, self.indeg, self.trail.records
         stack = [start]
         while stack:
             v = stack.pop()
@@ -245,13 +292,13 @@ class Bdd:
                 arr = hi if bit else lo
                 if arr[u] != v:
                     continue
-                journal.append((_ARC, u, bit, v))
+                journal.append((self, (_ARC, u, bit, v)))
                 arr[u] = FALSE
                 indeg[FALSE] += 1
                 indeg[v] -= 1
                 if lo[u] == FALSE and hi[u] == FALSE:
                     stack.append(u)
-            journal.append((_DEACT, v))
+            journal.append((self, (_DEACT, v)))
             alive[v] = False
             indeg[lo[v]] -= 1
             indeg[hi[v]] -= 1

@@ -19,6 +19,7 @@ import sys
 
 from . import testkit
 from .bdd import BddBuildError, build_bdd
+from .dual import DEFAULT_MAX_PASSES
 from .model import LpParseError, ModelError, decompose, order_variables, parse_lp, write_lp
 from .solver import DUAL_ONLY, INFEASIBLE, SOLVED, RunReport, SolveOptions, solve_instance
 
@@ -40,8 +41,8 @@ def _build_parser():
                        help="instance in LP-style text format, or '-' for stdin")
     solve.add_argument("-i", "--input", default=None, metavar="FILE",
                        help="same as the positional FILE argument")
-    solve.add_argument("--max-passes", type=int, default=1000, metavar="N",
-                       help="directional sweep limit for the dual loop (default 1000)")
+    solve.add_argument("--max-passes", type=int, default=DEFAULT_MAX_PASSES, metavar="N",
+                       help="directional sweep limit for the dual loop (default %(default)s)")
     solve.add_argument("--tol", "--tolerance", dest="tolerance", type=float, default=1e-6,
                        metavar="EPS",
                        help="relative bound-improvement threshold; 0 disables (default 1e-6)")
@@ -123,6 +124,9 @@ def _report_payload(report: RunReport, var_names):
         "objective_exact": None,
         "solution": None,
         "primal_attempts": report.primal_attempts,
+        "primal_conflicts": report.primal_conflicts,
+        "primal_backtracks": report.primal_backtracks,
+        "primal_max_depth": report.primal_max_depth,
         "dual_time_ms": round(report.dual_time_ms, 3),
         "primal_time_ms": round(report.primal_time_ms, 3),
     }

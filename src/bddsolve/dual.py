@@ -41,17 +41,20 @@ INF = math.inf
 UNIFORM = "uniform"
 SRMP = "srmp"
 
+DEFAULT_MAX_PASSES = 1000
+
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Termination controls for `run`.
 
     max_passes counts directional sweeps (a forward/backward round is two);
-    tolerance is the relative bound change per round below which the run
-    stops -- zero disables the check and runs to the pass limit.
+    tolerance is the bound change per round, relative to the bound or to
+    the cost scale (see `cost_scale`), below which the run stops -- zero
+    disables the check and runs to the pass limit.
     """
 
-    max_passes: int = 200
+    max_passes: int = DEFAULT_MAX_PASSES
     tolerance: float = 1e-6
 
 
@@ -494,6 +497,20 @@ def backward_pass(state: DualState, observer=None):
     return total
 
 
+def cost_scale(state: DualState) -> float:
+    """min(1, largest |c_i|), c_i the sum of variable i's cost copies; 1 if all are 0.
+
+    The stopping rule divides bound changes by max(scale, |lb|), so it is
+    relative for small objectives too and unchanged when some cost is >= 1.
+    """
+    duals = state.duals
+    largest = max(
+        (abs(sum(duals[j][lev] for j, lev in slots)) for slots in state.slots.values()),
+        default=0.0,
+    )
+    return min(1.0, largest) if largest > 0 else 1.0
+
+
 def run(state: DualState, config: SolverConfig = None, observer=None) -> DualReport:
     """Alternate forward/backward passes until converged or out of passes."""
     if config is None:
@@ -502,6 +519,7 @@ def run(state: DualState, config: SolverConfig = None, observer=None) -> DualRep
     lb = state.dual_value()
     if state.infeasible:
         return DualReport(INF, 0, "infeasible", trace)
+    scale = cost_scale(state)
     passes = 0
     prev_round = lb
     termination = "pass_limit"
@@ -522,7 +540,7 @@ def run(state: DualState, config: SolverConfig = None, observer=None) -> DualRep
         if state.infeasible:
             termination = "infeasible"
             break
-        if abs(lb - prev_round) / max(1.0, abs(lb)) < config.tolerance:
+        if abs(lb - prev_round) / max(scale, abs(lb)) < config.tolerance:
             termination = "converged"
             break
         prev_round = lb

@@ -5,10 +5,11 @@ min-marginal difference (the margin): the sum over covering diagrams of
 "cost of taking 1 minus cost of taking 0" under the current cost split.  A
 nonpositive margin prefers 1.  The search fixes one variable at a time in
 every covering diagram, propagates literals the diagrams then force, and
-backtracks chronologically on conflict; diagram mutations are journalled,
-so unwinding a branch restores them bit for bit.  Budgets cap the number
-of branch attempts; exhausting the tree without a budget stop is a proof
-of infeasibility.
+backtracks chronologically on conflict.  All diagrams share one undo trail
+for the whole search: each branch attempt opens a single checkpoint on it,
+and unwinding a branch pops only the records that branch wrote, restoring
+the diagrams bit for bit.  Budgets cap the number of branch attempts;
+exhausting the tree without a budget stop is a proof of infeasibility.
 
 Margins always come from plain min-sum sweeps over the raw cost copies,
 whether or not the dual ascent was smoothed.
@@ -20,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .algebra import COUNTING, MIN_MARGINAL, MessageStore, marginal_sweep
+from .bdd import Trail
 
 INF = math.inf
 
@@ -51,9 +53,19 @@ class PrimalScores:
 
 @dataclass
 class PrimalResult:
+    """Search outcome and effort.
+
+    attempts counts branch tries, conflicts the tries that failed,
+    backtracks the frames popped while climbing, and max_depth the peak
+    number of open frames.
+    """
+
     status: str  # "solved" | "budget" | "infeasible"
     assignment: dict | None
     attempts: int
+    conflicts: int = 0
+    backtracks: int = 0
+    max_depth: int = 0
 
 
 def compute_scores(state, strategy=NEG_MARGIN) -> PrimalScores:
@@ -107,12 +119,13 @@ def compute_scores(state, strategy=NEG_MARGIN) -> PrimalScores:
 
 
 def checkpoint_all(bdds):
-    return [b.checkpoint() for b in bdds]
+    """Open one checkpoint on the trail `bdds` share; returns its token."""
+    return bdds[0].trail.checkpoint()
 
 
-def rollback_all(bdds, tokens):
-    for b, t in zip(bdds, tokens):
-        b.rollback(t)
+def rollback_all(bdds, mark):
+    """Undo every mutation on the trail `bdds` share since `mark`."""
+    bdds[0].trail.rollback(mark)
 
 
 def restriction_propagation(bdds, slots, assignment, var, value, newly):
@@ -122,7 +135,7 @@ def restriction_propagation(bdds, slots, assignment, var, value, newly):
     contradicts an existing assignment; the caller rolls back.  On success
     `assignment` has gained the variable and everything it implied, all
     appended to `newly` for the caller's undo list.  Every touched diagram
-    must have an open checkpoint.
+    must have an open checkpoint on its trail.
     """
     queue = [(var, value)]
     qi = 0
@@ -154,29 +167,32 @@ def primal_search(state, preassigned=None, strategy=NEG_MARGIN, budget=None) -> 
 
     `preassigned` values (e.g. variables no diagram covers) are adopted
     as-is.  `budget` caps branch attempts (None = unlimited; an exhausted
-    budget reports "budget", never "infeasible").  The diagrams are
-    restored to their entry state on every exit path.
+    budget reports "budget", never "infeasible").  The diagrams share one
+    fresh trail during the search; on every exit path they are restored to
+    their entry state and returned to their own trails.
     """
     bdds = state.bdds
     slots = state.slots
     scores = compute_scores(state, strategy)
     assignment = dict(preassigned or {})
     order = scores.order
-    attempts = 0
+    attempts = conflicts = backtracks = max_depth = 0
+    own_trails = Trail().attach(bdds)
 
     def try_branch(var, value):
-        nonlocal attempts
+        nonlocal attempts, conflicts
         attempts += 1
-        tokens = checkpoint_all(bdds)
+        mark = checkpoint_all(bdds)
         newly = []
         if restriction_propagation(bdds, slots, assignment, var, value, newly):
-            return tokens, newly
+            return mark, newly
+        conflicts += 1
         for v in newly:
             del assignment[v]
-        rollback_all(bdds, tokens)
+        rollback_all(bdds, mark)
         return None
 
-    frames = []  # [var, value, flipped, tokens, newly, order_index]
+    frames = []  # [var, value, flipped, mark, newly, order_index]
     status = None
     idx = 0
     while status is None:
@@ -195,16 +211,18 @@ def primal_search(state, preassigned=None, strategy=NEG_MARGIN, budget=None) -> 
             got = try_branch(var, value)
             if got is not None:
                 frames.append([var, value, flipped, got[0], got[1], idx])
+                max_depth = max(max_depth, len(frames))
                 advanced = True
                 break
         if status is not None or advanced:
             continue
         # both values failed here: climb until some frame still has a flip
         while frames:
-            fvar, fvalue, fflipped, ftokens, fnewly, fidx = frames.pop()
+            fvar, fvalue, fflipped, fmark, fnewly, fidx = frames.pop()
+            backtracks += 1
             for v in fnewly:
                 del assignment[v]
-            rollback_all(bdds, ftokens)
+            rollback_all(bdds, fmark)
             if fflipped:
                 continue
             if budget is not None and attempts >= budget:
@@ -223,4 +241,6 @@ def primal_search(state, preassigned=None, strategy=NEG_MARGIN, budget=None) -> 
     result = dict(assignment) if status == SOLVED else None
     if frames:  # one rollback to the oldest checkpoint undoes everything
         rollback_all(bdds, frames[0][3])
-    return PrimalResult(status, result, attempts)
+    for bdd, own in zip(bdds, own_trails):
+        bdd.trail = own
+    return PrimalResult(status, result, attempts, conflicts, backtracks, max_depth)

@@ -27,7 +27,7 @@ DUAL_ONLY = "dual_only"
 
 @dataclass(frozen=True)
 class SolveOptions:
-    max_passes: int = 200
+    max_passes: int = _dual.DEFAULT_MAX_PASSES
     tolerance: float = 1e-6
     smoothing: float = 0.0
     averaging: str = _dual.UNIFORM
@@ -52,6 +52,9 @@ class RunReport:
     primal_attempts: int
     dual_time_ms: float
     primal_time_ms: float
+    primal_conflicts: int = 0
+    primal_backtracks: int = 0
+    primal_max_depth: int = 0
     trace: list = field(default_factory=list)
 
 
@@ -158,5 +161,8 @@ def solve_instance(instance: ILPInstance, options: SolveOptions = None) -> RunRe
         primal_attempts=result.attempts,
         dual_time_ms=dual_ms,
         primal_time_ms=primal_ms,
+        primal_conflicts=result.conflicts,
+        primal_backtracks=result.backtracks,
+        primal_max_depth=result.max_depth,
         trace=trace,
     )

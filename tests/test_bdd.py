@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from bddsolve.bdd import FALSE, TRUE, Bdd, BddBuildError, BddError, build_bdd
+from bddsolve.bdd import FALSE, TRUE, Bdd, BddBuildError, BddError, Trail, build_bdd
 from bddsolve.model import LinearConstraint, Relation
 
 
@@ -273,6 +273,62 @@ def test_journal_stays_small():
         assert b.fix(i, 0)
     assert b.solutions() == {tuple(1 if i == k - 1 else 0 for i in range(k))}
     assert len(b.journal) <= 4 * initial
+
+
+# -- the shared trail ---------------------------------------------------------
+
+
+def exact(bdd):
+    return (list(bdd.lo), list(bdd.hi), list(bdd.alive), list(bdd.indeg), bdd.root)
+
+
+def test_one_checkpoint_restores_several_diagrams():
+    pick = build_bdd(row([(i, 1) for i in range(4)], Relation.EQ, 2, name="pick"))
+    cap = build_bdd(row([(i, 1) for i in range(2, 6)], Relation.LE, 1, name="cap"))
+    idle = build_bdd(row([(0, 1), (5, 1)], Relation.GE, 1, name="idle"))
+    bdds = [pick, cap, idle]
+    trail = Trail()
+    assert trail.attach(bdds) == [None, None, None]  # no undo state before a checkpoint
+    assert all(b.trail is trail for b in bdds)
+    before = [exact(b) for b in bdds]
+    token = trail.checkpoint()
+    assert pick.fix(0, 0) and pick.fix(1, 1)
+    assert cap.fix(2, 1)
+    assert exact(pick) != before[0] and exact(cap) != before[1]
+    assert {id(owner) for owner, _ in trail.records} == {id(pick), id(cap)}
+    assert len(pick.journal) + len(cap.journal) == len(trail.records) and idle.journal == []
+    trail.rollback(token)
+    assert [exact(b) for b in bdds] == before
+    assert trail.records == [] and trail.marks == []
+
+
+def test_rollback_through_any_diagram_undoes_the_whole_trail():
+    bdds = [build_bdd(row([(i, 1), (i + 1, 1)], Relation.EQ, 1, name=f"r{i}")) for i in range(3)]
+    Trail().attach(bdds)
+    before = [exact(b) for b in bdds]
+    token = bdds[0].checkpoint()
+    for b, var in zip(bdds, (0, 1, 2)):
+        assert b.fix(var, 1)
+    bdds[2].rollback(token)
+    assert [exact(b) for b in bdds] == before
+
+
+def test_stale_trail_mark_raises():
+    b = build_bdd(row([(i, 1) for i in range(3)], Relation.EQ, 1))
+    first = b.checkpoint()
+    trail = b.trail
+    b.fix(0, 1)
+    trail.rollback(first)
+    second = trail.checkpoint()  # same depth, new token
+    b.fix(1, 1)
+    with pytest.raises(BddError):
+        trail.rollback(first)
+    assert [m[0] for m in trail.marks] == [second] and len(b.journal) > 0
+    inner = trail.checkpoint()
+    trail.rollback(second)
+    with pytest.raises(BddError):
+        trail.rollback(inner)  # closed with its parent
+    assert trail.records == [] and trail.marks == []
 
 
 def test_to_dot_shape():

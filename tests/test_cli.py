@@ -6,9 +6,10 @@ import sys
 
 import pytest
 
-from bddsolve.cli import main
+from bddsolve.cli import _build_parser, main
+from bddsolve.dual import DEFAULT_MAX_PASSES
 from bddsolve.model import parse_lp, write_lp
-from bddsolve.testkit import mrf_instance
+from bddsolve.testkit import mrf_instance, random_ilp
 
 SMALL = """\
 Minimize
@@ -123,6 +124,20 @@ def test_budget_exhaustion_exit_code(tmp_path, capsys):
     assert payload["status"] == "dual_only"
     assert payload["solution"] is None
     assert payload["lower_bound"] is not None
+
+
+def test_json_carries_search_counters(tmp_path, capsys):
+    path = tmp_path / "backtrack.lp"
+    path.write_text(write_lp(random_ilp(6, 4, seed=10)))
+    assert main(["solve", str(path)]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    counters = [payload[k] for k in ("primal_attempts", "primal_conflicts", "primal_backtracks",
+                                     "primal_max_depth")]
+    assert counters == [4, 3, 1, 1]
+
+
+def test_max_passes_default_matches_the_library():
+    assert _build_parser().parse_args(["solve", "x.lp"]).max_passes == DEFAULT_MAX_PASSES
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

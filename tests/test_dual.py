@@ -11,6 +11,7 @@ from bddsolve.dual import (
     DualReport,
     SolverConfig,
     backward_pass,
+    cost_scale,
     forward_pass,
     init_duals,
     mma_update,
@@ -219,6 +220,23 @@ def test_structured_instances_bound_quality():
         assert report.lower_bound <= float(opt) + 1e-7
         # every variable is covered here, so the raw bound is the whole bound
         assert report.lower_bound >= float(opt) - 2.0  # sane gap on tiny instances
+
+
+def test_cost_scale_follows_the_largest_cost():
+    rows = [((((0, 1), (1, 1))), Relation.LE, 1), ((((1, 1), (2, 1))), Relation.LE, 1)]
+    for objective, want in (([3, -5, 1], 1.0), ([0, 0, 0], 1.0), (["1/8", "-1/4", 0], 0.25)):
+        state, _ = build_state(inst(["x0", "x1", "x2"], objective, rows))
+        assert cost_scale(state) == want
+        run(state, SolverConfig(max_passes=6, tolerance=0.0))
+        assert cost_scale(state) == pytest.approx(want)  # the copies keep their sums
+
+
+def test_zero_tolerance_still_runs_to_the_limit_on_tiny_costs():
+    problem = mrf_instance(1, 3, 2, seed=5)
+    tiny = ILPInstance(problem.var_names, [c / 10**9 for c in problem.objective], problem.constraints)
+    state, _ = build_state(tiny)
+    report = run(state, SolverConfig(max_passes=30, tolerance=0.0))
+    assert (report.passes, report.termination) == (30, "pass_limit")
 
 
 def test_smoothed_energies_below_hard():

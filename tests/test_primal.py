@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from bddsolve.bdd import build_bdd
+from bddsolve import primal
+from bddsolve.bdd import BddError, Trail, build_bdd
 from bddsolve.dual import SolverConfig, init_duals, run
 from bddsolve.model import ILPInstance, LinearConstraint, Relation, decompose, presolve_free
 from bddsolve.primal import (
@@ -12,8 +13,10 @@ from bddsolve.primal import (
     NEG_MARGIN,
     STRATEGIES,
     PrimalResult,
+    checkpoint_all,
     compute_scores,
     primal_search,
+    rollback_all,
 )
 from bddsolve.testkit import brute_force_solve, mrf_instance, random_ilp
 
@@ -197,6 +200,91 @@ def test_preassigned_values_are_kept():
     assert result.status == "solved"
     assert result.assignment[2] == 1
     assert problem.check_assignment(full_vector(problem, result.assignment))
+
+
+# -- counters -------------------------------------------------------------------
+
+
+def test_counters_on_a_search_that_backtracks():
+    problem = random_ilp(5, 3, seed=67)
+    state, _ = build_state(problem, passes=0)
+    result = primal_search(state)
+    assert result.status == "solved"
+    assert problem.check_assignment(full_vector(problem, result.assignment))
+    assert (result.attempts, result.conflicts, result.backtracks, result.max_depth) == (6, 2, 1, 3)
+
+
+def test_counters_when_the_tree_is_exhausted():
+    problem = random_ilp(5, 3, seed=13)
+    assert brute_force_solve(problem) == (None, None)
+    state, _ = build_state(problem, passes=0)
+    result = primal_search(state)
+    assert result.status == "infeasible"
+    assert (result.attempts, result.conflicts, result.backtracks, result.max_depth) == (6, 4, 2, 2)
+
+
+def test_counters_balance_on_random_instances():
+    # every successful attempt pushes a frame; exhaustion pops them all
+    rng = random.Random(2720)
+    for _ in range(30):
+        problem = random_ilp(rng.randint(3, 8), rng.randint(2, 5), seed=rng.randint(0, 10**6))
+        state, _ = build_state(problem, passes=2)
+        if state.infeasible:
+            continue
+        r = primal_search(state)
+        pushed = r.attempts - r.conflicts
+        assert 0 <= r.conflicts <= r.attempts
+        assert r.max_depth <= pushed
+        if r.status == "infeasible":
+            assert pushed == r.backtracks
+        else:
+            assert 0 < pushed - r.backtracks <= r.max_depth
+
+
+# -- the shared trail -------------------------------------------------------------
+
+
+def test_checkpoint_all_adds_one_mark_and_no_per_diagram_state():
+    bdds = [build_bdd(LinearConstraint(f"r{i}", ((i, 1), (i + 1, 1)), Relation.LE, 1)) for i in range(40)]
+    trail = Trail()
+    trail.attach(bdds)
+    before = [[(slot, repr(getattr(b, slot))) for slot in type(b).__slots__] for b in bdds]
+    mark = checkpoint_all(bdds)
+    assert trail.marks == [(mark, 0)] and trail.records == []
+    assert [[(slot, repr(getattr(b, slot))) for slot in type(b).__slots__] for b in bdds] == before
+    rollback_all(bdds, mark)
+    assert trail.marks == []
+    with pytest.raises(BddError):
+        rollback_all(bdds, mark)
+
+
+@pytest.mark.parametrize(
+    "seed, budget, status",
+    [(67, None, "solved"), (67, 5, "budget"), (13, None, "infeasible")],
+)
+def test_search_leaves_the_shared_trail_empty(monkeypatch, seed, budget, status):
+    problem = random_ilp(5, 3, seed=seed)
+    state, _ = build_state(problem, passes=0)
+    bdds = state.bdds
+    own = [b.trail for b in bdds]
+    before = snapshot_all(bdds)
+    seen = []
+    real = primal.checkpoint_all
+
+    def spy(diagrams):
+        seen.append(diagrams[0].trail)
+        return real(diagrams)
+
+    monkeypatch.setattr(primal, "checkpoint_all", spy)
+    result = primal_search(state, budget=budget)
+    assert result.status == status
+    assert result.backtracks > 0  # each path unwinds nested frames
+    shared = seen[0]
+    assert all(t is shared for t in seen)
+    assert all(shared is not t for t in own)
+    assert shared.records == [] and shared.marks == []
+    assert all(b.trail is t for b, t in zip(bdds, own))
+    assert snapshot_all(bdds) == before
 
 
 def test_unknown_strategy_rejected():

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from bddsolve.model import parse_lp
+from bddsolve.dual import DEFAULT_MAX_PASSES, SolverConfig
+from bddsolve.model import ILPInstance, parse_lp
 from bddsolve.solver import (
     DUAL_ONLY,
     INFEASIBLE,
@@ -11,7 +12,7 @@ from bddsolve.solver import (
     SolveOptions,
     solve_instance,
 )
-from bddsolve.testkit import brute_force_solve, mrf_instance, random_ilp
+from bddsolve.testkit import brute_force_solve, cell_tracking_instance, mrf_instance, random_ilp
 
 SMALL = """\
 Minimize
@@ -161,6 +162,40 @@ def test_report_is_deterministic():
     assert a.lower_bound == b.lower_bound
     assert a.passes == b.passes
     assert [t.lower_bound for t in a.trace] == [t.lower_bound for t in b.trace]
+
+
+def test_max_passes_default_is_shared():
+    assert SolveOptions().max_passes == SolverConfig().max_passes == DEFAULT_MAX_PASSES == 1000
+
+
+def test_tiny_costs_stop_at_the_same_pass():
+    # a stopping rule that is absolute below |lb| = 1 stops the scaled run
+    # after 2 passes, and rounding then finds -73 instead of -88
+    problem = cell_tracking_instance(30, 0)
+    k = Fraction(1, 10**9)
+    scaled = ILPInstance(
+        list(problem.var_names),
+        [c * k for c in problem.objective],
+        problem.constraints,
+        problem.objective_offset * k,
+        "scaled",
+    )
+    options = SolveOptions(max_passes=200)
+    plain = solve_instance(problem, options)
+    tiny = solve_instance(scaled, options)
+    assert plain.status == tiny.status == SOLVED
+    assert (tiny.passes, tiny.termination) == (plain.passes, plain.termination) == (20, "converged")
+    assert tiny.lower_bound / float(k) == pytest.approx(plain.lower_bound, abs=1e-6)
+    assert tiny.objective_value / k == plain.objective_value == -88
+    assert tiny.solution == plain.solution
+
+
+def test_report_carries_search_counters():
+    report = solve_instance(random_ilp(6, 4, seed=77))
+    assert report.status == INFEASIBLE
+    counters = (report.primal_attempts, report.primal_conflicts, report.primal_backtracks,
+                report.primal_max_depth)
+    assert counters == (8, 5, 3, 3)
 
 
 def test_unconstrained_instance():
