@@ -15,18 +15,6 @@ from .model import (
     order_variables,
 )
 from .bdd import Bdd, BddError, BddBuildError, build_bdd
-from .algebra import (
-    MIN_MARGINAL,
-    LOG_PARTITION,
-    COUNTING,
-    MarginalAlgebra,
-    MessageStore,
-    log_sum_exp,
-    backward_sweep,
-    marginal_sweep,
-    subproblem_energy,
-    forward_energy,
-)
 from .dual import (
     UNIFORM,
     SRMP,

@@ -22,9 +22,12 @@ forcing it agree -> the finite diffs are dumped on the forcing diagrams
 (their optimum can absorb shifts for free on the side they force); they
 disagree -> the instance is proven infeasible and the bound becomes +inf.
 
-The inner loops here are hand-specialised copies of the `algebra`
-reference routines; the `scratch_*` methods recompute the same quantities
-through `algebra` from scratch and exist for tests and observers.
+There is one message kernel family per algebra: `_bstep_*`, `_scatter_*`,
+`_marg_*` and `_fw_energy_*`, in a min-sum and a log-sum-exp version.  The
+passes run them incrementally; `min_marginals` runs the min-sum ones as a
+fresh sweep over one diagram, which is where the rounding search reads its
+margins.  The generic reference sweeps they are tested against live with
+the tests.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from .algebra import LOG_PARTITION, MIN_MARGINAL, MessageStore, backward_sweep, marginal_sweep, subproblem_energy
 from .bdd import FALSE, TRUE
 
 INF = math.inf
@@ -133,44 +135,12 @@ class DualState:
                     _bstep_lse(bdd, bwj, lev, self.theta(j, lev))
                 self.energies[j] = -smoothing * bwj[bdd.root]
             else:
-                bwj[FALSE] = INF
-                bwj[TRUE] = 0.0
-                for lev in range(bdd.num_levels - 1, -1, -1):
-                    _bstep_min(bdd, bwj, lev, self.duals[j][lev])
+                _bsweep_min(bdd, bwj, self.duals[j])
                 self.energies[j] = bwj[bdd.root]
             if bdd.root >= 2:
                 fwj[bdd.root] = 0.0
         if any(e == INF for e in self.energies):
             self.infeasible = True
-
-    # -- slow recomputations for tests and observers -------------------------
-
-    def scratch_marginals(self, j):
-        """Per-level marginal pairs of diagram j, from a fresh sweep."""
-        bdd = self.bdds[j]
-        if self.smoothing > 0:
-            thetas = [self.theta(j, lev) for lev in range(bdd.num_levels)]
-            store = MessageStore(bdd, LOG_PARTITION)
-            raw = marginal_sweep(bdd, store, thetas, LOG_PARTITION)
-            a = self.smoothing
-            return [(-a * v0, -a * v1) for v0, v1 in raw]
-        store = MessageStore(bdd, MIN_MARGINAL)
-        return marginal_sweep(bdd, store, self.duals[j], MIN_MARGINAL)
-
-    def scratch_energy(self, j):
-        """Diagram j's optimum in bound scale, from a fresh sweep."""
-        bdd = self.bdds[j]
-        if self.smoothing > 0:
-            thetas = [self.theta(j, lev) for lev in range(bdd.num_levels)]
-            store = MessageStore(bdd, LOG_PARTITION)
-            backward_sweep(bdd, store, thetas, LOG_PARTITION)
-            return -self.smoothing * subproblem_energy(bdd, store, LOG_PARTITION)
-        store = MessageStore(bdd, MIN_MARGINAL)
-        backward_sweep(bdd, store, self.duals[j], MIN_MARGINAL)
-        return subproblem_energy(bdd, store, MIN_MARGINAL)
-
-    def scratch_dual_value(self):
-        return sum(self.scratch_energy(j) for j in range(self.num_subproblems))
 
 
 def init_duals(bdds, decomposition, objective, smoothing=0.0, averaging=UNIFORM) -> DualState:
@@ -238,6 +208,35 @@ def _bstep_min(bdd, bwj, level, theta):
             a = bwj[lo[v]]
             b = theta + bwj[hi[v]]
             bwj[v] = a if a <= b else b
+
+
+def _bsweep_min(bdd, bwj, costs):
+    """Seed the terminals and recompute every backward value bottom-up."""
+    bwj[FALSE] = INF
+    bwj[TRUE] = 0.0
+    for lev in range(bdd.num_levels - 1, -1, -1):
+        _bstep_min(bdd, bwj, lev, costs[lev])
+
+
+def min_marginals(bdd, costs):
+    """Per-level (min path cost with the level's variable at 0, same at 1).
+
+    `costs[lev]` is the cost of the 1-arcs at level `lev`.  One fresh
+    backward and forward sweep; a sentinel diagram has no levels to report.
+    """
+    if bdd.root < 2:
+        return []
+    bw = [INF] * len(bdd.lo)
+    _bsweep_min(bdd, bw, costs)
+    fw = [INF] * len(bdd.lo)
+    fw[bdd.root] = 0.0
+    last = bdd.num_levels - 1
+    out = []
+    for lev in range(bdd.num_levels):
+        out.append(_marg_min(bdd, fw, bw, lev, costs[lev]))
+        if lev < last:
+            _scatter_min(bdd, fw, lev, costs[lev])
+    return out
 
 
 def _fw_energy_min(bdd, fwj, theta_last):
@@ -430,6 +429,30 @@ def mma_update(state: DualState, var, forward=True, observer=None):
 # -- passes ----------------------------------------------------------------------
 
 
+def _finish_pass(state: DualState, read):
+    """Store every diagram's optimum and return the raw bound.
+
+    `read(j, bdd)` is a non-sentinel diagram's optimum in the message
+    domain, taken from the messages the pass left current; sentinels need
+    none.  Latches infeasibility.
+    """
+    smoothing = state.smoothing
+    energies = state.energies
+    for j, bdd in enumerate(state.bdds):
+        if bdd.root == TRUE:
+            energies[j] = 0.0
+        elif bdd.root == FALSE:
+            energies[j] = INF
+        elif smoothing > 0:
+            energies[j] = -smoothing * read(j, bdd)
+        else:
+            energies[j] = read(j, bdd)
+    total = state.dual_value()
+    if total == INF:
+        state.infeasible = True
+    return total
+
+
 def forward_pass(state: DualState, observer=None):
     """Sweep the variable order forward; returns the raw bound afterwards.
 
@@ -447,22 +470,10 @@ def forward_pass(state: DualState, observer=None):
         for j, lev in state.slots[var]:
             if lev + 1 < state.bdds[j].num_levels:
                 scatter(state.bdds[j], state.fw[j], lev, state.theta(j, lev))
-    energies = state.energies
-    for j, bdd in enumerate(state.bdds):
-        if bdd.root == TRUE:
-            energies[j] = 0.0
-        elif bdd.root == FALSE:
-            energies[j] = INF
-        elif smoothing > 0:
-            last = bdd.num_levels - 1
-            energies[j] = -smoothing * _fw_energy_lse(bdd, state.fw[j], state.theta(j, last))
-        else:
-            last = bdd.num_levels - 1
-            energies[j] = _fw_energy_min(bdd, state.fw[j], state.duals[j][last])
-    total = state.dual_value()
-    if total == INF:
-        state.infeasible = True
-    return total
+    fw_energy = _fw_energy_lse if smoothing > 0 else _fw_energy_min
+    return _finish_pass(
+        state, lambda j, bdd: fw_energy(bdd, state.fw[j], state.theta(j, bdd.num_levels - 1))
+    )
 
 
 def backward_pass(state: DualState, observer=None):
@@ -481,20 +492,7 @@ def backward_pass(state: DualState, observer=None):
             return INF
         for j, lev in state.slots[var]:
             bstep(state.bdds[j], state.bw[j], lev, state.theta(j, lev))
-    energies = state.energies
-    for j, bdd in enumerate(state.bdds):
-        if bdd.root == TRUE:
-            energies[j] = 0.0
-        elif bdd.root == FALSE:
-            energies[j] = INF
-        elif smoothing > 0:
-            energies[j] = -smoothing * state.bw[j][bdd.root]
-        else:
-            energies[j] = state.bw[j][bdd.root]
-    total = state.dual_value()
-    if total == INF:
-        state.infeasible = True
-    return total
+    return _finish_pass(state, lambda j, bdd: state.bw[j][bdd.root])
 
 
 def cost_scale(state: DualState) -> float:

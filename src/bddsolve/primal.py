@@ -11,8 +11,8 @@ and unwinding a branch pops only the records that branch wrote, restoring
 the diagrams bit for bit.  Budgets cap the number of branch attempts;
 exhausting the tree without a budget stop is a proof of infeasibility.
 
-Margins always come from plain min-sum sweeps over the raw cost copies,
-whether or not the dual ascent was smoothed.
+Margins always come from the dual's min-sum kernels (`dual.min_marginals`)
+run over the raw cost copies, whether or not the dual ascent was smoothed.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .algebra import COUNTING, MIN_MARGINAL, MessageStore, marginal_sweep
-from .bdd import Trail
+from .bdd import TRUE, Trail
+from .dual import min_marginals
 
 INF = math.inf
 
@@ -73,8 +73,8 @@ def compute_scores(state, strategy=NEG_MARGIN) -> PrimalScores:
 
     neg_mm ranks by -margin (strong 1-preferences first), abs_mm by
     |margin| (most decided first), reduction_aligned by margin signed with
-    the diagrams' solution-count imbalance (most contentious first); count
-    sweeps run only for that strategy.
+    the diagrams' solution-count imbalance (most contentious first); path
+    counts are taken only for that strategy.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -83,11 +83,9 @@ def compute_scores(state, strategy=NEG_MARGIN) -> PrimalScores:
     for j, bdd in enumerate(state.bdds):
         if bdd.root < 2:
             continue
-        store = MessageStore(bdd, MIN_MARGINAL)
-        pairs = marginal_sweep(bdd, store, state.duals[j], MIN_MARGINAL)
+        pairs = min_marginals(bdd, state.duals[j])
         if counts is not None:
-            cstore = MessageStore(bdd, COUNTING)
-            cpairs = marginal_sweep(bdd, cstore, [0] * bdd.num_levels, COUNTING)
+            cpairs = _path_counts(bdd)
         for lev, var in enumerate(bdd.support):
             m0, m1 = pairs[lev]
             if m1 == INF:
@@ -116,6 +114,36 @@ def compute_scores(state, strategy=NEG_MARGIN) -> PrimalScores:
             score[var] = 0.0 if r == 0 else (m if r > 0 else -m)
     order = sorted(margins, key=lambda v: (-score[v], v))
     return PrimalScores(margins, preference, order, strategy)
+
+
+def _path_counts(bdd):
+    """Per-level (accepted paths with the level's variable at 0, same at 1).
+
+    Exact integers from one backward and one forward sweep over the live
+    nodes of a non-sentinel diagram; arcs only reach the next level or a
+    terminal, so a node's forward count is final before its level is read.
+    """
+    lo, hi, alive = bdd.lo, bdd.hi, bdd.alive
+    bw = [0] * len(lo)
+    bw[TRUE] = 1
+    for nodes in reversed(bdd.level_nodes):
+        for v in nodes:
+            if alive[v]:
+                bw[v] = bw[lo[v]] + bw[hi[v]]
+    fw = [0] * len(lo)
+    fw[bdd.root] = 1
+    out = []
+    for nodes in bdd.level_nodes:
+        n0 = n1 = 0
+        for v in nodes:
+            if alive[v]:
+                base = fw[v]
+                n0 += base * bw[lo[v]]
+                n1 += base * bw[hi[v]]
+                fw[lo[v]] += base
+                fw[hi[v]] += base
+        out.append((n0, n1))
+    return out
 
 
 def checkpoint_all(bdds):

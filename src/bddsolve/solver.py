@@ -47,11 +47,11 @@ class RunReport:
     termination: str
     passes: int
     lower_bound: float  # +inf when infeasibility was proven
-    solution: list | None
-    objective_value: Fraction | None
-    primal_attempts: int
-    dual_time_ms: float
-    primal_time_ms: float
+    solution: list | None = None
+    objective_value: Fraction | None = None
+    primal_attempts: int = 0
+    dual_time_ms: float = 0.0
+    primal_time_ms: float = 0.0
     primal_conflicts: int = 0
     primal_backtracks: int = 0
     primal_max_depth: int = 0
@@ -91,11 +91,6 @@ def solve_instance(instance: ILPInstance, options: SolveOptions = None) -> RunRe
             termination="infeasible",
             passes=0,
             lower_bound=math.inf,
-            solution=None,
-            objective_value=None,
-            primal_attempts=0,
-            dual_time_ms=0.0,
-            primal_time_ms=0.0,
         )
 
     t0 = time.perf_counter()
@@ -115,11 +110,7 @@ def solve_instance(instance: ILPInstance, options: SolveOptions = None) -> RunRe
             termination="infeasible",
             passes=dual_report.passes,
             lower_bound=math.inf,
-            solution=None,
-            objective_value=None,
-            primal_attempts=0,
             dual_time_ms=dual_ms,
-            primal_time_ms=0.0,
             trace=trace,
         )
 

@@ -1,4 +1,7 @@
-"""Message passing over decision diagrams, generic in the weight algebra.
+"""Reference message passing over decision diagrams, generic in the algebra.
+
+A test oracle: clear, slow, and independent of the solver's specialised
+kernels, which the tests check against it.
 
 A sweep assigns every node two values: the best way to reach it from the
 root (forward) and the best completion down to the true terminal
@@ -13,8 +16,9 @@ level's parameter theta, 0-arcs are free.  Callers are responsible for the
 parameter scale (e.g. passing -lambda/alpha and rescaling results when
 smoothing).
 
-These reference routines favour clarity; the dual solver inlines
-specialised copies of the two instances it iterates.
+These routines favour clarity; `bddsolve.dual` runs specialised min-sum
+and log-sum-exp kernels computing the same values.  The `scratch_*`
+functions recompute a dual state's marginals and energies from scratch.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .bdd import FALSE, TRUE, Bdd
+from bddsolve.bdd import FALSE, TRUE, Bdd
 
 INF = math.inf
 
@@ -216,3 +220,37 @@ def forward_energy(bdd: Bdd, store: MessageStore, theta, algebra: MarginalAlgebr
         if hi[v] == TRUE:
             total = merge(total, combine(fw[v], w))
     return total
+
+
+# -- from-scratch recomputation of a dual state --------------------------------
+
+
+def scratch_marginals(state, j):
+    """Per-level marginal pairs of diagram j in bound scale, from a fresh sweep."""
+    bdd = state.bdds[j]
+    if state.smoothing > 0:
+        thetas = [state.theta(j, lev) for lev in range(bdd.num_levels)]
+        store = MessageStore(bdd, LOG_PARTITION)
+        raw = marginal_sweep(bdd, store, thetas, LOG_PARTITION)
+        a = state.smoothing
+        return [(-a * v0, -a * v1) for v0, v1 in raw]
+    store = MessageStore(bdd, MIN_MARGINAL)
+    return marginal_sweep(bdd, store, state.duals[j], MIN_MARGINAL)
+
+
+def scratch_energy(state, j):
+    """Diagram j's optimum in bound scale, from a fresh sweep."""
+    bdd = state.bdds[j]
+    if state.smoothing > 0:
+        thetas = [state.theta(j, lev) for lev in range(bdd.num_levels)]
+        store = MessageStore(bdd, LOG_PARTITION)
+        backward_sweep(bdd, store, thetas, LOG_PARTITION)
+        return -state.smoothing * subproblem_energy(bdd, store, LOG_PARTITION)
+    store = MessageStore(bdd, MIN_MARGINAL)
+    backward_sweep(bdd, store, state.duals[j], MIN_MARGINAL)
+    return subproblem_energy(bdd, store, MIN_MARGINAL)
+
+
+def scratch_dual_value(state):
+    """Sum of every diagram's scratch energy."""
+    return sum(scratch_energy(state, j) for j in range(state.num_subproblems))

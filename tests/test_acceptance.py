@@ -16,15 +16,6 @@ from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
 
-from bddsolve.algebra import (
-    COUNTING,
-    LOG_PARTITION,
-    MIN_MARGINAL,
-    MessageStore,
-    backward_sweep,
-    marginal_sweep,
-    subproblem_energy,
-)
 from bddsolve.bdd import build_bdd
 from bddsolve.dual import (
     SRMP,
@@ -33,6 +24,7 @@ from bddsolve.dual import (
     backward_pass,
     forward_pass,
     init_duals,
+    min_marginals,
     run,
 )
 from bddsolve.model import (
@@ -43,8 +35,19 @@ from bddsolve.model import (
     presolve_free,
     write_lp,
 )
-from bddsolve.primal import primal_search
+from bddsolve.primal import _path_counts, primal_search
 from bddsolve.testkit import brute_force_solve, mrf_instance, random_ilp
+from reference_algebra import (
+    COUNTING,
+    LOG_PARTITION,
+    MIN_MARGINAL,
+    MessageStore,
+    backward_sweep,
+    marginal_sweep,
+    scratch_energy,
+    scratch_marginals,
+    subproblem_energy,
+)
 
 INF = math.inf
 
@@ -163,16 +166,22 @@ def test_c03_marginals_match_brute_force():
             costs = [math.fsum(l * b for l, b in zip(lam, sol)) for sol in sols]
 
             got = marginal_sweep(diagram, MessageStore(diagram, MIN_MARGINAL), lam, MIN_MARGINAL)
+            fast = min_marginals(diagram, lam)
             for lev in range(k):
                 want0 = min((c for c, s in zip(costs, sols) if s[lev] == 0), default=INF)
                 want1 = min((c for c, s in zip(costs, sols) if s[lev] == 1), default=INF)
                 assert _close(got[lev][0], want0, 1e-9)
                 assert _close(got[lev][1], want1, 1e-9)
+                assert _close(fast[lev][0], want0, 1e-9)
+                assert _close(fast[lev][1], want1, 1e-9)
 
             counts = marginal_sweep(diagram, MessageStore(diagram, COUNTING), [0.0] * k, COUNTING)
+            fast_counts = _path_counts(diagram)
             for lev in range(k):
                 assert counts[lev][0] == sum(1 for s in sols if s[lev] == 0)
                 assert counts[lev][1] == sum(1 for s in sols if s[lev] == 1)
+                assert fast_counts[lev][0] == sum(1 for s in sols if s[lev] == 0)
+                assert fast_counts[lev][1] == sum(1 for s in sols if s[lev] == 1)
 
             for alpha in (1.0, 0.1, 0.01):
                 thetas = [-l / alpha for l in lam]
@@ -209,7 +218,7 @@ class _IncreaseChecker:
 
     def marginals(self, var, items):
         self._items = items
-        self._before = math.fsum(self.state.scratch_energy(j) for j, _, _, _ in items)
+        self._before = math.fsum(scratch_energy(self.state, j) for j, _, _, _ in items)
         diffs = []
         for _, _, m0, m1 in items:
             if m1 == INF and m0 == INF:
@@ -228,7 +237,7 @@ class _IncreaseChecker:
             assert predicted == INF
             self.latched += 1
             return
-        after = math.fsum(self.state.scratch_energy(j) for j, _, _, _ in self._items)
+        after = math.fsum(scratch_energy(self.state, j) for j, _, _, _ in self._items)
         realized = after - self._before
         assert realized >= -1e-9, f"bound decreased by {-realized} at variable {var}"
         expected = _closed_form_increase(self._diffs)
@@ -278,7 +287,7 @@ def test_c05_smoothed_energy_sandwich():
                     continue
                 lam = state.duals[j]
                 costs = [math.fsum(l * b for l, b in zip(lam, sol)) for sol in sols]
-                exact = state.scratch_energy(j)
+                exact = scratch_energy(state, j)
                 assert _close(exact, min(costs), 1e-9)
                 for alpha in (1.0, 0.1, 0.01):
                     thetas = [-l / alpha for l in lam]
@@ -317,7 +326,7 @@ class _MarginalChecker:
 
     def marginals(self, var, items):
         for j, lev, m0, m1 in items:
-            want0, want1 = self.state.scratch_marginals(j)[lev]
+            want0, want1 = scratch_marginals(self.state, j)[lev]
             assert _close(m0, want0, 1e-9), f"diagram {j} level {lev}: {m0} vs {want0}"
             assert _close(m1, want1, 1e-9), f"diagram {j} level {lev}: {m1} vs {want1}"
             self.compared += 1

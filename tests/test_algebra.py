@@ -3,7 +3,9 @@ import random
 
 import pytest
 
-from bddsolve.algebra import (
+from bddsolve.bdd import build_bdd
+from bddsolve.model import LinearConstraint, Relation
+from reference_algebra import (
     COUNTING,
     LOG_PARTITION,
     MIN_MARGINAL,
@@ -17,8 +19,6 @@ from bddsolve.algebra import (
     marginal_sweep,
     subproblem_energy,
 )
-from bddsolve.bdd import build_bdd
-from bddsolve.model import LinearConstraint, Relation
 
 INF = math.inf
 

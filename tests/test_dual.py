@@ -19,6 +19,7 @@ from bddsolve.dual import (
 )
 from bddsolve.model import ILPInstance, LinearConstraint, Relation, decompose, presolve_free
 from bddsolve.testkit import brute_force_solve, graph_matching_instance, mrf_instance, random_ilp
+from reference_algebra import scratch_dual_value, scratch_energy, scratch_marginals
 
 INF = math.inf
 
@@ -49,21 +50,21 @@ class Checker:
 
     def marginals(self, var, items):
         for j, lev, m0, m1 in items:
-            want0, want1 = self.state.scratch_marginals(j)[lev]
+            want0, want1 = scratch_marginals(self.state, j)[lev]
             assert m0 == pytest.approx(want0, abs=self.tol)
             assert m1 == pytest.approx(want1, abs=self.tol)
-        self.pre = self.state.scratch_dual_value()
+        self.pre = scratch_dual_value(self.state)
 
     def updated(self, var, diffs, predicted):
         self.updates += 1
         self.infinite_diffs += sum(1 for d in diffs if d in (INF, -INF))
         if predicted is None:  # smoothed: only monotonicity is claimed
-            post = self.state.scratch_dual_value()
+            post = scratch_dual_value(self.state)
             assert post >= self.pre - 1e-9
         elif predicted == INF:
             assert self.state.infeasible
         else:
-            post = self.state.scratch_dual_value()
+            post = scratch_dual_value(self.state)
             assert post - self.pre == pytest.approx(predicted, abs=self.tol)
 
 
@@ -84,7 +85,7 @@ def test_two_copy_frozen_example():
     assert diffs == [2.0, -3.0]
     assert predicted == 2.0
     assert state.duals == [[-0.5], [-0.5]]
-    assert state.scratch_dual_value() == -1.0
+    assert scratch_dual_value(state) == -1.0
 
 
 def test_init_splits_objective_equally():
@@ -100,7 +101,7 @@ def test_init_splits_objective_equally():
 
 def test_initial_bound_matches_scratch():
     state, _ = build_state(random_ilp(7, 4, seed=7))
-    assert state.dual_value() == pytest.approx(state.scratch_dual_value())
+    assert state.dual_value() == pytest.approx(scratch_dual_value(state))
 
 
 @pytest.mark.parametrize("averaging", [UNIFORM, SRMP])
@@ -118,7 +119,7 @@ def test_passes_monotone_and_match_scratch(averaging):
                 if state.infeasible:
                     break
                 assert cur >= lb - 1e-9
-                assert cur == pytest.approx(state.scratch_dual_value(), abs=1e-8)
+                assert cur == pytest.approx(scratch_dual_value(state), abs=1e-8)
                 lb = cur
             if state.infeasible:
                 break
@@ -244,7 +245,7 @@ def test_smoothed_energies_below_hard():
     hard, _ = build_state(problem, smoothing=0.0)
     soft, _ = build_state(problem, smoothing=0.5)
     for j in range(hard.num_subproblems):
-        assert soft.scratch_energy(j) <= hard.scratch_energy(j) + 1e-12
+        assert scratch_energy(soft, j) <= scratch_energy(hard, j) + 1e-12
 
 
 def test_smoothed_run_monotone_and_valid():

@@ -18,7 +18,8 @@ from bddsolve.primal import (
     primal_search,
     rollback_all,
 )
-from bddsolve.testkit import brute_force_solve, mrf_instance, random_ilp
+from bddsolve.testkit import brute_force_solve, graph_matching_instance, mrf_instance, random_ilp
+from reference_algebra import COUNTING, MIN_MARGINAL, MessageStore, marginal_sweep
 
 
 def build_state(instance, passes=6):
@@ -87,7 +88,7 @@ def test_backtracks_to_feasibility():
         [
             ((((0, 1), (1, 1))), Relation.EQ, 1),
             ((((0, 1), (2, 1))), Relation.EQ, 1),
-            ((((1, 1), (2, 1))), Relation.LE, 1),
+            ((((1, 1), (2, 1))), Relation.GE, 1),
         ],
     )
     state, _ = build_state(problem, passes=0)
@@ -95,6 +96,8 @@ def test_backtracks_to_feasibility():
     assert result.status == "solved"
     vec = full_vector(problem, result.assignment)
     assert problem.check_assignment(vec)
+    assert result.conflicts >= 1
+    assert result.assignment[0] == 0
 
 
 def test_exhaustion_proves_infeasibility():
@@ -167,6 +170,32 @@ def test_strategies_all_solve(strategy):
         assert problem.check_assignment(full_vector(problem, result.assignment))
         solved += 1
     assert solved >= 5
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_scores_match_the_reference_sweeps(monkeypatch, strategy):
+    rng = random.Random(2721)
+    problems = [
+        random_ilp(rng.randint(4, 12), rng.randint(2, 6), seed=rng.randint(0, 10**6)) for _ in range(20)
+    ]
+    problems += [mrf_instance(2, 3, 3, seed=5), graph_matching_instance(3, seed=2)]
+    states = [build_state(problem)[0] for problem in problems]
+    fast = [compute_scores(state, strategy) for state in states]
+
+    def reference_min_marginals(bdd, costs):
+        return marginal_sweep(bdd, MessageStore(bdd, MIN_MARGINAL), costs, MIN_MARGINAL)
+
+    def reference_counts(bdd):
+        return marginal_sweep(bdd, MessageStore(bdd, COUNTING), [0] * bdd.num_levels, COUNTING)
+
+    monkeypatch.setattr(primal, "min_marginals", reference_min_marginals)
+    monkeypatch.setattr(primal, "_path_counts", reference_counts)
+    for state, got in zip(states, fast):
+        want = compute_scores(state, strategy)
+        assert repr(got.margins) == repr(want.margins)
+        assert got.preference == want.preference
+        assert got.order == want.order
+    assert sum(len(got.margins) for got in fast) >= 100
 
 
 def test_search_is_deterministic():
