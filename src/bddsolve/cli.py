@@ -19,7 +19,7 @@ import sys
 
 from . import testkit
 from .bdd import BddBuildError, build_bdd
-from .dual import DEFAULT_MAX_PASSES
+from .dual import DEFAULT_MAX_PASSES, DEFAULT_TOLERANCE
 from .model import LpParseError, ModelError, decompose, order_variables, parse_lp, write_lp
 from .solver import DUAL_ONLY, INFEASIBLE, SOLVED, RunReport, SolveOptions, solve_instance
 
@@ -43,9 +43,9 @@ def _build_parser():
                        help="same as the positional FILE argument")
     solve.add_argument("--max-passes", type=int, default=DEFAULT_MAX_PASSES, metavar="N",
                        help="directional sweep limit for the dual loop (default %(default)s)")
-    solve.add_argument("--tol", "--tolerance", dest="tolerance", type=float, default=1e-6,
-                       metavar="EPS",
-                       help="relative bound-improvement threshold; 0 disables (default 1e-6)")
+    solve.add_argument("--tol", "--tolerance", dest="tolerance", type=float,
+                       default=DEFAULT_TOLERANCE, metavar="EPS",
+                       help="relative bound-improvement threshold; 0 disables (default %(default)s)")
     solve.add_argument("--smoothing", type=float, default=0.0, metavar="ALPHA",
                        help="temperature for soft-min messages; 0 = exact min (default 0)")
     solve.add_argument("--averaging", choices=("uniform", "srmp"), default="uniform",

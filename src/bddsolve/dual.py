@@ -11,23 +11,25 @@ Every step provably never lowers the bound; sweeps alternate forward and
 backward over the variable order, keeping forward/backward node values
 current incrementally so a full sweep costs one message update per node.
 
-With smoothing alpha > 0 marginals become soft minima computed in the log
-domain (temperature alpha); the uniform update then equalises the smoothed
-differences exactly, which is the exact coordinate optimum of the smoothed
-dual, so monotonicity still holds.  Srmp plus smoothing carries no such
-guarantee.
+With smoothing alpha > 0 marginals become soft minima at temperature
+alpha, smin(a, b) = -alpha*log(exp(-a/alpha) + exp(-b/alpha)); the uniform
+update then equalises the smoothed differences exactly, which is the exact
+coordinate optimum of the smoothed dual, so monotonicity still holds.  Srmp
+plus smoothing carries no such guarantee.  Both algebras keep every message
+in cost units, so node values, energies and marginals read the same way
+whatever the temperature.
 
 A variable forced in some diagram gives an infinite difference: diagrams
 forcing it agree -> the finite diffs are dumped on the forcing diagrams
 (their optimum can absorb shifts for free on the side they force); they
 disagree -> the instance is proven infeasible and the bound becomes +inf.
 
-There is one message kernel family per algebra: `_bstep_*`, `_scatter_*`,
-`_marg_*` and `_fw_energy_*`, in a min-sum and a log-sum-exp version.  The
-passes run them incrementally; `min_marginals` runs the min-sum ones as a
-fresh sweep over one diagram, which is where the rounding search reads its
-margins.  The generic reference sweeps they are tested against live with
-the tests.
+There is one message kernel set per algebra: `marg`, `scatter`, `bstep`
+and `fw_energy`, in a min-sum and a soft-min version; a `DualState` picks
+its set once, from its smoothing.  The passes run the kernels
+incrementally; `min_marginals` runs the min-sum ones as a fresh sweep over
+one diagram, which is where the rounding search reads its margins.  The
+generic reference sweeps they are tested against live with the tests.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ UNIFORM = "uniform"
 SRMP = "srmp"
 
 DEFAULT_MAX_PASSES = 1000
+DEFAULT_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -57,7 +60,7 @@ class SolverConfig:
     """
 
     max_passes: int = DEFAULT_MAX_PASSES
-    tolerance: float = 1e-6
+    tolerance: float = DEFAULT_TOLERANCE
 
 
 @dataclass(frozen=True)
@@ -81,10 +84,12 @@ class DualState:
 
     `duals[j][lev]` is diagram j's copy of the cost of the variable at its
     level `lev`; copies of one variable always sum to the variable's
-    objective coefficient.  `fw`/`bw` hold forward/backward node values
-    (log-domain when smoothing), `energies[j]` the latest per-diagram
-    optimum in bound scale, and `infeasible` latches once any update proves
-    the constraint set empty.
+    objective coefficient.  `fw`/`bw` hold forward/backward node values and
+    `energies[j]` the latest per-diagram optimum, all in cost units for
+    either algebra; `infeasible` latches once any update proves the
+    constraint set empty.  The kernel set `marg`, `scatter`, `bstep`,
+    `fw_energy` (min-sum, or soft-min at temperature `smoothing`) is chosen
+    once, here.
     """
 
     def __init__(self, bdds, decomposition, duals, smoothing, averaging):
@@ -93,10 +98,12 @@ class DualState:
         self.duals = duals
         self.smoothing = smoothing
         self.averaging = averaging
+        self.marg, self.scatter, self.bstep, self.fw_energy = (
+            _soft_min_kernels(smoothing) if smoothing > 0 else _MIN_KERNELS
+        )
         self.infeasible = False
-        ident = -INF if smoothing > 0 else INF
-        self.fw = [[ident] * len(b.lo) for b in bdds]
-        self.bw = [[ident] * len(b.lo) for b in bdds]
+        self.fw = [[INF] * len(b.lo) for b in bdds]
+        self.bw = [[INF] * len(b.lo) for b in bdds]
         self.energies = [0.0] * len(bdds)
         self.slots = {}
         for j, b in enumerate(bdds):
@@ -114,31 +121,18 @@ class DualState:
             return INF
         return sum(self.energies)
 
-    def theta(self, j, lev):
-        """Arc weight of the 1-arc at (j, lev) in the message domain."""
-        lam = self.duals[j][lev]
-        return -lam / self.smoothing if self.smoothing > 0 else lam
-
     def refresh(self):
         """Recompute every backward value and energy; reseed forward roots.
 
         Needed once after construction and after any direct surgery on
         `duals`; passes keep the arrays current on their own.
         """
-        smoothing = self.smoothing
         for j, bdd in enumerate(self.bdds):
-            fwj, bwj = self.fw[j], self.bw[j]
-            if smoothing > 0:
-                bwj[FALSE] = -INF
-                bwj[TRUE] = 0.0
-                for lev in range(bdd.num_levels - 1, -1, -1):
-                    _bstep_lse(bdd, bwj, lev, self.theta(j, lev))
-                self.energies[j] = -smoothing * bwj[bdd.root]
-            else:
-                _bsweep_min(bdd, bwj, self.duals[j])
-                self.energies[j] = bwj[bdd.root]
+            bwj = self.bw[j]
+            _bsweep(bdd, bwj, self.duals[j], self.bstep)
+            self.energies[j] = bwj[bdd.root]
             if bdd.root >= 2:
-                fwj[bdd.root] = 0.0
+                self.fw[j][bdd.root] = 0.0
         if any(e == INF for e in self.energies):
             self.infeasible = True
 
@@ -166,10 +160,13 @@ def init_duals(bdds, decomposition, objective, smoothing=0.0, averaging=UNIFORM)
     return state
 
 
-# -- specialised message kernels (min-sum) ---------------------------------------
+# -- message kernels ---------------------------------------------------------------
+#
+# `cost` is the cost copy on the 1-arcs of the level; 0-arcs are free.  Every
+# value is in cost units, +inf where no path exists.
 
 
-def _marg_min(bdd, fwj, bwj, level, theta):
+def _marg_min(bdd, fwj, bwj, level, cost):
     lo, hi, alive = bdd.lo, bdd.hi, bdd.alive
     m0 = m1 = INF
     for v in bdd.level_nodes[level]:
@@ -178,13 +175,13 @@ def _marg_min(bdd, fwj, bwj, level, theta):
             a = base + bwj[lo[v]]
             if a < m0:
                 m0 = a
-            b = base + theta + bwj[hi[v]]
+            b = base + cost + bwj[hi[v]]
             if b < m1:
                 m1 = b
     return m0, m1
 
 
-def _scatter_min(bdd, fwj, level, theta):
+def _scatter_min(bdd, fwj, level, cost):
     lo, hi, alive = bdd.lo, bdd.hi, bdd.alive
     for v in bdd.level_nodes[level + 1]:
         fwj[v] = INF
@@ -196,26 +193,98 @@ def _scatter_min(bdd, fwj, level, theta):
                 fwj[c] = base
             c = hi[v]
             if c >= 2:
-                b = base + theta
+                b = base + cost
                 if b < fwj[c]:
                     fwj[c] = b
 
 
-def _bstep_min(bdd, bwj, level, theta):
+def _bstep_min(bdd, bwj, level, cost):
     lo, hi, alive = bdd.lo, bdd.hi, bdd.alive
     for v in bdd.level_nodes[level]:
         if alive[v]:
             a = bwj[lo[v]]
-            b = theta + bwj[hi[v]]
+            b = cost + bwj[hi[v]]
             bwj[v] = a if a <= b else b
 
 
-def _bsweep_min(bdd, bwj, costs):
+def _fw_energy_min(bdd, fwj, cost_last):
+    lo, hi, alive = bdd.lo, bdd.hi, bdd.alive
+    best = INF
+    for v in bdd.level_nodes[-1]:
+        if alive[v]:
+            if lo[v] == TRUE and fwj[v] < best:
+                best = fwj[v]
+            if hi[v] == TRUE:
+                b = fwj[v] + cost_last
+                if b < best:
+                    best = b
+    return best
+
+
+_MIN_KERNELS = (_marg_min, _scatter_min, _bstep_min, _fw_energy_min)
+
+
+def _soft_min_kernels(alpha):
+    """The soft-min kernel set at temperature alpha > 0, shaped like `_MIN_KERNELS`."""
+
+    def smin(a, b):
+        # -alpha * log(exp(-a/alpha) + exp(-b/alpha)); exact when b is +inf
+        if a > b:
+            a, b = b, a
+        if b == INF:
+            return a
+        return a - alpha * math.log1p(math.exp((a - b) / alpha))
+
+    def marg(bdd, fwj, bwj, level, cost):
+        lo, hi, alive = bdd.lo, bdd.hi, bdd.alive
+        m0 = m1 = INF
+        for v in bdd.level_nodes[level]:
+            if alive[v]:
+                base = fwj[v]
+                m0 = smin(m0, base + bwj[lo[v]])
+                m1 = smin(m1, base + cost + bwj[hi[v]])
+        return m0, m1
+
+    def scatter(bdd, fwj, level, cost):
+        lo, hi, alive = bdd.lo, bdd.hi, bdd.alive
+        for v in bdd.level_nodes[level + 1]:
+            fwj[v] = INF
+        for v in bdd.level_nodes[level]:
+            if alive[v]:
+                base = fwj[v]
+                c = lo[v]
+                if c >= 2:
+                    fwj[c] = smin(fwj[c], base)
+                c = hi[v]
+                if c >= 2:
+                    fwj[c] = smin(fwj[c], base + cost)
+
+    def bstep(bdd, bwj, level, cost):
+        lo, hi, alive = bdd.lo, bdd.hi, bdd.alive
+        for v in bdd.level_nodes[level]:
+            if alive[v]:
+                bwj[v] = smin(bwj[lo[v]], cost + bwj[hi[v]])
+
+    def fw_energy(bdd, fwj, cost_last):
+        lo, hi, alive = bdd.lo, bdd.hi, bdd.alive
+        total = INF
+        for v in bdd.level_nodes[-1]:
+            if alive[v]:
+                if lo[v] == TRUE:
+                    total = smin(total, fwj[v])
+                if hi[v] == TRUE:
+                    total = smin(total, fwj[v] + cost_last)
+        return total
+
+    return marg, scatter, bstep, fw_energy
+
+
+def _bsweep(bdd, bwj, costs, bstep):
     """Seed the terminals and recompute every backward value bottom-up."""
     bwj[FALSE] = INF
     bwj[TRUE] = 0.0
     for lev in range(bdd.num_levels - 1, -1, -1):
-        _bstep_min(bdd, bwj, lev, costs[lev])
+        bstep(bdd, bwj, lev, costs[lev])
 
 
 def min_marginals(bdd, costs):
@@ -227,7 +296,7 @@ def min_marginals(bdd, costs):
     if bdd.root < 2:
         return []
     bw = [INF] * len(bdd.lo)
-    _bsweep_min(bdd, bw, costs)
+    _bsweep(bdd, bw, costs, _bstep_min)
     fw = [INF] * len(bdd.lo)
     fw[bdd.root] = 0.0
     last = bdd.num_levels - 1
@@ -239,191 +308,84 @@ def min_marginals(bdd, costs):
     return out
 
 
-def _fw_energy_min(bdd, fwj, theta_last):
-    lo, hi, alive = bdd.lo, bdd.hi, bdd.alive
-    best = INF
-    for v in bdd.level_nodes[-1]:
-        if alive[v]:
-            if lo[v] == TRUE and fwj[v] < best:
-                best = fwj[v]
-            if hi[v] == TRUE:
-                b = fwj[v] + theta_last
-                if b < best:
-                    best = b
-    return best
-
-
-# -- specialised message kernels (log domain) -------------------------------------
-
-
-def _lse2(a, b):
-    if a >= b:
-        if b == -INF:
-            return a
-        return a + math.log1p(math.exp(b - a))
-    if a == -INF:
-        return b
-    return b + math.log1p(math.exp(a - b))
-
-
-def _marg_lse(bdd, fwj, bwj, level, theta):
-    lo, hi, alive = bdd.lo, bdd.hi, bdd.alive
-    v0 = v1 = -INF
-    for v in bdd.level_nodes[level]:
-        if alive[v]:
-            base = fwj[v]
-            v0 = _lse2(v0, base + bwj[lo[v]])
-            v1 = _lse2(v1, base + theta + bwj[hi[v]])
-    return v0, v1
-
-
-def _scatter_lse(bdd, fwj, level, theta):
-    lo, hi, alive = bdd.lo, bdd.hi, bdd.alive
-    for v in bdd.level_nodes[level + 1]:
-        fwj[v] = -INF
-    for v in bdd.level_nodes[level]:
-        if alive[v]:
-            base = fwj[v]
-            c = lo[v]
-            if c >= 2:
-                fwj[c] = _lse2(fwj[c], base)
-            c = hi[v]
-            if c >= 2:
-                fwj[c] = _lse2(fwj[c], base + theta)
-
-
-def _bstep_lse(bdd, bwj, level, theta):
-    lo, hi, alive = bdd.lo, bdd.hi, bdd.alive
-    for v in bdd.level_nodes[level]:
-        if alive[v]:
-            bwj[v] = _lse2(bwj[lo[v]], theta + bwj[hi[v]])
-
-
-def _fw_energy_lse(bdd, fwj, theta_last):
-    lo, hi, alive = bdd.lo, bdd.hi, bdd.alive
-    total = -INF
-    for v in bdd.level_nodes[-1]:
-        if alive[v]:
-            if lo[v] == TRUE:
-                total = _lse2(total, fwj[v])
-            if hi[v] == TRUE:
-                total = _lse2(total, fwj[v] + theta_last)
-    return total
-
-
 # -- the coordinate update ---------------------------------------------------------
 
 
-def _predicted_increase(diffs):
-    """Exact bound gain of one hard-min update, in extended arithmetic.
-
-    Finite diffs: min(0, sum) - sum of min(0, d).  One-sided infinities put
-    the finite diffs on the forcing diagrams, whose optimum ignores the
-    shift (forced-0) or absorbs it linearly (forced-1); the residual terms
-    below are the limits of the same formula.
-    """
-    if any(d == INF for d in diffs):
-        return -sum(min(0.0, d) for d in diffs if d != INF)
-    if any(d == -INF for d in diffs):
-        return sum(max(0.0, d) for d in diffs if d != -INF)
-    total = sum(diffs)
-    return min(0.0, total) - sum(min(0.0, d) for d in diffs)
-
-
-def mma_update(state: DualState, var, forward=True, observer=None):
+def mma_update(state: DualState, var, forward=True):
     """One min-marginal-averaging step for one variable.
 
     Reads the marginal pair in every covering diagram (requires fw current
     at the variable's levels and bw current below them), then shifts the
-    cost copies.  Returns (diffs, predicted) where `predicted` is the exact
-    bound increase for hard minima, +inf when the step proves infeasibility,
-    and None when smoothing (no closed form is claimed).  Does not advance
-    any messages; callers step fw/bw afterwards with the new weights.
+    cost copies.  Returns the diffs m1 - m0 in slot order: +inf where the
+    diagram forces the variable to 0, -inf where it forces 1, nan where it
+    has no solution left.  Does not advance any messages; callers step
+    fw/bw afterwards with the new weights.
     """
     slots = state.slots.get(var)
     if not slots:
         raise ValueError(f"variable {var} is not covered by any diagram")
-    smoothing = state.smoothing
-    duals = state.duals
-    items = []
-    if smoothing > 0:
-        for j, lev in slots:
-            v0, v1 = _marg_lse(state.bdds[j], state.fw[j], state.bw[j], lev, state.theta(j, lev))
-            items.append((j, lev, -smoothing * v0, -smoothing * v1))
-    else:
-        for j, lev in slots:
-            m0, m1 = _marg_min(state.bdds[j], state.fw[j], state.bw[j], lev, duals[j][lev])
-            items.append((j, lev, m0, m1))
-    if observer is not None:
-        observer.marginals(var, items)
-
+    bdds, fw, bw, duals, marg = state.bdds, state.fw, state.bw, state.duals, state.marg
     diffs = []
-    forced_zero = []  # slot positions where the diagram forces var = 0
+    forced_zero = []  # slots where the diagram forces var = 0
     forced_one = []
-    finite = []
+    finite = []  # (j, lev, diff)
     dead = False
-    for pos, (j, lev, m0, m1) in enumerate(items):
+    for j, lev in slots:
+        m0, m1 = marg(bdds[j], fw[j], bw[j], lev, duals[j][lev])
         if m1 == INF:
             if m0 == INF:
                 dead = True  # the diagram itself has no solutions left
                 diffs.append(math.nan)
                 continue
             diffs.append(INF)
-            forced_zero.append(pos)
+            forced_zero.append((j, lev))
         elif m0 == INF:
             diffs.append(-INF)
-            forced_one.append(pos)
+            forced_one.append((j, lev))
         else:
-            diffs.append(m1 - m0)
-            finite.append(pos)
+            d = m1 - m0
+            diffs.append(d)
+            finite.append((j, lev, d))
 
     if dead or (forced_zero and forced_one):
         state.infeasible = True
-        predicted = INF
-    else:
+    elif forced_zero or forced_one:
+        # Move only diffs that prefer the impossible value: cost shifted off a
+        # side no solution uses cannot hurt any diagram, and (for soft minima)
+        # shifting the agreeing side would.
         absorbers = forced_zero or forced_one
-        if absorbers:
-            # Move only diffs that prefer the impossible value: cost shifted
-            # off a side no solution uses cannot hurt any diagram, and (for
-            # soft minima) shifting the agreeing side would.
-            moved = 0.0
-            for pos in finite:
-                d = diffs[pos]
-                if (d < 0.0) if forced_zero else (d > 0.0):
-                    j, lev, _, _ = items[pos]
-                    duals[j][lev] -= d
-                    moved += d
-            if moved:
-                share = moved / len(absorbers)
-                for pos in absorbers:
-                    j, lev, _, _ = items[pos]
-                    duals[j][lev] += share
-        else:
-            total = sum(diffs)
-            if state.averaging == SRMP:
-                if forward:
-                    members = [
-                        pos
-                        for pos, (j, lev, _, _) in enumerate(items)
-                        if lev + 1 < state.bdds[j].num_levels
-                    ]
-                else:
-                    members = [pos for pos, (j, lev, _, _) in enumerate(items) if lev > 0]
-                if not members:
-                    members = range(len(items))
+        moved = 0.0
+        for j, lev, d in finite:
+            if (d < 0.0) if forced_zero else (d > 0.0):
+                duals[j][lev] -= d
+                moved += d
+        if moved:
+            share = moved / len(absorbers)
+            for j, lev in absorbers:
+                duals[j][lev] += share
+    else:
+        total = sum(diffs)
+        members = None
+        if state.averaging == SRMP:
+            # only the diagrams this sweep visits again take a share
+            if forward:
+                members = [lev + 1 < bdds[j].num_levels for j, lev in slots]
             else:
-                members = range(len(items))
-            share = total / len(members)
-            in_set = set(members)
-            for pos, (j, lev, _, _) in enumerate(items):
-                duals[j][lev] -= diffs[pos]
-                if pos in in_set:
+                members = [lev > 0 for _, lev in slots]
+            if not any(members):
+                members = None
+        if members is None:
+            share = total / len(slots)
+            for (j, lev), d in zip(slots, diffs):
+                duals[j][lev] -= d
+                duals[j][lev] += share
+        else:
+            share = total / sum(members)
+            for (j, lev), d, member in zip(slots, diffs, members):
+                duals[j][lev] -= d
+                if member:
                     duals[j][lev] += share
-        predicted = None if smoothing > 0 else _predicted_increase(diffs)
-
-    if observer is not None:
-        observer.updated(var, diffs, predicted)
-    return diffs, predicted
+    return diffs
 
 
 # -- passes ----------------------------------------------------------------------
@@ -432,19 +394,16 @@ def mma_update(state: DualState, var, forward=True, observer=None):
 def _finish_pass(state: DualState, read):
     """Store every diagram's optimum and return the raw bound.
 
-    `read(j, bdd)` is a non-sentinel diagram's optimum in the message
-    domain, taken from the messages the pass left current; sentinels need
-    none.  Latches infeasibility.
+    `read(j, bdd)` is a non-sentinel diagram's optimum, taken from the
+    messages the pass left current; sentinels need none.  Latches
+    infeasibility.
     """
-    smoothing = state.smoothing
     energies = state.energies
     for j, bdd in enumerate(state.bdds):
         if bdd.root == TRUE:
             energies[j] = 0.0
         elif bdd.root == FALSE:
             energies[j] = INF
-        elif smoothing > 0:
-            energies[j] = -smoothing * read(j, bdd)
         else:
             energies[j] = read(j, bdd)
     total = state.dual_value()
@@ -453,7 +412,7 @@ def _finish_pass(state: DualState, read):
     return total
 
 
-def forward_pass(state: DualState, observer=None):
+def forward_pass(state: DualState):
     """Sweep the variable order forward; returns the raw bound afterwards.
 
     Requires bw current everywhere (a refresh or a completed backward
@@ -461,22 +420,21 @@ def forward_pass(state: DualState, observer=None):
     """
     if state.infeasible:
         return INF
-    smoothing = state.smoothing
-    scatter = _scatter_lse if smoothing > 0 else _scatter_min
+    bdds, fw, duals, scatter = state.bdds, state.fw, state.duals, state.scatter
     for var in state.active:
-        mma_update(state, var, forward=True, observer=observer)
+        mma_update(state, var, forward=True)
         if state.infeasible:
             return INF
         for j, lev in state.slots[var]:
-            if lev + 1 < state.bdds[j].num_levels:
-                scatter(state.bdds[j], state.fw[j], lev, state.theta(j, lev))
-    fw_energy = _fw_energy_lse if smoothing > 0 else _fw_energy_min
+            if lev + 1 < bdds[j].num_levels:
+                scatter(bdds[j], fw[j], lev, duals[j][lev])
+    fw_energy = state.fw_energy
     return _finish_pass(
-        state, lambda j, bdd: fw_energy(bdd, state.fw[j], state.theta(j, bdd.num_levels - 1))
+        state, lambda j, bdd: fw_energy(bdd, fw[j], duals[j][bdd.num_levels - 1])
     )
 
 
-def backward_pass(state: DualState, observer=None):
+def backward_pass(state: DualState):
     """Sweep the variable order backward; returns the raw bound afterwards.
 
     Requires fw current everywhere (a completed forward pass).  Leaves bw
@@ -484,15 +442,14 @@ def backward_pass(state: DualState, observer=None):
     """
     if state.infeasible:
         return INF
-    smoothing = state.smoothing
-    bstep = _bstep_lse if smoothing > 0 else _bstep_min
+    bdds, bw, duals, bstep = state.bdds, state.bw, state.duals, state.bstep
     for var in reversed(state.active):
-        mma_update(state, var, forward=False, observer=observer)
+        mma_update(state, var, forward=False)
         if state.infeasible:
             return INF
         for j, lev in state.slots[var]:
-            bstep(state.bdds[j], state.bw[j], lev, state.theta(j, lev))
-    return _finish_pass(state, lambda j, bdd: state.bw[j][bdd.root])
+            bstep(bdds[j], bw[j], lev, duals[j][lev])
+    return _finish_pass(state, lambda j, bdd: bw[j][bdd.root])
 
 
 def cost_scale(state: DualState) -> float:
@@ -509,7 +466,7 @@ def cost_scale(state: DualState) -> float:
     return min(1.0, largest) if largest > 0 else 1.0
 
 
-def run(state: DualState, config: SolverConfig = None, observer=None) -> DualReport:
+def run(state: DualState, config: SolverConfig = None) -> DualReport:
     """Alternate forward/backward passes until converged or out of passes."""
     if config is None:
         config = SolverConfig()
@@ -523,7 +480,7 @@ def run(state: DualState, config: SolverConfig = None, observer=None) -> DualRep
     termination = "pass_limit"
     while passes < config.max_passes:
         t0 = time.perf_counter()
-        lb = forward_pass(state, observer)
+        lb = forward_pass(state)
         passes += 1
         trace.append(TraceEntry(passes, "forward", lb, (time.perf_counter() - t0) * 1000.0))
         if state.infeasible:
@@ -532,7 +489,7 @@ def run(state: DualState, config: SolverConfig = None, observer=None) -> DualRep
         if passes >= config.max_passes:
             break
         t0 = time.perf_counter()
-        lb = backward_pass(state, observer)
+        lb = backward_pass(state)
         passes += 1
         trace.append(TraceEntry(passes, "backward", lb, (time.perf_counter() - t0) * 1000.0))
         if state.infeasible:

@@ -28,7 +28,7 @@ DUAL_ONLY = "dual_only"
 @dataclass(frozen=True)
 class SolveOptions:
     max_passes: int = _dual.DEFAULT_MAX_PASSES
-    tolerance: float = 1e-6
+    tolerance: float = _dual.DEFAULT_TOLERANCE
     smoothing: float = 0.0
     averaging: str = _dual.UNIFORM
     strategy: str = _primal.NEG_MARGIN

@@ -21,19 +21,16 @@ BRUTE_FORCE_CAP = 22
 _CHUNK = 1 << 16
 
 
-def brute_force_solve(instance: ILPInstance, cap=BRUTE_FORCE_CAP):
-    """Exact optimum by enumeration.
+def _feasible_chunks(instance: ILPInstance, cap):
+    """Yield (indices, bits) of the feasible assignments, chunk by chunk.
 
-    Returns (value, assignment) with the objective as a Fraction (offset
-    included), or (None, None) when no assignment is feasible.  Ties pick
-    the assignment whose bit pattern, variable 0 least significant, encodes
-    the smallest integer.
+    An assignment's index is its bit pattern, variable 0 least significant;
+    `bits` has one row per index, and chunks come in increasing index order.
+    Chunks without a feasible assignment are skipped.
     """
     n = instance.num_vars
     if n > cap:
         raise ValueError(f"{n} variables is past the enumeration cap {cap}")
-    scale = math.lcm(*(f.denominator for f in instance.objective)) if n else 1
-    costs = np.array([int(f * scale) for f in instance.objective], dtype=np.int64)
     rows = [
         (
             np.array([i for i, _ in c.terms], dtype=np.int64),
@@ -44,56 +41,6 @@ def brute_force_solve(instance: ILPInstance, cap=BRUTE_FORCE_CAP):
         for c in instance.constraints
     ]
     shifts = np.arange(n, dtype=np.int64)
-    best_val = None
-    best_idx = None
-    for start in range(0, 1 << n, _CHUNK):
-        ks = np.arange(start, min(start + _CHUNK, 1 << n), dtype=np.int64)
-        bits = (ks[:, None] >> shifts) & 1
-        mask = np.ones(len(ks), dtype=bool)
-        for sup, co, rel, rhs in rows:
-            act = bits[:, sup] @ co
-            if rel is Relation.LE:
-                mask &= act <= rhs
-            elif rel is Relation.GE:
-                mask &= act >= rhs
-            else:
-                mask &= act == rhs
-        if not mask.any():
-            continue
-        vals = bits[mask] @ costs
-        pos = int(np.argmin(vals))
-        val = int(vals[pos])
-        if best_val is None or val < best_val:
-            best_val = val
-            best_idx = int(ks[mask][pos])
-    if best_val is None:
-        return None, None
-    assignment = tuple(int((best_idx >> i) & 1) for i in range(n))
-    return Fraction(best_val, scale) + instance.objective_offset, assignment
-
-
-def enumerate_feasible(instance: ILPInstance, cap=BRUTE_FORCE_CAP):
-    """All feasible assignments and their float objective values.
-
-    Returns (assignments, values): an int8 array of shape (m, n) and a
-    float64 array of length m, in increasing bit-pattern order.
-    """
-    n = instance.num_vars
-    if n > cap:
-        raise ValueError(f"{n} variables is past the enumeration cap {cap}")
-    costs = np.array([float(f) for f in instance.objective])
-    rows = [
-        (
-            np.array([i for i, _ in c.terms], dtype=np.int64),
-            np.array([a for _, a in c.terms], dtype=np.int64),
-            c.relation,
-            c.rhs,
-        )
-        for c in instance.constraints
-    ]
-    shifts = np.arange(n, dtype=np.int64)
-    chunks_bits = []
-    chunks_vals = []
     for start in range(0, 1 << n, _CHUNK):
         ks = np.arange(start, min(start + _CHUNK, 1 << n), dtype=np.int64)
         bits = (ks[:, None] >> shifts) & 1
@@ -107,11 +54,49 @@ def enumerate_feasible(instance: ILPInstance, cap=BRUTE_FORCE_CAP):
             else:
                 mask &= act == rhs
         if mask.any():
-            kept = bits[mask]
-            chunks_bits.append(kept.astype(np.int8))
-            chunks_vals.append(kept @ costs + float(instance.objective_offset))
+            yield ks[mask], bits[mask]
+
+
+def brute_force_solve(instance: ILPInstance, cap=BRUTE_FORCE_CAP):
+    """Exact optimum by enumeration.
+
+    Returns (value, assignment) with the objective as a Fraction (offset
+    included), or (None, None) when no assignment is feasible.  Ties pick
+    the assignment whose bit pattern, variable 0 least significant, encodes
+    the smallest integer.
+    """
+    n = instance.num_vars
+    scale = math.lcm(*(f.denominator for f in instance.objective)) if n else 1
+    costs = np.array([int(f * scale) for f in instance.objective], dtype=np.int64)
+    best_val = None
+    best_idx = None
+    for ks, bits in _feasible_chunks(instance, cap):
+        vals = bits @ costs
+        pos = int(np.argmin(vals))
+        val = int(vals[pos])
+        if best_val is None or val < best_val:
+            best_val = val
+            best_idx = int(ks[pos])
+    if best_val is None:
+        return None, None
+    assignment = tuple(int((best_idx >> i) & 1) for i in range(n))
+    return Fraction(best_val, scale) + instance.objective_offset, assignment
+
+
+def enumerate_feasible(instance: ILPInstance, cap=BRUTE_FORCE_CAP):
+    """All feasible assignments and their float objective values.
+
+    Returns (assignments, values): an int8 array of shape (m, n) and a
+    float64 array of length m, in increasing bit-pattern order.
+    """
+    costs = np.array([float(f) for f in instance.objective])
+    chunks_bits = []
+    chunks_vals = []
+    for _, bits in _feasible_chunks(instance, cap):
+        chunks_bits.append(bits.astype(np.int8))
+        chunks_vals.append(bits @ costs + float(instance.objective_offset))
     if not chunks_bits:
-        return np.zeros((0, n), dtype=np.int8), np.zeros(0)
+        return np.zeros((0, instance.num_vars), dtype=np.int8), np.zeros(0)
     return np.concatenate(chunks_bits), np.concatenate(chunks_vals)
 
 

@@ -17,8 +17,10 @@ parameter scale (e.g. passing -lambda/alpha and rescaling results when
 smoothing).
 
 These routines favour clarity; `bddsolve.dual` runs specialised min-sum
-and log-sum-exp kernels computing the same values.  The `scratch_*`
-functions recompute a dual state's marginals and energies from scratch.
+and soft-min kernels computing the same values in cost units.  The
+`scratch_*` functions recompute a dual state's marginals and energies from
+scratch; `predicted_increase` is the closed-form bound gain of one hard-min
+update, and `watch_updates` shows every update of a pass to a checker.
 """
 
 from __future__ import annotations
@@ -229,7 +231,7 @@ def scratch_marginals(state, j):
     """Per-level marginal pairs of diagram j in bound scale, from a fresh sweep."""
     bdd = state.bdds[j]
     if state.smoothing > 0:
-        thetas = [state.theta(j, lev) for lev in range(bdd.num_levels)]
+        thetas = [-lam / state.smoothing for lam in state.duals[j]]
         store = MessageStore(bdd, LOG_PARTITION)
         raw = marginal_sweep(bdd, store, thetas, LOG_PARTITION)
         a = state.smoothing
@@ -242,7 +244,7 @@ def scratch_energy(state, j):
     """Diagram j's optimum in bound scale, from a fresh sweep."""
     bdd = state.bdds[j]
     if state.smoothing > 0:
-        thetas = [state.theta(j, lev) for lev in range(bdd.num_levels)]
+        thetas = [-lam / state.smoothing for lam in state.duals[j]]
         store = MessageStore(bdd, LOG_PARTITION)
         backward_sweep(bdd, store, thetas, LOG_PARTITION)
         return -state.smoothing * subproblem_energy(bdd, store, LOG_PARTITION)
@@ -254,3 +256,55 @@ def scratch_energy(state, j):
 def scratch_dual_value(state):
     """Sum of every diagram's scratch energy."""
     return sum(scratch_energy(state, j) for j in range(state.num_subproblems))
+
+
+# -- watching the dual's coordinate updates ------------------------------------
+
+
+def predicted_increase(diffs):
+    """Exact bound gain of one hard-min update, in extended arithmetic.
+
+    Finite diffs: min(0, sum) - sum of min(0, d).  One-sided infinities put
+    the finite diffs on the forcing diagrams, whose optimum ignores the
+    shift (forced-0) or absorbs it linearly (forced-1); the residual terms
+    below are the limits of the same formula.
+    """
+    if any(d == INF for d in diffs):
+        return -sum(min(0.0, d) for d in diffs if d != INF)
+    if any(d == -INF for d in diffs):
+        return sum(max(0.0, d) for d in diffs if d != -INF)
+    total = sum(diffs)
+    return min(0.0, total) - sum(min(0.0, d) for d in diffs)
+
+
+def watch_updates(monkeypatch, observer):
+    """Route every `dual.mma_update` the passes make through `observer`.
+
+    Before an update `observer.marginals(var, items)` gets the
+    `(j, lev, m0, m1)` the update is about to read, from the state's own
+    kernels and cached messages; after it `observer.updated(var, diffs,
+    predicted)` gets the returned diffs and the predicted bound gain: +inf
+    when the update proved infeasibility, None when smoothing (no closed
+    form is claimed), `predicted_increase(diffs)` otherwise.
+    """
+    from bddsolve import dual
+
+    update = dual.mma_update
+
+    def watched(state, var, forward=True):
+        items = [
+            (j, lev, *state.marg(state.bdds[j], state.fw[j], state.bw[j], lev, state.duals[j][lev]))
+            for j, lev in state.slots.get(var, ())
+        ]
+        observer.marginals(var, items)
+        diffs = update(state, var, forward)
+        if state.infeasible:
+            predicted = INF
+        elif state.smoothing > 0:
+            predicted = None
+        else:
+            predicted = predicted_increase(diffs)
+        observer.updated(var, diffs, predicted)
+        return diffs
+
+    monkeypatch.setattr(dual, "mma_update", watched)

@@ -47,6 +47,7 @@ from reference_algebra import (
     scratch_energy,
     scratch_marginals,
     subproblem_energy,
+    watch_updates,
 )
 
 INF = math.inf
@@ -249,7 +250,7 @@ class _IncreaseChecker:
         self.matched += 1
 
 
-def test_c04_update_increase_matches_closed_form():
+def test_c04_update_increase_matches_closed_form(monkeypatch):
     with criterion("criterion 04 (closed-form bound increase)", budget=20.0):
         rng = random.Random("acceptance-increase")
         updates = matched = 0
@@ -259,7 +260,9 @@ def test_c04_update_increase_matches_closed_form():
             if state is None:
                 continue
             checker = _IncreaseChecker(state)
-            run(state, SolverConfig(max_passes=6, tolerance=0.0), observer=checker)
+            with monkeypatch.context() as patch:
+                watch_updates(patch, checker)
+                run(state, SolverConfig(max_passes=6, tolerance=0.0))
             updates += checker.updates
             matched += checker.matched
         assert updates >= 1000, f"only {updates} updates exercised"
@@ -335,7 +338,7 @@ class _MarginalChecker:
         pass
 
 
-def test_c06_incremental_marginals_match_scratch():
+def test_c06_incremental_marginals_match_scratch(monkeypatch):
     with criterion("criterion 06 (incremental message correctness)", budget=20.0):
         compared = 0
         for t in range(20):
@@ -345,7 +348,9 @@ def test_c06_incremental_marginals_match_scratch():
                 if state is None:
                     continue
                 checker = _MarginalChecker(state)
-                run(state, SolverConfig(max_passes=5, tolerance=0.0), observer=checker)
+                with monkeypatch.context() as patch:
+                    watch_updates(patch, checker)
+                    run(state, SolverConfig(max_passes=5, tolerance=0.0))
                 compared += checker.compared
         assert compared >= 2000, f"only {compared} marginal pairs compared"
 
@@ -485,7 +490,7 @@ def _mask_times(text):
     return re.sub(r'"(?:time_ms|dual_time_ms|primal_time_ms)": [0-9.eE+-]+', '"t": 0', text)
 
 
-def test_c10_cli_determinism(tmp_path):
+def test_c10_cli_determinism(tmp_path, cli_env):
     with criterion("criterion 10 (end-to-end determinism)"):
         path = tmp_path / "grid.lp"
         path.write_text(write_lp(mrf_instance(3, 3, 2, seed=8)))
@@ -496,7 +501,7 @@ def test_c10_cli_determinism(tmp_path):
             proc = subprocess.run(
                 [sys.executable, "-m", "bddsolve.cli", "solve", str(path),
                  "--max-passes", "30", "--trace", str(trace)],
-                capture_output=True, text=True,
+                capture_output=True, text=True, env=cli_env,
             )
             assert proc.returncode == 0, proc.stderr
             raw_stdout = proc.stdout

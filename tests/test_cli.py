@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from bddsolve.cli import _build_parser, main
-from bddsolve.dual import DEFAULT_MAX_PASSES
+from bddsolve.dual import DEFAULT_MAX_PASSES, DEFAULT_TOLERANCE
 from bddsolve.model import parse_lp, write_lp
 from bddsolve.testkit import mrf_instance, random_ilp
 
@@ -137,7 +137,9 @@ def test_json_carries_search_counters(tmp_path, capsys):
 
 
 def test_max_passes_default_matches_the_library():
-    assert _build_parser().parse_args(["solve", "x.lp"]).max_passes == DEFAULT_MAX_PASSES
+    args = _build_parser().parse_args(["solve", "x.lp"])
+    assert args.max_passes == DEFAULT_MAX_PASSES
+    assert args.tolerance == DEFAULT_TOLERANCE
 
 
 def test_parse_error_exit_code(tmp_path, capsys):
@@ -262,11 +264,11 @@ def _mask_times(text):
     return re.sub(r'"(?:time_ms|dual_time_ms|primal_time_ms)": [0-9.eE+-]+', '"t": 0', text)
 
 
-def test_subprocess_runs_are_identical(tmp_path):
+def test_subprocess_runs_are_identical(tmp_path, cli_env):
     path = tmp_path / "grid.lp"
     path.write_text(write_lp(mrf_instance(2, 2, 2, seed=4)))
     cmd = [sys.executable, "-m", "bddsolve.cli", "solve", str(path)]
-    first = subprocess.run(cmd, capture_output=True, text=True)
-    second = subprocess.run(cmd, capture_output=True, text=True)
+    first = subprocess.run(cmd, capture_output=True, text=True, env=cli_env)
+    second = subprocess.run(cmd, capture_output=True, text=True, env=cli_env)
     assert first.returncode == 0 and second.returncode == 0
     assert _mask_times(first.stdout) == _mask_times(second.stdout)

@@ -19,7 +19,13 @@ from bddsolve.dual import (
 )
 from bddsolve.model import ILPInstance, LinearConstraint, Relation, decompose, presolve_free
 from bddsolve.testkit import brute_force_solve, graph_matching_instance, mrf_instance, random_ilp
-from reference_algebra import scratch_dual_value, scratch_energy, scratch_marginals
+from reference_algebra import (
+    predicted_increase,
+    scratch_dual_value,
+    scratch_energy,
+    scratch_marginals,
+    watch_updates,
+)
 
 INF = math.inf
 
@@ -39,7 +45,7 @@ def inst(names, objective, rows):
 
 
 class Checker:
-    """Observer that revalidates every update against fresh sweeps."""
+    """Revalidates every update against fresh sweeps (install with `watch_updates`)."""
 
     def __init__(self, state, tol=1e-7):
         self.state = state
@@ -81,9 +87,9 @@ def test_two_copy_frozen_example():
     state.duals[1][0] = -3.0
     state.refresh()
     assert state.dual_value() == -3.0
-    diffs, predicted = mma_update(state, 0, forward=True)
+    diffs = mma_update(state, 0, forward=True)
     assert diffs == [2.0, -3.0]
-    assert predicted == 2.0
+    assert predicted_increase(diffs) == 2.0
     assert state.duals == [[-0.5], [-0.5]]
     assert scratch_dual_value(state) == -1.0
 
@@ -126,8 +132,8 @@ def test_passes_monotone_and_match_scratch(averaging):
 
 
 @pytest.mark.parametrize("averaging", [UNIFORM, SRMP])
-@pytest.mark.parametrize("smoothing", [0.0, 0.35])
-def test_every_update_is_validated_by_fresh_sweeps(averaging, smoothing):
+@pytest.mark.parametrize("smoothing", [0.0, 0.35, 1e-3, 50.0])
+def test_every_update_is_validated_by_fresh_sweeps(averaging, smoothing, monkeypatch):
     rng = random.Random(1312)
     seen_infinite = 0
     for _ in range(8):
@@ -136,15 +142,17 @@ def test_every_update_is_validated_by_fresh_sweeps(averaging, smoothing):
         if state.infeasible:
             continue
         checker = Checker(state)
-        forward_pass(state, observer=checker)
-        if not state.infeasible:
-            backward_pass(state, observer=checker)
+        with monkeypatch.context() as patch:
+            watch_updates(patch, checker)
+            forward_pass(state)
+            if not state.infeasible:
+                backward_pass(state)
         assert checker.updates > 0
         seen_infinite += checker.infinite_diffs
     assert seen_infinite > 0  # equality rows must have exercised forced variables
 
 
-def test_forced_value_update_moves_cost_to_forcing_row():
+def test_forced_value_update_moves_cost_to_forcing_row(monkeypatch):
     # r0 forces x0 = 1, so the finite diff from r1 lands on r0's copy
     problem = inst(
         ["x0", "x1", "x2"],
@@ -156,12 +164,13 @@ def test_forced_value_update_moves_cost_to_forcing_row():
     )
     state, _ = build_state(problem)
     checker = Checker(state)
-    forward_pass(state, observer=checker)
+    watch_updates(monkeypatch, checker)
+    forward_pass(state)
     assert not state.infeasible
     assert checker.infinite_diffs > 0
 
 
-def test_forced_zero_update():
+def test_forced_zero_update(monkeypatch):
     problem = inst(
         ["x0", "x1", "x2"],
         [-3, 1, 1],
@@ -172,8 +181,9 @@ def test_forced_zero_update():
     )
     state, _ = build_state(problem)
     checker = Checker(state)
-    forward_pass(state, observer=checker)
-    backward_pass(state, observer=checker)
+    watch_updates(monkeypatch, checker)
+    forward_pass(state)
+    backward_pass(state)
     assert checker.infinite_diffs > 0
     assert not state.infeasible
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from bddsolve.dual import DEFAULT_MAX_PASSES, SolverConfig
+from bddsolve.dual import DEFAULT_MAX_PASSES, DEFAULT_TOLERANCE, SolverConfig
 from bddsolve.model import ILPInstance, parse_lp
 from bddsolve.solver import (
     DUAL_ONLY,
@@ -166,6 +166,7 @@ def test_report_is_deterministic():
 
 def test_max_passes_default_is_shared():
     assert SolveOptions().max_passes == SolverConfig().max_passes == DEFAULT_MAX_PASSES == 1000
+    assert SolveOptions().tolerance == SolverConfig().tolerance == DEFAULT_TOLERANCE == 1e-6
 
 
 def test_tiny_costs_stop_at_the_same_pass():
