@@ -106,7 +106,6 @@ class Bdd:
         "root",
         "lo",
         "hi",
-        "node_level",
         "level_nodes",
         "alive",
         "pred",
@@ -115,13 +114,12 @@ class Bdd:
         "_level_of",
     )
 
-    def __init__(self, constraint_name, support, root, lo, hi, node_level, level_nodes, pred, indeg):
+    def __init__(self, constraint_name, support, root, lo, hi, level_nodes, pred, indeg):
         self.constraint_name = constraint_name
         self.support = tuple(support)
         self.root = root
         self.lo = lo
         self.hi = hi
-        self.node_level = node_level
         self.level_nodes = level_nodes
         self.alive = [True] * len(lo)
         self.pred = pred
@@ -333,16 +331,18 @@ class Bdd:
         if self.root in (TRUE, FALSE):
             return
         k = self.num_levels
+        node_level = [-1] * len(self.lo)
         live = set()
         for lev in range(k):
             for v in self.level_nodes[lev]:
+                if node_level[v] != -1:
+                    raise BddError("node filed under two levels")
+                node_level[v] = lev
                 if self.alive[v]:
-                    if self.node_level[v] != lev:
-                        raise BddError("node filed under the wrong level")
                     live.add(v)
         if self.is_empty():
             return
-        if not self.alive[self.root] or self.node_level[self.root] != 0:
+        if not self.alive[self.root] or node_level[self.root] != 0:
             raise BddError("root is not a live level-0 node")
         # arcs stay inside the next level or hit a terminal; true-arcs only from the last level
         reach = {self.root}
@@ -359,7 +359,7 @@ class Bdd:
                     else:
                         if not self.alive[child]:
                             raise BddError("live node points at a removed node")
-                        if self.node_level[child] != lev + 1:
+                        if node_level[child] != lev + 1:
                             raise BddError("arc skips a level")
                         if v in reach:
                             reach.add(child)
@@ -399,7 +399,6 @@ def _sentinel(constraint_name, support, satisfiable):
         TRUE if satisfiable else FALSE,
         [FALSE, FALSE],
         [FALSE, FALSE],
-        [-1, -1],
         [[] for _ in range(k)],
         [[], []],
         [0, 0],
@@ -537,7 +536,6 @@ def build_bdd(constraint: LinearConstraint, positions=None, state_budget=DEFAULT
     total = next_id
     lo = [FALSE] * total
     hi = [FALSE] * total
-    node_level = [-1] * total
     level_nodes = []
     for lev in range(k):
         mapping = ids[lev]
@@ -547,7 +545,6 @@ def build_bdd(constraint: LinearConstraint, positions=None, state_budget=DEFAULT
             l, h = reduced[lev][t - 2]
             lo[v] = l if l < 2 else below[l]
             hi[v] = h if h < 2 else below[h]
-            node_level[v] = lev
 
     pred = [[] for _ in range(total)]
     indeg = [0] * total
@@ -558,4 +555,4 @@ def build_bdd(constraint: LinearConstraint, positions=None, state_budget=DEFAULT
                 if child >= 2:
                     pred[child].append((v, bit))
 
-    return Bdd(constraint.name, support, 2, lo, hi, node_level, level_nodes, pred, indeg)
+    return Bdd(constraint.name, support, 2, lo, hi, level_nodes, pred, indeg)

@@ -19,17 +19,23 @@ plus smoothing carries no such guarantee.  Both algebras keep every message
 in cost units, so node values, energies and marginals read the same way
 whatever the temperature.
 
-A variable forced in some diagram gives an infinite difference: diagrams
-forcing it agree -> the finite diffs are dumped on the forcing diagrams
-(their optimum can absorb shifts for free on the side they force); they
-disagree -> the instance is proven infeasible and the bound becomes +inf.
+A step's diffs m1 - m0 come from plain IEEE subtraction (+inf: the diagram
+forces the variable to 0, -inf: to 1, nan: it is empty), and only a
+non-finite sum leaves the averaging loop.  Diagrams forcing the variable
+agree -> the finite diffs are dumped on the forcing diagrams (their optimum
+can absorb shifts for free on the side they force); they disagree, or one
+is empty -> the instance is proven infeasible and the bound becomes +inf.
 
 There is one message kernel set per algebra: `marg`, `scatter`, `bstep`
 and `fw_energy`, in a min-sum and a soft-min version; a `DualState` picks
 its set once, from its smoothing.  The passes run the kernels
 incrementally; `min_marginals` runs the min-sum ones as a fresh sweep over
 one diagram, which is where the rounding search reads its margins.  The
-generic reference sweeps they are tested against live with the tests.
+kernels skip no removed node and are exact on restricted diagrams too:
+fixation leaves no live node pointing at a removed one, so a removed node
+is unreachable (value +inf) or a dead end (both arcs on the false
+terminal).  The generic reference sweeps they are tested against live with
+the tests.
 """
 
 from __future__ import annotations
@@ -90,6 +96,11 @@ class DualState:
     constraint set empty.  The kernel set `marg`, `scatter`, `bstep`,
     `fw_energy` (min-sum, or soft-min at temperature `smoothing`) is chosen
     once, here.
+
+    `sweeps[forward][var]` is `(ahead, members, count)` for a sweep in that
+    direction, fixed once: the slots with a level still ahead, per-slot
+    averaging flags and their count (uniform: every slot; srmp: the slots
+    ahead, or every slot if none is).
     """
 
     def __init__(self, bdds, decomposition, duals, smoothing, averaging):
@@ -109,6 +120,18 @@ class DualState:
         for j, b in enumerate(bdds):
             for lev, var in enumerate(b.support):
                 self.slots.setdefault(var, []).append((j, lev))
+        last = [len(b.support) - 1 for b in bdds]
+        everyone = {}  # slot count -> all-True flags, shared
+
+        def entry(slots, ahead):
+            if averaging == SRMP and ahead:
+                return ahead, tuple(s in ahead for s in slots), len(ahead)
+            return ahead, everyone.setdefault(len(slots), (True,) * len(slots)), len(slots)
+
+        self.sweeps = {
+            True: {v: entry(ss, [s for s in ss if s[1] < last[s[0]]]) for v, ss in self.slots.items()},
+            False: {v: entry(ss, [s for s in ss if s[1] > 0]) for v, ss in self.slots.items()},
+        }
         self.active = [i for i in decomposition.order if decomposition.var_subproblems[i]]
 
     @property
@@ -167,57 +190,53 @@ def init_duals(bdds, decomposition, objective, smoothing=0.0, averaging=UNIFORM)
 
 
 def _marg_min(bdd, fwj, bwj, level, cost):
-    lo, hi, alive = bdd.lo, bdd.hi, bdd.alive
+    lo, hi = bdd.lo, bdd.hi
     m0 = m1 = INF
     for v in bdd.level_nodes[level]:
-        if alive[v]:
-            base = fwj[v]
-            a = base + bwj[lo[v]]
-            if a < m0:
-                m0 = a
-            b = base + cost + bwj[hi[v]]
-            if b < m1:
-                m1 = b
+        base = fwj[v]
+        a = base + bwj[lo[v]]
+        if a < m0:
+            m0 = a
+        b = base + cost + bwj[hi[v]]
+        if b < m1:
+            m1 = b
     return m0, m1
 
 
 def _scatter_min(bdd, fwj, level, cost):
-    lo, hi, alive = bdd.lo, bdd.hi, bdd.alive
+    lo, hi = bdd.lo, bdd.hi
     for v in bdd.level_nodes[level + 1]:
         fwj[v] = INF
     for v in bdd.level_nodes[level]:
-        if alive[v]:
-            base = fwj[v]
-            c = lo[v]
-            if c >= 2 and base < fwj[c]:
-                fwj[c] = base
-            c = hi[v]
-            if c >= 2:
-                b = base + cost
-                if b < fwj[c]:
-                    fwj[c] = b
+        base = fwj[v]
+        c = lo[v]
+        if c >= 2 and base < fwj[c]:
+            fwj[c] = base
+        c = hi[v]
+        if c >= 2:
+            b = base + cost
+            if b < fwj[c]:
+                fwj[c] = b
 
 
 def _bstep_min(bdd, bwj, level, cost):
-    lo, hi, alive = bdd.lo, bdd.hi, bdd.alive
+    lo, hi = bdd.lo, bdd.hi
     for v in bdd.level_nodes[level]:
-        if alive[v]:
-            a = bwj[lo[v]]
-            b = cost + bwj[hi[v]]
-            bwj[v] = a if a <= b else b
+        a = bwj[lo[v]]
+        b = cost + bwj[hi[v]]
+        bwj[v] = a if a <= b else b
 
 
 def _fw_energy_min(bdd, fwj, cost_last):
-    lo, hi, alive = bdd.lo, bdd.hi, bdd.alive
+    lo, hi = bdd.lo, bdd.hi
     best = INF
     for v in bdd.level_nodes[-1]:
-        if alive[v]:
-            if lo[v] == TRUE and fwj[v] < best:
-                best = fwj[v]
-            if hi[v] == TRUE:
-                b = fwj[v] + cost_last
-                if b < best:
-                    best = b
+        if lo[v] == TRUE and fwj[v] < best:
+            best = fwj[v]
+        if hi[v] == TRUE:
+            b = fwj[v] + cost_last
+            if b < best:
+                best = b
     return best
 
 
@@ -236,44 +255,40 @@ def _soft_min_kernels(alpha):
         return a - alpha * math.log1p(math.exp((a - b) / alpha))
 
     def marg(bdd, fwj, bwj, level, cost):
-        lo, hi, alive = bdd.lo, bdd.hi, bdd.alive
+        lo, hi = bdd.lo, bdd.hi
         m0 = m1 = INF
         for v in bdd.level_nodes[level]:
-            if alive[v]:
-                base = fwj[v]
-                m0 = smin(m0, base + bwj[lo[v]])
-                m1 = smin(m1, base + cost + bwj[hi[v]])
+            base = fwj[v]
+            m0 = smin(m0, base + bwj[lo[v]])
+            m1 = smin(m1, base + cost + bwj[hi[v]])
         return m0, m1
 
     def scatter(bdd, fwj, level, cost):
-        lo, hi, alive = bdd.lo, bdd.hi, bdd.alive
+        lo, hi = bdd.lo, bdd.hi
         for v in bdd.level_nodes[level + 1]:
             fwj[v] = INF
         for v in bdd.level_nodes[level]:
-            if alive[v]:
-                base = fwj[v]
-                c = lo[v]
-                if c >= 2:
-                    fwj[c] = smin(fwj[c], base)
-                c = hi[v]
-                if c >= 2:
-                    fwj[c] = smin(fwj[c], base + cost)
+            base = fwj[v]
+            c = lo[v]
+            if c >= 2:
+                fwj[c] = smin(fwj[c], base)
+            c = hi[v]
+            if c >= 2:
+                fwj[c] = smin(fwj[c], base + cost)
 
     def bstep(bdd, bwj, level, cost):
-        lo, hi, alive = bdd.lo, bdd.hi, bdd.alive
+        lo, hi = bdd.lo, bdd.hi
         for v in bdd.level_nodes[level]:
-            if alive[v]:
-                bwj[v] = smin(bwj[lo[v]], cost + bwj[hi[v]])
+            bwj[v] = smin(bwj[lo[v]], cost + bwj[hi[v]])
 
     def fw_energy(bdd, fwj, cost_last):
-        lo, hi, alive = bdd.lo, bdd.hi, bdd.alive
+        lo, hi = bdd.lo, bdd.hi
         total = INF
         for v in bdd.level_nodes[-1]:
-            if alive[v]:
-                if lo[v] == TRUE:
-                    total = smin(total, fwj[v])
-                if hi[v] == TRUE:
-                    total = smin(total, fwj[v] + cost_last)
+            if lo[v] == TRUE:
+                total = smin(total, fwj[v])
+            if hi[v] == TRUE:
+                total = smin(total, fwj[v] + cost_last)
         return total
 
     return marg, scatter, bstep, fw_energy
@@ -316,75 +331,47 @@ def mma_update(state: DualState, var, forward=True):
 
     Reads the marginal pair in every covering diagram (requires fw current
     at the variable's levels and bw current below them), then shifts the
-    cost copies.  Returns the diffs m1 - m0 in slot order: +inf where the
-    diagram forces the variable to 0, -inf where it forces 1, nan where it
-    has no solution left.  Does not advance any messages; callers step
-    fw/bw afterwards with the new weights.
+    cost copies.  Returns the diffs m1 - m0 in slot order (see the module
+    notes for infinities and nan).  A finite sum is averaged over the
+    members `state.sweeps` holds for this variable and direction.  Does
+    not advance any messages; callers step fw/bw afterwards.
     """
     slots = state.slots.get(var)
     if not slots:
         raise ValueError(f"variable {var} is not covered by any diagram")
     bdds, fw, bw, duals, marg = state.bdds, state.fw, state.bw, state.duals, state.marg
     diffs = []
-    forced_zero = []  # slots where the diagram forces var = 0
-    forced_one = []
-    finite = []  # (j, lev, diff)
-    dead = False
     for j, lev in slots:
         m0, m1 = marg(bdds[j], fw[j], bw[j], lev, duals[j][lev])
-        if m1 == INF:
-            if m0 == INF:
-                dead = True  # the diagram itself has no solutions left
-                diffs.append(math.nan)
-                continue
-            diffs.append(INF)
-            forced_zero.append((j, lev))
-        elif m0 == INF:
-            diffs.append(-INF)
-            forced_one.append((j, lev))
-        else:
-            d = m1 - m0
-            diffs.append(d)
-            finite.append((j, lev, d))
+        diffs.append(m1 - m0)
+    total = sum(diffs)
+    if math.isfinite(total):
+        _, members, count = state.sweeps[forward][var]
+        share = total / count
+        for (j, lev), d, member in zip(slots, diffs, members):
+            duals[j][lev] -= d
+            if member:
+                duals[j][lev] += share
+        return diffs
 
-    if dead or (forced_zero and forced_one):
+    forced_zero = [slot for slot, d in zip(slots, diffs) if d == INF]
+    forced_one = [slot for slot, d in zip(slots, diffs) if d == -INF]
+    if (forced_zero and forced_one) or any(map(math.isnan, diffs)):
         state.infeasible = True
-    elif forced_zero or forced_one:
-        # Move only diffs that prefer the impossible value: cost shifted off a
-        # side no solution uses cannot hurt any diagram, and (for soft minima)
-        # shifting the agreeing side would.
-        absorbers = forced_zero or forced_one
-        moved = 0.0
-        for j, lev, d in finite:
-            if (d < 0.0) if forced_zero else (d > 0.0):
-                duals[j][lev] -= d
-                moved += d
-        if moved:
-            share = moved / len(absorbers)
-            for j, lev in absorbers:
-                duals[j][lev] += share
-    else:
-        total = sum(diffs)
-        members = None
-        if state.averaging == SRMP:
-            # only the diagrams this sweep visits again take a share
-            if forward:
-                members = [lev + 1 < bdds[j].num_levels for j, lev in slots]
-            else:
-                members = [lev > 0 for _, lev in slots]
-            if not any(members):
-                members = None
-        if members is None:
-            share = total / len(slots)
-            for (j, lev), d in zip(slots, diffs):
-                duals[j][lev] -= d
-                duals[j][lev] += share
-        else:
-            share = total / sum(members)
-            for (j, lev), d, member in zip(slots, diffs, members):
-                duals[j][lev] -= d
-                if member:
-                    duals[j][lev] += share
+        return diffs
+    # Move only diffs that prefer the impossible value: cost shifted off a
+    # side no solution uses cannot hurt any diagram, and (for soft minima)
+    # shifting the agreeing side would.  The forcing diffs fail both tests.
+    absorbers = forced_zero or forced_one
+    moved = 0.0
+    for (j, lev), d in zip(slots, diffs):
+        if (d < 0.0) if forced_zero else (d > 0.0):
+            duals[j][lev] -= d
+            moved += d
+    if moved:
+        share = moved / len(absorbers)
+        for j, lev in absorbers:
+            duals[j][lev] += share
     return diffs
 
 
@@ -421,17 +408,15 @@ def forward_pass(state: DualState):
     if state.infeasible:
         return INF
     bdds, fw, duals, scatter = state.bdds, state.fw, state.duals, state.scatter
+    sweep = state.sweeps[True]
     for var in state.active:
         mma_update(state, var, forward=True)
         if state.infeasible:
             return INF
-        for j, lev in state.slots[var]:
-            if lev + 1 < bdds[j].num_levels:
-                scatter(bdds[j], fw[j], lev, duals[j][lev])
+        for j, lev in sweep[var][0]:
+            scatter(bdds[j], fw[j], lev, duals[j][lev])
     fw_energy = state.fw_energy
-    return _finish_pass(
-        state, lambda j, bdd: fw_energy(bdd, fw[j], duals[j][bdd.num_levels - 1])
-    )
+    return _finish_pass(state, lambda j, bdd: fw_energy(bdd, fw[j], duals[j][-1]))
 
 
 def backward_pass(state: DualState):

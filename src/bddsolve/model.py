@@ -15,8 +15,13 @@ from fractions import Fraction
 
 MAX_COEFFICIENT = 1 << 20
 MAX_RHS = 1 << 40
+MAX_OBJECTIVE = 1 << 60  # |objective coefficient| and |offset|; keeps every dual sum finite
 
 IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.\-]*\Z")
+
+
+def _beyond_objective_cap(q: Fraction) -> bool:
+    return abs(q.numerator) > MAX_OBJECTIVE * q.denominator  # cheaper than Fraction abs
 
 
 class ModelError(Exception):
@@ -95,6 +100,11 @@ class ILPInstance:
         for nm in self.var_names:
             if not IDENTIFIER_RE.match(nm):
                 raise ModelError(f"invalid variable name {nm!r}")
+        for nm, c in zip(self.var_names, self.objective):
+            if _beyond_objective_cap(c):
+                raise ModelError(f"objective coefficient overflow for variable {nm!r}")
+        if _beyond_objective_cap(self.objective_offset):
+            raise ModelError("objective constant overflow")
         seen_rows = set()
         for con in self.constraints:
             if con.name in seen_rows:
@@ -301,8 +311,12 @@ def parse_lp(text, name="instance"):
             raise LpParseError(obj_lineno, col, f"non-binary variable {varname!r}")
         if i in filled:
             raise LpParseError(obj_lineno, col, f"duplicate variable {varname!r} in objective")
+        if _beyond_objective_cap(coeff):
+            raise LpParseError(obj_lineno, col, "objective coefficient overflow")
         filled.add(i)
         objective[i] = coeff
+    if _beyond_objective_cap(obj_constant):
+        raise LpParseError(obj_lineno, 1, "objective constant overflow")
 
     constraints = []
     for rowname, terms, relation, rhs, ln in raw_constraints:

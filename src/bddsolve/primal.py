@@ -119,29 +119,28 @@ def compute_scores(state, strategy=NEG_MARGIN) -> PrimalScores:
 def _path_counts(bdd):
     """Per-level (accepted paths with the level's variable at 0, same at 1).
 
-    Exact integers from one backward and one forward sweep over the live
-    nodes of a non-sentinel diagram; arcs only reach the next level or a
-    terminal, so a node's forward count is final before its level is read.
+    Exact integers from one backward and one forward sweep over a
+    non-sentinel diagram, restricted or not (removed nodes count 0 paths, as
+    in the dual's kernels); a node's forward count is final before its
+    level is read, since arcs only reach the next level or a terminal.
     """
-    lo, hi, alive = bdd.lo, bdd.hi, bdd.alive
+    lo, hi = bdd.lo, bdd.hi
     bw = [0] * len(lo)
     bw[TRUE] = 1
     for nodes in reversed(bdd.level_nodes):
         for v in nodes:
-            if alive[v]:
-                bw[v] = bw[lo[v]] + bw[hi[v]]
+            bw[v] = bw[lo[v]] + bw[hi[v]]
     fw = [0] * len(lo)
     fw[bdd.root] = 1
     out = []
     for nodes in bdd.level_nodes:
         n0 = n1 = 0
         for v in nodes:
-            if alive[v]:
-                base = fw[v]
-                n0 += base * bw[lo[v]]
-                n1 += base * bw[hi[v]]
-                fw[lo[v]] += base
-                fw[hi[v]] += base
+            base = fw[v]
+            n0 += base * bw[lo[v]]
+            n1 += base * bw[hi[v]]
+            fw[lo[v]] += base
+            fw[hi[v]] += base
         out.append((n0, n1))
     return out
 

@@ -4,7 +4,9 @@ import random
 import pytest
 
 from bddsolve.bdd import build_bdd
+from bddsolve.dual import min_marginals
 from bddsolve.model import LinearConstraint, Relation
+from bddsolve.primal import _path_counts
 from reference_algebra import (
     COUNTING,
     LOG_PARTITION,
@@ -217,7 +219,10 @@ def test_soft_min_sandwiches_the_minimum():
 
 
 def test_sweeps_track_fixation_and_rollback():
+    # fixes pile up under one checkpoint; the dual's kernels, which skip no
+    # removed node, must agree with the reference sweeps on every restriction
     rng = random.Random(9105)
+    restricted = with_removed = 0
     for _ in range(60):
         c = random_row(rng)
         b = build_bdd(c)
@@ -225,16 +230,22 @@ def test_sweeps_track_fixation_and_rollback():
             continue
         thetas = [rng.uniform(-4, 4) for _ in range(b.num_levels)]
         token = b.checkpoint()
-        var = rng.choice(b.support)
-        val = rng.randint(0, 1)
-        if b.fix(var, val):
+        for var in rng.sample(b.support, b.num_levels):
+            if not b.fix(var, rng.randint(0, 1)):
+                break
+            restricted += 1
+            with_removed += not all(b.alive[2:])
             store = MessageStore(b, MIN_MARGINAL)
             got = marginal_sweep(b, store, thetas, MIN_MARGINAL)
             assert got == [pytest.approx(w) for w in brute_min_marginals(b, thetas)]
+            assert repr(min_marginals(b, thetas)) == repr(got)
+            counts = marginal_sweep(b, MessageStore(b, COUNTING), [0] * b.num_levels, COUNTING)
+            assert _path_counts(b) == counts
         b.rollback(token)
         store = MessageStore(b, MIN_MARGINAL)
         got = marginal_sweep(b, store, thetas, MIN_MARGINAL)
         assert got == [pytest.approx(w) for w in brute_min_marginals(b, thetas)]
+    assert with_removed > 20 and restricted > with_removed
 
 
 def test_incremental_forward_matches_full_sweep():

@@ -68,6 +68,25 @@ def test_pick_one_of_three():
     b.check_invariants(reduced=True)
 
 
+def test_check_invariants_rejects_misleveled_nodes():
+    # levels [[2], [3, 4], [5, 6]]; node levels come from level_nodes alone
+    def corrupted(change):
+        b = build_bdd(row([(0, 1), (1, 1), (2, 1)], Relation.EQ, 1))
+        b.check_invariants(reduced=True)
+        change(b)
+        return b
+
+    cases = [
+        (lambda b: b.lo.__setitem__(2, 5), "skips a level"),
+        (lambda b: setattr(b, "root", 3), "level-0"),
+        (lambda b: b.level_nodes[0].remove(2), "level-0"),
+        (lambda b: b.level_nodes[1].append(5), "two levels"),
+    ]
+    for change, needle in cases:
+        with pytest.raises(BddError, match=needle):
+            corrupted(change).check_invariants()
+
+
 def test_force_both_zero():
     b = build_bdd(row([(0, 1), (1, 1)], Relation.LE, 0))
     assert b.node_count() == 2

@@ -144,12 +144,19 @@ def test_max_passes_default_matches_the_library():
 
 def test_parse_error_exit_code(tmp_path, capsys):
     path = tmp_path / "broken.lp"
-    path.write_text("Maximize\n obj: x\nEnd\n")
-    code = main(["solve", str(path)])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert "parse error" in captured.err
+    for text in (
+        "Maximize\n obj: x\nEnd\n",
+        # out-of-range objectives: float() overflowed, or the dual sums did
+        "Minimize\n obj: " + "9" * 400 + " x\nSubject To\n r: x <= 1\nBinary\n x\nEnd\n",
+        "Minimize\n obj: - " + "9" * 308 + " x + " + "9" * 308 + " y\nSubject To\n"
+        " r: x + y <= 1\nBinary\n x y\nEnd\n",
+    ):
+        path.write_text(text)
+        code = main(["solve", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("bddsolve: parse error: ")
 
 
 def test_missing_file_exit_code(capsys):

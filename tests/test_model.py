@@ -89,6 +89,9 @@ def test_parse_negative_rhs_and_coefficients():
         ("Minimize\n obj: x\nSubject To\n r: <= 1\nBinary\n x\nEnd\n", "no terms"),
         ("Minimize\n obj: x\nBinary\n x x\nEnd\n", "duplicate"),
         ("Minimize\n obj: x\nBinary\n x\nEnd\nleftover\n", "after"),
+        ("Minimize\n obj: " + "9" * 400 + " x\nBinary\n x\nEnd\n", "overflow"),
+        ("Minimize\n obj: x - " + "9" * 400 + "\nBinary\n x\nEnd\n", "overflow"),
+        ("Minimize\n obj: 1152921504606846977 x\nBinary\n x\nEnd\n", "overflow"),
     ],
 )
 def test_parse_errors(text, needle):
@@ -102,6 +105,11 @@ def test_parse_error_reports_location():
         parse_lp("Minimize\n obj: x\nSubject To\n r: x ? 1\nBinary\n x\nEnd\n")
     assert err.value.line == 4
     assert err.value.column > 1
+    huge = "9" * 20
+    with pytest.raises(LpParseError) as err:
+        parse_lp(f"\\ huge cost\nMinimize\n obj: x + {huge} y\nBinary\n x y\nEnd\n")
+    assert err.value.line == 3
+    assert err.value.column == len(f"obj: x + {huge} ") + 1
 
 
 def _random_instance(rng, n_vars=6, n_cons=4):
@@ -145,6 +153,11 @@ def test_instance_validation_rejects_bad_rows():
         ILPInstance(["x"], [Fraction(1)], [LinearConstraint("c", ((1, 1),), Relation.LE, 1)])
     with pytest.raises(ModelError):
         ILPInstance(["x", "x"], [Fraction(1), Fraction(1)], [])
+    with pytest.raises(ModelError):
+        ILPInstance(["x"], [Fraction(-(1 << 60) - 1)], [])
+    with pytest.raises(ModelError):
+        ILPInstance(["x"], [Fraction(1)], [], objective_offset=Fraction(10**400))
+    ILPInstance(["x"], [Fraction(-(1 << 60))], [], objective_offset=Fraction(1 << 60))
 
 
 def test_check_assignment_and_objective():

@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bddsolve.dual import DEFAULT_MAX_PASSES, DEFAULT_TOLERANCE, SolverConfig
 from bddsolve.model import ILPInstance, parse_lp
@@ -122,6 +124,45 @@ def test_agrees_with_brute_force_on_random_instances():
         assert report.objective_value >= best
         assert report.lower_bound <= float(best) + 1e-6
     assert solved >= 5
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(
+    num_vars=st.integers(1, 8),
+    num_rows=st.integers(1, 6),
+    seed=st.integers(0, 10**6),
+    scale=st.sampled_from([Fraction(1), Fraction(1, 10**9), Fraction(10**6)]),
+    averaging=st.sampled_from(["uniform", "srmp"]),
+    smoothing=st.sampled_from([0.0, 0.3]),
+    order=st.sampled_from(["input", "cuthill_mckee"]),
+)
+def test_sound_and_deterministic_against_brute_force(
+    num_vars, num_rows, seed, scale, averaging, smoothing, order
+):
+    problem = random_ilp(num_vars, num_rows, seed)
+    instance = ILPInstance(
+        list(problem.var_names),
+        [c * scale for c in problem.objective],
+        problem.constraints,
+        problem.objective_offset * scale,
+        "scaled",
+    )
+    options = SolveOptions(smoothing=smoothing, averaging=averaging, order=order, primal_budget=0)
+    report = solve_instance(instance, options)
+    best, _ = brute_force_solve(instance)
+    if best is None:
+        assert report.status == INFEASIBLE
+    else:
+        assert report.status == SOLVED
+        assert instance.check_assignment(report.solution)
+        assert report.objective_value >= best
+        assert report.lower_bound <= float(best) + 1e-6 * max(float(scale), abs(float(best)))
+    again = solve_instance(instance, options)
+    assert (again.status, again.termination, again.passes, again.solution) == (
+        report.status, report.termination, report.passes, report.solution
+    )
+    assert repr(again.lower_bound) == repr(report.lower_bound)
+    assert [repr(t.lower_bound) for t in again.trace] == [repr(t.lower_bound) for t in report.trace]
 
 
 def test_options_reach_the_dual_loop():
