@@ -5,6 +5,12 @@ support, ordered by the global variable order.  Every root-to-true path
 visits every support level exactly once, so nodes whose two children agree
 are kept rather than skipped.
 
+A diagram keeps each node's two arcs, a liveness flag and an incoming-arc
+counter, but no parent lists.  Fixing a variable kills arcs on one level;
+nodes left with no incoming arc are removed by following arcs down, and
+nodes left with both arcs dead are removed one level at a time going up,
+each step scanning the level above for arcs into the nodes just removed.
+
 Mutations (arc redirects, node removals) are written as `(diagram, entry)`
 undo records to a `Trail`.  A lone diagram gets a trail of its own at its
 first checkpoint; the rounding search attaches all diagrams to one shared
@@ -108,13 +114,11 @@ class Bdd:
         "hi",
         "level_nodes",
         "alive",
-        "pred",
         "indeg",
         "trail",
-        "_level_of",
     )
 
-    def __init__(self, constraint_name, support, root, lo, hi, level_nodes, pred, indeg):
+    def __init__(self, constraint_name, support, root, lo, hi, level_nodes, indeg):
         self.constraint_name = constraint_name
         self.support = tuple(support)
         self.root = root
@@ -122,10 +126,8 @@ class Bdd:
         self.hi = hi
         self.level_nodes = level_nodes
         self.alive = [True] * len(lo)
-        self.pred = pred
         self.indeg = indeg
         self.trail = None  # made by the first checkpoint unless attached to a shared one
-        self._level_of = {v: k for k, v in enumerate(self.support)}
 
     # -- queries ------------------------------------------------------------
 
@@ -141,7 +143,7 @@ class Bdd:
         return [entry for owner, entry in self.trail.records if owner is self]
 
     def level_of(self, var):
-        return self._level_of[var]
+        return self.support.index(var)
 
     def is_empty(self):
         if self.root == FALSE:
@@ -228,21 +230,26 @@ class Bdd:
 
         Requires an open checkpoint on the diagram's trail so the restriction
         can be undone.  Arcs for the discarded value are redirected to the
-        false terminal; nodes left unreachable or cut off from the true
-        terminal are removed.
+        false terminal, and nodes left with no incoming arc are removed,
+        cascading down.  Nodes left with both arcs dead are removed one
+        level at a time going up: each step scans the level above for arcs
+        into the nodes just removed, redirects them to the false terminal
+        and collects the nodes that leaves dead, until a step removes
+        nothing or the root goes.  Levels are narrow, so the scans stand in
+        for parent lists, which diagrams do not keep.
         """
         if self.trail is None or not self.trail.marks:
             raise BddError("fix requires an open checkpoint")
-        if self.root == TRUE:
-            raise BddError(f"variable {var} not in support")
         if self.root == FALSE:
             return False
-        lev = self._level_of.get(var)
-        if lev is None:
-            raise BddError(f"variable {var} not in support")
+        try:
+            lev = self.support.index(var)
+        except ValueError:
+            raise BddError(f"variable {var} not in support") from None
         lo, hi, alive, indeg, journal = self.lo, self.hi, self.alive, self.indeg, self.trail.records
         arr = lo if value else hi
         bit = 0 if value else 1
+        dead = []
         for v in self.level_nodes[lev]:
             if not alive[v]:
                 continue
@@ -258,8 +265,35 @@ class Bdd:
                 elif target == TRUE and indeg[TRUE] == 0:
                     return False
             if lo[v] == FALSE and hi[v] == FALSE:
-                self._remove_deadend(v)
-        return self.indeg[TRUE] > 0
+                dead.append(v)
+        while dead:
+            for v in dead:
+                journal.append((self, (_DEACT, v)))
+                alive[v] = False
+                indeg[FALSE] -= 2
+            if lev == 0:
+                return False  # the root went
+            lev -= 1
+            dead = []
+            for u in self.level_nodes[lev]:
+                if not alive[u]:
+                    continue
+                # a live node's arc reaches a removed node only if it was just removed
+                child = lo[u]
+                if not alive[child]:
+                    journal.append((self, (_ARC, u, 0, child)))
+                    lo[u] = FALSE
+                    indeg[FALSE] += 1
+                    indeg[child] -= 1
+                child = hi[u]
+                if not alive[child]:
+                    journal.append((self, (_ARC, u, 1, child)))
+                    hi[u] = FALSE
+                    indeg[FALSE] += 1
+                    indeg[child] -= 1
+                if lo[u] == FALSE and hi[u] == FALSE:
+                    dead.append(u)
+        return indeg[TRUE] > 0
 
     def _remove_unreachable(self, start):
         """Drop nodes with no incoming arcs, cascading toward the terminals."""
@@ -275,31 +309,6 @@ class Bdd:
                 indeg[child] -= 1
                 if child >= 2 and indeg[child] == 0:
                     stack.append(child)
-
-    def _remove_deadend(self, start):
-        """Drop nodes whose both arcs are dead, redirecting parents upward."""
-        lo, hi, alive, indeg, journal = self.lo, self.hi, self.alive, self.indeg, self.trail.records
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            if not alive[v]:
-                continue
-            for u, bit in self.pred[v]:
-                if not alive[u]:
-                    continue
-                arr = hi if bit else lo
-                if arr[u] != v:
-                    continue
-                journal.append((self, (_ARC, u, bit, v)))
-                arr[u] = FALSE
-                indeg[FALSE] += 1
-                indeg[v] -= 1
-                if lo[u] == FALSE and hi[u] == FALSE:
-                    stack.append(u)
-            journal.append((self, (_DEACT, v)))
-            alive[v] = False
-            indeg[lo[v]] -= 1
-            indeg[hi[v]] -= 1
 
     # -- diagnostics ----------------------------------------------------------
 
@@ -400,7 +409,6 @@ def _sentinel(constraint_name, support, satisfiable):
         [FALSE, FALSE],
         [FALSE, FALSE],
         [[] for _ in range(k)],
-        [[], []],
         [0, 0],
     )
 
@@ -546,13 +554,10 @@ def build_bdd(constraint: LinearConstraint, positions=None, state_budget=DEFAULT
             lo[v] = l if l < 2 else below[l]
             hi[v] = h if h < 2 else below[h]
 
-    pred = [[] for _ in range(total)]
     indeg = [0] * total
     for lev in range(k):
         for v in level_nodes[lev]:
-            for bit, child in ((0, lo[v]), (1, hi[v])):
-                indeg[child] += 1
-                if child >= 2:
-                    pred[child].append((v, bit))
+            indeg[lo[v]] += 1
+            indeg[hi[v]] += 1
 
-    return Bdd(constraint.name, support, 2, lo, hi, level_nodes, pred, indeg)
+    return Bdd(constraint.name, support, 2, lo, hi, level_nodes, indeg)

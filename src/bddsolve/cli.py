@@ -17,7 +17,6 @@ import json
 import math
 import sys
 
-from . import testkit
 from .bdd import BddBuildError, build_bdd
 from .dual import DEFAULT_MAX_PASSES, DEFAULT_TOLERANCE
 from .model import LpParseError, ModelError, decompose, order_variables, parse_lp, write_lp
@@ -211,6 +210,8 @@ def _cmd_solve(args):
 
 
 def _cmd_generate(args):
+    from . import testkit  # imports numpy, which solving does not need
+
     if args.kind == "random_ilp":
         instance = testkit.random_ilp(args.vars, args.cons, args.seed)
     elif args.kind == "mrf":

@@ -3,13 +3,17 @@
 Variables are ordered and given preferred values by their aggregated
 min-marginal difference (the margin): the sum over covering diagrams of
 "cost of taking 1 minus cost of taking 0" under the current cost split.  A
-nonpositive margin prefers 1.  The search fixes one variable at a time in
-every covering diagram, propagates literals the diagrams then force, and
-backtracks chronologically on conflict.  All diagrams share one undo trail
-for the whole search: each branch attempt opens a single checkpoint on it,
-and unwinding a branch pops only the records that branch wrote, restoring
-the diagrams bit for bit.  Budgets cap the number of branch attempts;
-exhausting the tree without a budget stop is a proof of infeasibility.
+nonpositive margin prefers 1.  The search is one decision loop: each turn
+makes one branch attempt, fixing a variable in every covering diagram and
+propagating the literals the diagrams then force.  A successful attempt
+pushes a frame and moves to the next unassigned variable; a failed one is
+undone and its variable's other value is tried next; when both values fail,
+the loop climbs chronologically to the newest frame whose other value is
+still untried.  All diagrams share one undo trail for the whole search:
+each attempt opens a single checkpoint on it, and unwinding a branch pops
+only the records that branch wrote, restoring the diagrams bit for bit.
+Budgets cap the number of branch attempts; exhausting the tree without a
+budget stop is a proof of infeasibility.
 
 Margins always come from the dual's min-sum kernels (`dual.min_marginals`)
 run over the raw cost copies, whether or not the dual ascent was smoothed.
@@ -48,7 +52,6 @@ class PrimalScores:
     margins: dict
     preference: dict
     order: list
-    strategy: str
 
 
 @dataclass
@@ -88,13 +91,8 @@ def compute_scores(state, strategy=NEG_MARGIN) -> PrimalScores:
             cpairs = _path_counts(bdd)
         for lev, var in enumerate(bdd.support):
             m0, m1 = pairs[lev]
-            if m1 == INF:
-                d = math.nan if m0 == INF else INF
-            elif m0 == INF:
-                d = -INF
-            else:
-                d = m1 - m0
-            margins[var] = margins.get(var, 0.0) + d
+            # IEEE subtraction: +inf where the diagram forces 0, -inf where it forces 1
+            margins[var] = margins.get(var, 0.0) + (m1 - m0)
             if counts is not None:
                 n0, n1 = cpairs[lev]
                 counts[var] = counts.get(var, 0) + (n1 - n0)
@@ -113,7 +111,7 @@ def compute_scores(state, strategy=NEG_MARGIN) -> PrimalScores:
             r = counts[var]
             score[var] = 0.0 if r == 0 else (m if r > 0 else -m)
     order = sorted(margins, key=lambda v: (-score[v], v))
-    return PrimalScores(margins, preference, order, strategy)
+    return PrimalScores(margins, preference, order)
 
 
 def _path_counts(bdd):
@@ -206,68 +204,55 @@ def primal_search(state, preassigned=None, strategy=NEG_MARGIN, budget=None) -> 
     attempts = conflicts = backtracks = max_depth = 0
     own_trails = Trail().attach(bdds)
 
-    def try_branch(var, value):
-        nonlocal attempts, conflicts
+    frames = []  # (order index, flipped, mark, newly)
+    idx = 0
+    flipped = False  # the next attempt takes order[idx]'s other value
+    while True:
+        if not flipped:
+            while idx < len(order) and order[idx] in assignment:
+                idx += 1
+            if idx == len(order):
+                status = SOLVED
+                break
+        if budget is not None and attempts >= budget:
+            status = BUDGET
+            break
+        var = order[idx]
+        value = scores.preference[var]
+        if flipped:
+            value = 1 - value
         attempts += 1
         mark = checkpoint_all(bdds)
         newly = []
         if restriction_propagation(bdds, slots, assignment, var, value, newly):
-            return mark, newly
+            frames.append((idx, flipped, mark, newly))
+            max_depth = max(max_depth, len(frames))
+            flipped = False
+            continue
         conflicts += 1
         for v in newly:
             del assignment[v]
         rollback_all(bdds, mark)
-        return None
-
-    frames = []  # [var, value, flipped, mark, newly, order_index]
-    status = None
-    idx = 0
-    while status is None:
-        while idx < len(order) and order[idx] in assignment:
-            idx += 1
-        if idx == len(order):
-            status = SOLVED
-            break
-        var = order[idx]
-        pref = scores.preference[var]
-        advanced = False
-        for value, flipped in ((pref, False), (1 - pref, True)):
-            if budget is not None and attempts >= budget:
-                status = BUDGET
-                break
-            got = try_branch(var, value)
-            if got is not None:
-                frames.append([var, value, flipped, got[0], got[1], idx])
-                max_depth = max(max_depth, len(frames))
-                advanced = True
-                break
-        if status is not None or advanced:
+        if not flipped:
+            flipped = True
             continue
-        # both values failed here: climb until some frame still has a flip
+        # both values failed here: climb to the newest frame with a flip left
         while frames:
-            fvar, fvalue, fflipped, fmark, fnewly, fidx = frames.pop()
+            idx, flipped, mark, newly = frames.pop()
             backtracks += 1
-            for v in fnewly:
+            for v in newly:
                 del assignment[v]
-            rollback_all(bdds, fmark)
-            if fflipped:
-                continue
-            if budget is not None and attempts >= budget:
-                status = BUDGET
-                break
-            got = try_branch(fvar, 1 - fvalue)
-            if got is not None:
-                frames.append([fvar, 1 - fvalue, True, got[0], got[1], fidx])
-                idx = fidx
+            rollback_all(bdds, mark)
+            if not flipped:
+                flipped = True
                 break
         else:
             status = INFEASIBLE
-        if status == BUDGET:
             break
 
     result = dict(assignment) if status == SOLVED else None
     if frames:  # one rollback to the oldest checkpoint undoes everything
-        rollback_all(bdds, frames[0][3])
+        rollback_all(bdds, frames[0][2])
     for bdd, own in zip(bdds, own_trails):
         bdd.trail = own
     return PrimalResult(status, result, attempts, conflicts, backtracks, max_depth)

@@ -100,28 +100,6 @@ def enumerate_feasible(instance: ILPInstance, cap=BRUTE_FORCE_CAP):
     return np.concatenate(chunks_bits), np.concatenate(chunks_vals)
 
 
-def marginals_of_set(assignments, values, alpha=0.0):
-    """Per-variable value-conditioned aggregates of an assignment set.
-
-    With alpha == 0 returns hard min-marginals; otherwise the smoothed
-    counterpart -alpha * log(sum(exp(-v / alpha))).  Empty sides give inf.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    out = []
-    for i in range(assignments.shape[1]):
-        pair = []
-        for val in (0, 1):
-            side = values[assignments[:, i] == val]
-            if len(side) == 0:
-                pair.append(math.inf)
-            elif alpha == 0.0:
-                pair.append(float(side.min()))
-            else:
-                pair.append(float(-alpha * np.logaddexp.reduce(-side / alpha)))
-        out.append(tuple(pair))
-    return out
-
-
 # -- instance generators --------------------------------------------------------
 
 

@@ -19,8 +19,10 @@ smoothing).
 These routines favour clarity; `bddsolve.dual` runs specialised min-sum
 and soft-min kernels computing the same values in cost units.  The
 `scratch_*` functions recompute a dual state's marginals and energies from
-scratch; `predicted_increase` is the closed-form bound gain of one hard-min
-update, and `watch_updates` shows every update of a pass to a checker.
+scratch; `marginals_of_set` reads the same marginals off an enumerated
+assignment set (`testkit.enumerate_feasible`); `predicted_increase` is the
+closed-form bound gain of one hard-min update, and `watch_updates` shows
+every update of a pass to a checker.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 from bddsolve.bdd import FALSE, TRUE, Bdd
 
@@ -256,6 +260,31 @@ def scratch_energy(state, j):
 def scratch_dual_value(state):
     """Sum of every diagram's scratch energy."""
     return sum(scratch_energy(state, j) for j in range(state.num_subproblems))
+
+
+# -- marginals of an enumerated assignment set ---------------------------------
+
+
+def marginals_of_set(assignments, values, alpha=0.0):
+    """Per-variable value-conditioned aggregates of an assignment set.
+
+    With alpha == 0 returns hard min-marginals; otherwise the smoothed
+    counterpart -alpha * log(sum(exp(-v / alpha))).  Empty sides give inf.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    out = []
+    for i in range(assignments.shape[1]):
+        pair = []
+        for val in (0, 1):
+            side = values[assignments[:, i] == val]
+            if len(side) == 0:
+                pair.append(math.inf)
+            elif alpha == 0.0:
+                pair.append(float(side.min()))
+            else:
+                pair.append(float(-alpha * np.logaddexp.reduce(-side / alpha)))
+        out.append(tuple(pair))
+    return out
 
 
 # -- watching the dual's coordinate updates ------------------------------------

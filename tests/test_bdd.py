@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from bddsolve.bdd import FALSE, TRUE, Bdd, BddBuildError, BddError, Trail, build_bdd
+from bddsolve.bdd import _DEACT, FALSE, TRUE, Bdd, BddBuildError, BddError, Trail, build_bdd
 from bddsolve.model import LinearConstraint, Relation
 
 
@@ -244,13 +244,25 @@ def test_rollback_to_outer_checkpoint_skips_inner():
     assert snapshot(b) == before
 
 
+def wide_row(rng):
+    """A 9- or 10-variable row with large coefficients, whose middle levels run wide."""
+    n = rng.randint(9, 10)
+    terms = tuple((i, rng.choice([3, 5, 7, 11, -4, -6, -9])) for i in range(n))
+    mid = (sum(min(0, a) for _, a in terms) + sum(max(0, a) for _, a in terms)) // 2
+    relation = rng.choice([Relation.LE, Relation.GE, Relation.EQ])
+    return row(terms, relation, rng.randint(mid - 8, mid + 8))
+
+
 def test_fix_sequences_match_filtered_brute_force():
     rng = random.Random(7003)
-    for _ in range(120):
-        c = random_row(rng)
+    wide = upward = 0
+    for k in range(180):
+        c = random_row(rng) if k < 120 else wide_row(rng)
         b = build_bdd(c)
         if b.is_empty() or b.root == TRUE:
             continue
+        wide += max(map(len, b.level_nodes)) > 8
+        node_level = {v: lev for lev, nodes in enumerate(b.level_nodes) for v in nodes}
         remaining = brute_solutions(c, b.support)
         token = b.checkpoint()
         order = list(b.support)
@@ -258,11 +270,15 @@ def test_fix_sequences_match_filtered_brute_force():
         for var in order[: rng.randint(1, len(order))]:
             val = rng.randint(0, 1)
             lev = b.level_of(var)
+            written = len(b.journal)
             alive = b.fix(var, val)
             remaining = {s for s in remaining if s[lev] == val}
             assert alive == bool(remaining)
             if not alive:
                 break
+            # node removals are the journal's (_DEACT, node) entries
+            removed = [entry[1] for entry in b.journal[written:] if entry[0] == _DEACT]
+            upward += len({node_level[v] for v in removed if node_level[v] < lev}) >= 2
             assert b.solutions(cap=10) == remaining
             b.check_invariants()
             forced = b.forced_literals()
@@ -272,6 +288,8 @@ def test_fix_sequences_match_filtered_brute_force():
                 assert all(s[flev] == fval for s in remaining)
         b.rollback(token)
         assert b.solutions(cap=10) == brute_solutions(c, b.support)
+    assert wide >= 40
+    assert upward > 50  # fixes that removed nodes on two or more levels above their own
 
 
 def test_forced_literals_cascade():

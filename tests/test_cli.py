@@ -271,6 +271,13 @@ def _mask_times(text):
     return re.sub(r'"(?:time_ms|dual_time_ms|primal_time_ms)": [0-9.eE+-]+', '"t": 0', text)
 
 
+def test_cli_import_leaves_numpy_out(cli_env):
+    code = "import sys, bddsolve.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=cli_env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
 def test_subprocess_runs_are_identical(tmp_path, cli_env):
     path = tmp_path / "grid.lp"
     path.write_text(write_lp(mrf_instance(2, 2, 2, seed=4)))

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,14 @@ from bddsolve.solver import (
     SolveOptions,
     solve_instance,
 )
-from bddsolve.testkit import brute_force_solve, cell_tracking_instance, mrf_instance, random_ilp
+from bddsolve.testkit import (
+    brute_force_solve,
+    cell_tracking_instance,
+    graph_matching_instance,
+    mrf_instance,
+    random_ilp,
+    tomography_instance,
+)
 
 SMALL = """\
 Minimize
@@ -126,24 +134,40 @@ def test_agrees_with_brute_force_on_random_instances():
     assert solved >= 5
 
 
+# generators at brute-force size (at most 17 variables)
+GENERATORS = {
+    "random": None,
+    "mrf": lambda seed: mrf_instance(1, 3, 2, seed),
+    "matching": lambda seed: graph_matching_instance(2, seed),
+    "tracking": lambda seed: cell_tracking_instance(4, seed),
+    "tomography": lambda seed: tomography_instance(3, 2, seed),
+}
+
+
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
 @given(
+    generator=st.sampled_from(sorted(GENERATORS)),
     num_vars=st.integers(1, 8),
     num_rows=st.integers(1, 6),
     seed=st.integers(0, 10**6),
+    permute_rows=st.booleans(),
     scale=st.sampled_from([Fraction(1), Fraction(1, 10**9), Fraction(10**6)]),
     averaging=st.sampled_from(["uniform", "srmp"]),
     smoothing=st.sampled_from([0.0, 0.3]),
     order=st.sampled_from(["input", "cuthill_mckee"]),
 )
 def test_sound_and_deterministic_against_brute_force(
-    num_vars, num_rows, seed, scale, averaging, smoothing, order
+    generator, num_vars, num_rows, seed, permute_rows, scale, averaging, smoothing, order
 ):
-    problem = random_ilp(num_vars, num_rows, seed)
+    make = GENERATORS[generator]
+    problem = random_ilp(num_vars, num_rows, seed) if make is None else make(seed)
+    rows = list(problem.constraints)
+    if permute_rows:
+        random.Random(seed).shuffle(rows)
     instance = ILPInstance(
         list(problem.var_names),
         [c * scale for c in problem.objective],
-        problem.constraints,
+        rows,
         problem.objective_offset * scale,
         "scaled",
     )
@@ -160,6 +184,9 @@ def test_sound_and_deterministic_against_brute_force(
     again = solve_instance(instance, options)
     assert (again.status, again.termination, again.passes, again.solution) == (
         report.status, report.termination, report.passes, report.solution
+    )
+    assert (again.primal_attempts, again.primal_conflicts, again.primal_backtracks) == (
+        report.primal_attempts, report.primal_conflicts, report.primal_backtracks
     )
     assert repr(again.lower_bound) == repr(report.lower_bound)
     assert [repr(t.lower_bound) for t in again.trace] == [repr(t.lower_bound) for t in report.trace]

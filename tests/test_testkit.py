@@ -11,11 +11,11 @@ from bddsolve.testkit import (
     cell_tracking_instance,
     enumerate_feasible,
     graph_matching_instance,
-    marginals_of_set,
     mrf_instance,
     random_ilp,
     tomography_instance,
 )
+from reference_algebra import marginals_of_set
 
 
 def slow_solve(instance):
