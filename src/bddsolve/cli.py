@@ -210,7 +210,7 @@ def _cmd_solve(args):
 
 
 def _cmd_generate(args):
-    from . import testkit  # imports numpy, which solving does not need
+    from . import testkit  # only `generate` needs the generators
 
     if args.kind == "random_ilp":
         instance = testkit.random_ilp(args.vars, args.cons, args.seed)

@@ -21,21 +21,25 @@ whatever the temperature.
 
 A step's diffs m1 - m0 come from plain IEEE subtraction (+inf: the diagram
 forces the variable to 0, -inf: to 1, nan: it is empty), and only a
-non-finite sum leaves the averaging loop.  Diagrams forcing the variable
+non-finite sum leaves the averaging path.  Diagrams forcing the variable
 agree -> the finite diffs are dumped on the forcing diagrams (their optimum
 can absorb shifts for free on the side they force); they disagree, or one
 is empty -> the instance is proven infeasible and the bound becomes +inf.
 
-There is one message kernel set per algebra: `marg`, `scatter`, `bstep`
-and `fw_energy`, in a min-sum and a soft-min version; a `DualState` picks
-its set once, from its smoothing.  The passes run the kernels
-incrementally; `min_marginals` runs the min-sum ones as a fresh sweep over
-one diagram, which is where the rounding search reads its margins.  The
-kernels skip no removed node and are exact on restricted diagrams too:
-fixation leaves no live node pointing at a removed one, so a removed node
-is unreachable (value +inf) or a dead end (both arcs on the false
-terminal).  The generic reference sweeps they are tested against live with
-the tests.
+A coordinate step is one `mma_update` call: it reads the marginals at
+every covering level, shifts the copies, and advances the messages at
+those levels (forward: the values of the level below; backward: the
+level's own), with the kernel arithmetic written inline over level records
+the `DualState` builds once.  Per-level kernels remain where a whole
+diagram is swept: `bstep` for `refresh`, `fw_energy` for the forward
+pass's readout, and the min-sum `_marg_min`/`_scatter_min`/`_bstep_min` for
+`min_marginals`, a fresh sweep over one diagram, which is where the
+rounding search reads its margins.  A `DualState` picks its algebra once,
+from its smoothing.  No kernel skips a removed node, and all are exact on
+restricted diagrams too: fixation leaves no live node pointing at a
+removed one, so a removed node is unreachable (value +inf) or a dead end
+(both arcs on the false terminal).  The generic reference sweeps they are
+tested against live with the tests.
 """
 
 from __future__ import annotations
@@ -93,14 +97,20 @@ class DualState:
     objective coefficient.  `fw`/`bw` hold forward/backward node values and
     `energies[j]` the latest per-diagram optimum, all in cost units for
     either algebra; `infeasible` latches once any update proves the
-    constraint set empty.  The kernel set `marg`, `scatter`, `bstep`,
-    `fw_energy` (min-sum, or soft-min at temperature `smoothing`) is chosen
-    once, here.
+    constraint set empty.  The algebra is chosen once, here: `smin` is None
+    for min-sum, else the soft minimum at temperature `smoothing`, and
+    `bstep`, `fw_energy` are the matching per-level kernels.
 
-    `sweeps[forward][var]` is `(ahead, members, count)` for a sweep in that
-    direction, fixed once: the slots with a level still ahead, per-slot
-    averaging flags and their count (uniform: every slot; srmp: the slots
-    ahead, or every slot if none is).
+    `sweeps[forward][var]` is `(records, flags, count)` for a step in that
+    direction, fixed once.  `records` holds one level record per covering
+    diagram, `(fw[j], bw[j], duals[j], lev, level nodes, nodes of the level
+    below, lo, hi)`; a record refers to the live lists, so fixation and
+    rollback show through it, and both directions share it.  `flags` holds
+    one `(member, step)` pair per record: whether the diagram shares the
+    step's averaged total (uniform: every one; srmp: those with a level
+    still ahead, or every one if none has) and whether the step advances
+    its messages (forward: a level below is left; backward: always).
+    `count` is the number of members.
     """
 
     def __init__(self, bdds, decomposition, duals, smoothing, averaging):
@@ -109,7 +119,7 @@ class DualState:
         self.duals = duals
         self.smoothing = smoothing
         self.averaging = averaging
-        self.marg, self.scatter, self.bstep, self.fw_energy = (
+        self.smin, self.bstep, self.fw_energy = (
             _soft_min_kernels(smoothing) if smoothing > 0 else _MIN_KERNELS
         )
         self.infeasible = False
@@ -117,21 +127,29 @@ class DualState:
         self.bw = [[INF] * len(b.lo) for b in bdds]
         self.energies = [0.0] * len(bdds)
         self.slots = {}
+        records = {}
+        last = [len(b.support) - 1 for b in bdds]
         for j, b in enumerate(bdds):
+            fwj, bwj, costs, lo, hi, nodes = self.fw[j], self.bw[j], duals[j], b.lo, b.hi, b.level_nodes
             for lev, var in enumerate(b.support):
                 self.slots.setdefault(var, []).append((j, lev))
-        last = [len(b.support) - 1 for b in bdds]
-        everyone = {}  # slot count -> all-True flags, shared
+                below = nodes[lev + 1] if lev < last[j] else ()
+                records.setdefault(var, []).append((fwj, bwj, costs, lev, nodes[lev], below, lo, hi))
+        interned = {}  # (members, steps) -> their flag pairs, shared by equal keys
 
-        def entry(slots, ahead):
-            if averaging == SRMP and ahead:
-                return ahead, tuple(s in ahead for s in slots), len(ahead)
-            return ahead, everyone.setdefault(len(slots), (True,) * len(slots)), len(slots)
+        def entry(recs, ahead, steps):
+            members = ahead if averaging == SRMP and True in ahead else (True,) * len(ahead)
+            flags = interned.get((members, steps))
+            if flags is None:
+                flags = interned[members, steps] = tuple(zip(members, steps))
+            return recs, flags, sum(members)
 
-        self.sweeps = {
-            True: {v: entry(ss, [s for s in ss if s[1] < last[s[0]]]) for v, ss in self.slots.items()},
-            False: {v: entry(ss, [s for s in ss if s[1] > 0]) for v, ss in self.slots.items()},
-        }
+        self.sweeps = {True: {}, False: {}}
+        for var, slots in self.slots.items():
+            recs = tuple(records[var])
+            ahead = tuple([lev < last[j] for j, lev in slots])
+            self.sweeps[True][var] = entry(recs, ahead, ahead)
+            self.sweeps[False][var] = entry(recs, tuple([lev > 0 for _, lev in slots]), (True,) * len(slots))
         self.active = [i for i in decomposition.order if decomposition.var_subproblems[i]]
 
     @property
@@ -240,11 +258,12 @@ def _fw_energy_min(bdd, fwj, cost_last):
     return best
 
 
-_MIN_KERNELS = (_marg_min, _scatter_min, _bstep_min, _fw_energy_min)
+# min-sum compares inline, so its set has no `smin`
+_MIN_KERNELS = (None, _bstep_min, _fw_energy_min)
 
 
 def _soft_min_kernels(alpha):
-    """The soft-min kernel set at temperature alpha > 0, shaped like `_MIN_KERNELS`."""
+    """`(smin, bstep, fw_energy)` at temperature alpha > 0, shaped like `_MIN_KERNELS`."""
 
     def smin(a, b):
         # -alpha * log(exp(-a/alpha) + exp(-b/alpha)); exact when b is +inf
@@ -253,28 +272,6 @@ def _soft_min_kernels(alpha):
         if b == INF:
             return a
         return a - alpha * math.log1p(math.exp((a - b) / alpha))
-
-    def marg(bdd, fwj, bwj, level, cost):
-        lo, hi = bdd.lo, bdd.hi
-        m0 = m1 = INF
-        for v in bdd.level_nodes[level]:
-            base = fwj[v]
-            m0 = smin(m0, base + bwj[lo[v]])
-            m1 = smin(m1, base + cost + bwj[hi[v]])
-        return m0, m1
-
-    def scatter(bdd, fwj, level, cost):
-        lo, hi = bdd.lo, bdd.hi
-        for v in bdd.level_nodes[level + 1]:
-            fwj[v] = INF
-        for v in bdd.level_nodes[level]:
-            base = fwj[v]
-            c = lo[v]
-            if c >= 2:
-                fwj[c] = smin(fwj[c], base)
-            c = hi[v]
-            if c >= 2:
-                fwj[c] = smin(fwj[c], base + cost)
 
     def bstep(bdd, bwj, level, cost):
         lo, hi = bdd.lo, bdd.hi
@@ -291,7 +288,7 @@ def _soft_min_kernels(alpha):
                 total = smin(total, fwj[v] + cost_last)
         return total
 
-    return marg, scatter, bstep, fw_energy
+    return smin, bstep, fw_energy
 
 
 def _bsweep(bdd, bwj, costs, bstep):
@@ -327,52 +324,130 @@ def min_marginals(bdd, costs):
 
 
 def mma_update(state: DualState, var, forward=True):
-    """One min-marginal-averaging step for one variable.
+    """One min-marginal-averaging step for one variable, messages included.
 
     Reads the marginal pair in every covering diagram (requires fw current
-    at the variable's levels and bw current below them), then shifts the
-    cost copies.  Returns the diffs m1 - m0 in slot order (see the module
-    notes for infinities and nan).  A finite sum is averaged over the
-    members `state.sweeps` holds for this variable and direction.  Does
-    not advance any messages; callers step fw/bw afterwards.
+    at the variable's levels and bw current below them), shifts the cost
+    copies, and advances the messages past the variable: forward, fw of
+    the level below each covering level; backward, bw of the covering
+    levels.  Returns the diffs m1 - m0 in slot order (see the module notes
+    for infinities and nan).  A finite sum is averaged over the members
+    `state.sweeps` holds for this variable and direction.  An update that
+    proves infeasibility latches it and leaves the messages as they were.
     """
-    slots = state.slots.get(var)
-    if not slots:
+    entry = state.sweeps[forward].get(var)
+    if entry is None:
         raise ValueError(f"variable {var} is not covered by any diagram")
-    bdds, fw, bw, duals, marg = state.bdds, state.fw, state.bw, state.duals, state.marg
+    records, flags, count = entry
+    smin = state.smin
     diffs = []
-    for j, lev in slots:
-        m0, m1 = marg(bdds[j], fw[j], bw[j], lev, duals[j][lev])
-        diffs.append(m1 - m0)
-    total = sum(diffs)
-    if math.isfinite(total):
-        _, members, count = state.sweeps[forward][var]
-        share = total / count
-        for (j, lev), d, member in zip(slots, diffs, members):
-            duals[j][lev] -= d
-            if member:
-                duals[j][lev] += share
-        return diffs
+    if smin is None:
+        for fwj, bwj, costs, lev, nodes, _, lo, hi in records:
+            cost = costs[lev]
+            m0 = m1 = INF
+            for v in nodes:
+                base = fwj[v]
+                a = base + bwj[lo[v]]
+                if a < m0:
+                    m0 = a
+                b = base + cost + bwj[hi[v]]
+                if b < m1:
+                    m1 = b
+            diffs.append(m1 - m0)
+    else:
+        for fwj, bwj, costs, lev, nodes, _, lo, hi in records:
+            cost = costs[lev]
+            m0 = m1 = INF
+            for v in nodes:
+                base = fwj[v]
+                m0 = smin(m0, base + bwj[lo[v]])
+                m1 = smin(m1, base + cost + bwj[hi[v]])
+            diffs.append(m1 - m0)
 
-    forced_zero = [slot for slot, d in zip(slots, diffs) if d == INF]
-    forced_one = [slot for slot, d in zip(slots, diffs) if d == -INF]
-    if (forced_zero and forced_one) or any(map(math.isnan, diffs)):
-        state.infeasible = True
-        return diffs
-    # Move only diffs that prefer the impossible value: cost shifted off a
-    # side no solution uses cannot hurt any diagram, and (for soft minima)
-    # shifting the agreeing side would.  The forcing diffs fail both tests.
-    absorbers = forced_zero or forced_one
-    moved = 0.0
-    for (j, lev), d in zip(slots, diffs):
-        if (d < 0.0) if forced_zero else (d > 0.0):
-            duals[j][lev] -= d
-            moved += d
-    if moved:
-        share = moved / len(absorbers)
-        for j, lev in absorbers:
-            duals[j][lev] += share
+    total = sum(diffs)
+    shifts = diffs
+    if math.isfinite(total):
+        share = total / count
+    else:
+        forcing = _forcing(diffs, flags)
+        if forcing is None:
+            state.infeasible = True
+            return diffs
+        shifts, flags, share = forcing
+
+    # Each diagram's copy becomes (copy - shift) + share for members and
+    # copy - shift otherwise; the message step then reads the new copy.
+    if forward:
+        for (fwj, _, costs, lev, nodes, below, lo, hi), d, (member, step) in zip(records, shifts, flags):
+            cost = costs[lev] - d
+            if member:
+                cost += share
+            costs[lev] = cost
+            if not step:
+                continue
+            for v in below:
+                fwj[v] = INF
+            if smin is None:
+                for v in nodes:
+                    base = fwj[v]
+                    c = lo[v]
+                    if c >= 2 and base < fwj[c]:
+                        fwj[c] = base
+                    c = hi[v]
+                    if c >= 2:
+                        b = base + cost
+                        if b < fwj[c]:
+                            fwj[c] = b
+            else:
+                for v in nodes:
+                    base = fwj[v]
+                    c = lo[v]
+                    if c >= 2:
+                        fwj[c] = smin(fwj[c], base)
+                    c = hi[v]
+                    if c >= 2:
+                        fwj[c] = smin(fwj[c], base + cost)
+    else:
+        for (_, bwj, costs, lev, nodes, _, lo, hi), d, (member, _) in zip(records, shifts, flags):
+            cost = costs[lev] - d
+            if member:
+                cost += share
+            costs[lev] = cost
+            if smin is None:
+                for v in nodes:
+                    a = bwj[lo[v]]
+                    b = cost + bwj[hi[v]]
+                    bwj[v] = a if a <= b else b
+            else:
+                for v in nodes:
+                    bwj[v] = smin(bwj[lo[v]], cost + bwj[hi[v]])
     return diffs
+
+
+def _forcing(diffs, flags):
+    """`(shifts, flags, share)` for a step whose diffs do not sum finitely.
+
+    None when the step proves infeasibility: diagrams force the variable
+    both ways, or one is empty.  Otherwise some diagrams force one value
+    and the shifts move only the diffs that prefer the impossible value:
+    cost shifted off a side no solution uses cannot hurt any diagram, and
+    (for soft minima) shifting the agreeing side would.  The forcing diffs
+    fail both tests; the forcing diagrams are the members, absorbing the
+    moved total in equal shares (no member when nothing moved).
+    """
+    zero = INF in diffs
+    if (zero and -INF in diffs) or any(map(math.isnan, diffs)):
+        return None
+    forced = INF if zero else -INF
+    shifts = [d if ((d < 0.0) if zero else (d > 0.0)) else 0.0 for d in diffs]
+    moved = 0.0
+    for d in shifts:
+        if d:
+            moved += d
+    absorbers = [d == forced for d in diffs]
+    share = moved / sum(absorbers)
+    flags = tuple((bool(moved) and a, step) for a, (_, step) in zip(absorbers, flags))
+    return shifts, flags, share
 
 
 # -- passes ----------------------------------------------------------------------
@@ -407,15 +482,12 @@ def forward_pass(state: DualState):
     """
     if state.infeasible:
         return INF
-    bdds, fw, duals, scatter = state.bdds, state.fw, state.duals, state.scatter
-    sweep = state.sweeps[True]
+    update = mma_update
     for var in state.active:
-        mma_update(state, var, forward=True)
+        update(state, var, True)
         if state.infeasible:
             return INF
-        for j, lev in sweep[var][0]:
-            scatter(bdds[j], fw[j], lev, duals[j][lev])
-    fw_energy = state.fw_energy
+    fw, duals, fw_energy = state.fw, state.duals, state.fw_energy
     return _finish_pass(state, lambda j, bdd: fw_energy(bdd, fw[j], duals[j][-1]))
 
 
@@ -427,13 +499,12 @@ def backward_pass(state: DualState):
     """
     if state.infeasible:
         return INF
-    bdds, bw, duals, bstep = state.bdds, state.bw, state.duals, state.bstep
+    update = mma_update
     for var in reversed(state.active):
-        mma_update(state, var, forward=False)
+        update(state, var, False)
         if state.infeasible:
             return INF
-        for j, lev in state.slots[var]:
-            bstep(bdds[j], bw[j], lev, duals[j][lev])
+    bw = state.bw
     return _finish_pass(state, lambda j, bdd: bw[j][bdd.root])
 
 

@@ -167,6 +167,9 @@ def _tokenize(line, lineno):
 
 
 def _parse_number(text, lineno, col):
+    """An int for plain digits (the common case, and much cheaper), else a Fraction."""
+    if text.isdecimal():
+        return int(text)
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -183,10 +186,10 @@ def _parse_terms(tokens, start, lineno, allow_constant):
     constant = Fraction(0)
     first = True
     while i < len(tokens) and tokens[i][1] not in _RELATIONS:
-        sign = 1
+        negate = False
         kind, text, col = tokens[i]
         if kind == "op" and text in "+-":
-            sign = -1 if text == "-" else 1
+            negate = text == "-"
             i += 1
         elif not first:
             raise LpParseError(lineno, col, "expected '+' or '-' between terms")
@@ -196,7 +199,9 @@ def _parse_terms(tokens, start, lineno, allow_constant):
             i += 1
         if i < len(tokens) and tokens[i][0] == "ident":
             name = tokens[i][1]
-            terms.append((sign * (coeff if coeff is not None else Fraction(1)), name, tokens[i][2]))
+            if coeff is None:
+                coeff = 1
+            terms.append((-coeff if negate else coeff, name, tokens[i][2]))
             i += 1
         else:
             if coeff is None:
@@ -204,7 +209,7 @@ def _parse_terms(tokens, start, lineno, allow_constant):
                 raise LpParseError(lineno, col, "expected a term")
             if not allow_constant:
                 raise LpParseError(lineno, tokens[i - 1][2], "constant term not allowed here")
-            constant += sign * coeff
+            constant += -coeff if negate else coeff
         first = False
     return terms, constant, i
 

@@ -5,6 +5,8 @@ a couple dozen variables) and exist so the iterative solver has something
 exact to be checked against.  The generators produce small structured
 instances -- random rows, grid labelling problems, quadratic matchings,
 two-frame tracking, discrete tomography -- deterministically in their seed.
+Only the oracles need numpy, so they import it themselves and the
+generators stay cheap to import.
 """
 
 from __future__ import annotations
@@ -12,8 +14,6 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-
-import numpy as np
 
 from .model import ILPInstance, LinearConstraint, Relation
 
@@ -28,6 +28,8 @@ def _feasible_chunks(instance: ILPInstance, cap):
     `bits` has one row per index, and chunks come in increasing index order.
     Chunks without a feasible assignment are skipped.
     """
+    import numpy as np
+
     n = instance.num_vars
     if n > cap:
         raise ValueError(f"{n} variables is past the enumeration cap {cap}")
@@ -65,6 +67,8 @@ def brute_force_solve(instance: ILPInstance, cap=BRUTE_FORCE_CAP):
     the assignment whose bit pattern, variable 0 least significant, encodes
     the smallest integer.
     """
+    import numpy as np
+
     n = instance.num_vars
     scale = math.lcm(*(f.denominator for f in instance.objective)) if n else 1
     costs = np.array([int(f * scale) for f in instance.objective], dtype=np.int64)
@@ -89,6 +93,8 @@ def enumerate_feasible(instance: ILPInstance, cap=BRUTE_FORCE_CAP):
     Returns (assignments, values): an int8 array of shape (m, n) and a
     float64 array of length m, in increasing bit-pattern order.
     """
+    import numpy as np
+
     costs = np.array([float(f) for f in instance.objective])
     chunks_bits = []
     chunks_vals = []

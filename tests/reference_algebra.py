@@ -20,7 +20,9 @@ These routines favour clarity; `bddsolve.dual` runs specialised min-sum
 and soft-min kernels computing the same values in cost units.  The
 `scratch_*` functions recompute a dual state's marginals and energies from
 scratch; `marginals_of_set` reads the same marginals off an enumerated
-assignment set (`testkit.enumerate_feasible`); `predicted_increase` is the
+assignment set (`testkit.enumerate_feasible`); `slot_pass` runs a dual
+pass with one kernel call per covering level, the loop the solver's fused
+coordinate step must match to the bit; `predicted_increase` is the
 closed-form bound gain of one hard-min update, and `watch_updates` shows
 every update of a pass to a checker.
 """
@@ -33,6 +35,7 @@ from typing import Callable
 
 import numpy as np
 
+from bddsolve import dual
 from bddsolve.bdd import FALSE, TRUE, Bdd
 
 INF = math.inf
@@ -287,6 +290,112 @@ def marginals_of_set(assignments, values, alpha=0.0):
     return out
 
 
+# -- the per-level pass loop ---------------------------------------------------
+
+
+def level_kernels(state):
+    """`(marg, scatter, bstep)` for one level of one diagram, in the state's algebra.
+
+    Min-sum uses the dual's own kernels; soft-min builds twins on the
+    state's `smin`.  Arguments as in `dual._marg_min`, `dual._scatter_min`
+    and `dual._bstep_min`.
+    """
+    if state.smin is None:
+        return dual._marg_min, dual._scatter_min, dual._bstep_min
+    smin = state.smin
+
+    def marg(bdd, fwj, bwj, level, cost):
+        lo, hi = bdd.lo, bdd.hi
+        m0 = m1 = INF
+        for v in bdd.level_nodes[level]:
+            base = fwj[v]
+            m0 = smin(m0, base + bwj[lo[v]])
+            m1 = smin(m1, base + cost + bwj[hi[v]])
+        return m0, m1
+
+    def scatter(bdd, fwj, level, cost):
+        lo, hi = bdd.lo, bdd.hi
+        for v in bdd.level_nodes[level + 1]:
+            fwj[v] = INF
+        for v in bdd.level_nodes[level]:
+            base = fwj[v]
+            c = lo[v]
+            if c >= 2:
+                fwj[c] = smin(fwj[c], base)
+            c = hi[v]
+            if c >= 2:
+                fwj[c] = smin(fwj[c], base + cost)
+
+    return marg, scatter, state.bstep
+
+
+def _slot_update(state, var, forward, marg):
+    """One coordinate step over slots, messages untouched; returns its kind.
+
+    "average", "forced" or "infeasible" (latched on the state).  Members are
+    derived from the diagrams' level counts, not from `state.sweeps`.
+    """
+    slots = state.slots[var]
+    bdds, fw, bw, duals = state.bdds, state.fw, state.bw, state.duals
+    diffs = []
+    for j, lev in slots:
+        m0, m1 = marg(bdds[j], fw[j], bw[j], lev, duals[j][lev])
+        diffs.append(m1 - m0)
+    total = sum(diffs)
+    if math.isfinite(total):
+        ahead = [lev < bdds[j].num_levels - 1 if forward else lev > 0 for j, lev in slots]
+        members = ahead if state.averaging == dual.SRMP and any(ahead) else [True] * len(slots)
+        share = total / sum(members)
+        for (j, lev), d, member in zip(slots, diffs, members):
+            duals[j][lev] -= d
+            if member:
+                duals[j][lev] += share
+        return "average"
+    forced_zero = [slot for slot, d in zip(slots, diffs) if d == INF]
+    forced_one = [slot for slot, d in zip(slots, diffs) if d == -INF]
+    if (forced_zero and forced_one) or any(map(math.isnan, diffs)):
+        state.infeasible = True
+        return "infeasible"
+    absorbers = forced_zero or forced_one
+    moved = 0.0
+    for (j, lev), d in zip(slots, diffs):
+        if (d < 0.0) if forced_zero else (d > 0.0):
+            duals[j][lev] -= d
+            moved += d
+    if moved:
+        share = moved / len(absorbers)
+        for j, lev in absorbers:
+            duals[j][lev] += share
+    return "forced"
+
+
+def slot_pass(state, forward, kinds=None):
+    """A dual pass the per-level way: a step, then one kernel call per slot.
+
+    The loop `dual.forward_pass`/`backward_pass` ran before a coordinate
+    step became one fused call over level records; same arithmetic, so the
+    results must agree to the bit.  `kinds`, a Counter, tallies the steps.
+    """
+    if state.infeasible:
+        return INF
+    marg, scatter, bstep = level_kernels(state)
+    bdds, fw, bw, duals = state.bdds, state.fw, state.bw, state.duals
+    for var in state.active if forward else reversed(state.active):
+        kind = _slot_update(state, var, forward, marg)
+        if kinds is not None:
+            kinds[kind] += 1
+        if state.infeasible:
+            return INF
+        for j, lev in state.slots[var]:
+            if not forward:
+                bstep(bdds[j], bw[j], lev, duals[j][lev])
+            elif lev < bdds[j].num_levels - 1:
+                scatter(bdds[j], fw[j], lev, duals[j][lev])
+    if forward:
+        return dual._finish_pass(state, lambda j, bdd: state.fw_energy(bdd, fw[j], duals[j][-1]))
+    return dual._finish_pass(state, lambda j, bdd: bw[j][bdd.root])
+
+
 # -- watching the dual's coordinate updates ------------------------------------
 
 
@@ -310,19 +419,18 @@ def watch_updates(monkeypatch, observer):
     """Route every `dual.mma_update` the passes make through `observer`.
 
     Before an update `observer.marginals(var, items)` gets the
-    `(j, lev, m0, m1)` the update is about to read, from the state's own
-    kernels and cached messages; after it `observer.updated(var, diffs,
-    predicted)` gets the returned diffs and the predicted bound gain: +inf
-    when the update proved infeasibility, None when smoothing (no closed
-    form is claimed), `predicted_increase(diffs)` otherwise.
+    `(j, lev, m0, m1)` the update is about to read, from the state's cached
+    messages (`level_kernels`); after it `observer.updated(var, diffs, predicted)` gets the returned
+    diffs and the predicted bound gain: +inf when the update proved
+    infeasibility, None when smoothing (no closed form is claimed),
+    `predicted_increase(diffs)` otherwise.
     """
-    from bddsolve import dual
-
     update = dual.mma_update
 
     def watched(state, var, forward=True):
+        marg = level_kernels(state)[0]
         items = [
-            (j, lev, *state.marg(state.bdds[j], state.fw[j], state.bw[j], lev, state.duals[j][lev]))
+            (j, lev, *marg(state.bdds[j], state.fw[j], state.bw[j], lev, state.duals[j][lev]))
             for j, lev in state.slots.get(var, ())
         ]
         observer.marginals(var, items)

@@ -1,10 +1,11 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from bddsolve.bdd import build_bdd
+from bddsolve.bdd import Trail, build_bdd
 from bddsolve.dual import (
     SRMP,
     UNIFORM,
@@ -18,12 +19,21 @@ from bddsolve.dual import (
     run,
 )
 from bddsolve.model import ILPInstance, LinearConstraint, Relation, decompose, presolve_free
-from bddsolve.testkit import brute_force_solve, graph_matching_instance, mrf_instance, random_ilp
+from bddsolve.primal import checkpoint_all, restriction_propagation, rollback_all
+from bddsolve.testkit import (
+    brute_force_solve,
+    cell_tracking_instance,
+    graph_matching_instance,
+    mrf_instance,
+    random_ilp,
+    tomography_instance,
+)
 from reference_algebra import (
     predicted_increase,
     scratch_dual_value,
     scratch_energy,
     scratch_marginals,
+    slot_pass,
     watch_updates,
 )
 
@@ -335,3 +345,70 @@ def test_uncovered_variable_update_rejected():
     state, _ = build_state(problem)
     with pytest.raises(ValueError):
         mma_update(state, 1)
+
+
+GENERATORS = (
+    lambda s: random_ilp(9, 5, s),
+    lambda s: mrf_instance(2, 3, 3, s),
+    lambda s: graph_matching_instance(3, s),
+    lambda s: cell_tracking_instance(5, s),
+    lambda s: tomography_instance(6, 3, s),
+)
+
+
+def _message_digest(state):
+    return repr((state.duals, state.fw, state.bw, state.energies, state.infeasible))
+
+
+@pytest.mark.parametrize("averaging", [UNIFORM, SRMP])
+@pytest.mark.parametrize("smoothing", [0.0, 0.3])
+def test_fused_passes_match_the_per_level_loop(averaging, smoothing):
+    # the fused coordinate step against the per-level loop it replaced:
+    # bounds, cost copies and every message equal to the bit
+    kinds = Counter()
+    for make in GENERATORS:
+        for seed in range(6):
+            problem = make(700 + seed)
+            fused, _ = build_state(problem, smoothing, averaging)
+            slot, _ = build_state(problem, smoothing, averaging)
+            for k in range(8):
+                forward = k % 2 == 0
+                got = forward_pass(fused) if forward else backward_pass(fused)
+                want = slot_pass(slot, forward, kinds)
+                assert repr(got) == repr(want)
+                assert _message_digest(fused) == _message_digest(slot)
+    assert kinds["average"] > 5000
+    assert kinds["forced"] >= 50
+    assert kinds["infeasible"] >= 2
+
+
+@pytest.mark.parametrize("smoothing", [0.0, 0.3])
+def test_passes_follow_diagrams_restricted_after_the_state_was_built(smoothing):
+    # the level records refer to each diagram's live arcs, so fixation and
+    # rollback after the state was built must show in the passes
+    moved = 0
+    for seed in range(6):
+        problem = mrf_instance(1, 3, 2, seed)
+        state, _ = build_state(problem, smoothing)
+        forward_pass(state)
+        backward_pass(state)
+        _, best = brute_force_solve(problem)
+        before = scratch_dual_value(state)
+        Trail().attach(state.bdds)
+        mark = checkpoint_all(state.bdds)
+        assignment, newly = {}, []
+        for var in range(0, problem.num_vars, 3):
+            assert restriction_propagation(state.bdds, state.slots, assignment, var, best[var], newly)
+        restricted = scratch_dual_value(state)
+        moved += restricted > before + 1e-6
+        for label in ("restricted", "restored"):
+            state.refresh()
+            assert state.dual_value() == pytest.approx(scratch_dual_value(state), abs=1e-8)
+            for _ in range(3):
+                for a_pass in (forward_pass, backward_pass):
+                    lb = a_pass(state)
+                    assert not state.infeasible, label
+                    assert lb == pytest.approx(scratch_dual_value(state), abs=1e-8), label
+            if label == "restricted":
+                rollback_all(state.bdds, mark)
+    assert moved >= 4

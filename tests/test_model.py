@@ -18,6 +18,13 @@ from bddsolve.model import (
     presolve_free,
     write_lp,
 )
+from bddsolve.testkit import (
+    cell_tracking_instance,
+    graph_matching_instance,
+    mrf_instance,
+    random_ilp,
+    tomography_instance,
+)
 
 SIMPLE = """\
 \\ two variables, one covering row
@@ -129,15 +136,27 @@ def _random_instance(rng, n_vars=6, n_cons=4):
 
 def test_write_parse_round_trip_random():
     rng = random.Random(20240817)
-    for _ in range(50):
-        inst = _random_instance(rng)
+    generated = [
+        random_ilp(8, 4, seed=5),
+        mrf_instance(2, 2, 3, seed=5),
+        graph_matching_instance(2, seed=5),
+        cell_tracking_instance(4, seed=5),
+        tomography_instance(4, 2, seed=5),
+    ]
+    for inst in [_random_instance(rng) for _ in range(50)] + generated:
         text = write_lp(inst)
         back = parse_lp(text)
         assert back.var_names == inst.var_names
         assert back.objective == inst.objective
         assert back.objective_offset == inst.objective_offset
-        assert back.constraints == inst.constraints
+        assert list(back.constraints) == list(inst.constraints)  # generators keep a tuple
         assert write_lp(back) == text
+        # integers parse as int, but the objective stays exact rationals
+        assert all(type(c) is Fraction for c in back.objective)
+        assert type(back.objective_offset) is Fraction
+        for row in back.constraints:
+            assert type(row.rhs) is int
+            assert all(type(i) is int and type(a) is int for i, a in row.terms)
 
 
 def test_write_round_trips_thirds():

@@ -1,5 +1,7 @@
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -157,3 +159,15 @@ def test_tomography_projections_bind():
     for c in inst.constraints:
         if c.name.startswith("proj"):
             assert all(a >= 1 for _, a in c.terms)
+
+
+def test_generators_import_leaves_numpy_out(cli_env):
+    # only the oracles need numpy; they import it when called
+    code = (
+        "import sys; from bddsolve import testkit; testkit.mrf_instance(2, 2, 2, 0);"
+        " print('numpy' in sys.modules); testkit.brute_force_solve(testkit.random_ilp(4, 2, 0));"
+        " print('numpy' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=cli_env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False", "True"]
