@@ -18,7 +18,6 @@ from .bdd import Bdd, BddError, BddBuildError, build_bdd
 from .dual import (
     UNIFORM,
     SRMP,
-    SolverConfig,
     TraceEntry,
     DualReport,
     DualState,

@@ -5,21 +5,26 @@ support, ordered by the global variable order.  Every root-to-true path
 visits every support level exactly once, so nodes whose two children agree
 are kept rather than skipped.
 
-A diagram keeps each node's two arcs, a liveness flag and an incoming-arc
-counter, but no parent lists.  Fixing a variable kills arcs on one level;
-nodes left with no incoming arc are removed by following arcs down, and
-nodes left with both arcs dead are removed one level at a time going up,
-each step scanning the level above for arcs into the nodes just removed.
+A diagram keeps each node's two arcs and an incoming-arc counter, but no
+parent lists and no liveness flags: an internal node is removed exactly
+when both its arcs point at the false terminal, and no live node points at
+a removed one.  Fixing a variable redirects arcs on one level to the false
+terminal; nodes left with no incoming arc have their arcs redirected too,
+cascading down, and nodes left with both arcs on the false terminal are
+removed one level at a time going up, each step scanning the level above
+for arcs into the nodes just removed.
 
-Mutations (arc redirects, node removals) are written as `(diagram, entry)`
-undo records to a `Trail`.  A lone diagram gets a trail of its own at its
-first checkpoint; the rounding search attaches all diagrams to one shared
-trail, so a checkpoint is a single mark on it and a rollback undoes only
-the records written since that mark, whichever diagrams they belong to.
-Restoration is bit-exact.
+Every mutation is an arc redirect, written as a `(diagram, (node, bit,
+old child))` undo record to a `Trail`.  A lone diagram gets a trail of its
+own at its first checkpoint; the rounding search attaches all diagrams to
+one shared trail, so a checkpoint is a single mark on it and a rollback
+undoes only the records written since that mark, whichever diagrams they
+belong to.  Restoration is bit-exact.
 """
 
 from __future__ import annotations
+
+import operator
 
 from .model import LinearConstraint, Relation
 
@@ -28,9 +33,6 @@ TRUE = 1
 
 DEFAULT_STATE_BUDGET = 1 << 22
 DEFAULT_ENUMERATION_CAP = 25
-
-_ARC = 0
-_DEACT = 1
 
 
 class BddError(Exception):
@@ -46,8 +48,8 @@ class Trail:
 
     A checkpoint marks the current record count under a token that is never
     reused; rolling back to it pops the records written since, restoring
-    each diagram's arcs, liveness and arc counters, and closes every
-    checkpoint opened after it.
+    each diagram's arcs and arc counters, and closes every checkpoint
+    opened after it.
     """
 
     __slots__ = ("records", "marks", "_last_token")
@@ -83,19 +85,12 @@ class Trail:
         del marks[idx:]
         records = self.records
         while len(records) > keep:
-            bdd, entry = records.pop()
+            bdd, (u, bit, old) = records.pop()
+            arr = bdd.hi if bit else bdd.lo
             indeg = bdd.indeg
-            if entry[0] == _ARC:
-                _, u, bit, old = entry
-                arr = bdd.hi if bit else bdd.lo
-                indeg[arr[u]] -= 1
-                arr[u] = old
-                indeg[old] += 1
-            else:
-                v = entry[1]
-                bdd.alive[v] = True
-                indeg[bdd.lo[v]] += 1
-                indeg[bdd.hi[v]] += 1
+            indeg[arr[u]] -= 1
+            arr[u] = old
+            indeg[old] += 1
 
 
 class Bdd:
@@ -113,7 +108,6 @@ class Bdd:
         "lo",
         "hi",
         "level_nodes",
-        "alive",
         "indeg",
         "trail",
     )
@@ -125,7 +119,6 @@ class Bdd:
         self.lo = lo
         self.hi = hi
         self.level_nodes = level_nodes
-        self.alive = [True] * len(lo)
         self.indeg = indeg
         self.trail = None  # made by the first checkpoint unless attached to a shared one
 
@@ -154,11 +147,13 @@ class Bdd:
 
     def node_count(self):
         """Live internal nodes."""
-        return sum(self.alive[2:]) if len(self.alive) > 2 else 0
+        # FALSE is 0, so lo | hi is 0 exactly for the terminals and removed nodes
+        return len(self.lo) - list(map(operator.or_, self.lo, self.hi)).count(FALSE)
 
     def live_nodes(self, level):
-        alive = self.alive
-        return [v for v in self.level_nodes[level] if alive[v]]
+        """Nodes of `level` with an arc off the false terminal, i.e. not removed."""
+        lo, hi = self.lo, self.hi
+        return [v for v in self.level_nodes[level] if lo[v] != FALSE or hi[v] != FALSE]
 
     def solutions(self, cap=DEFAULT_ENUMERATION_CAP):
         """All satisfying assignments over the support, as 0/1 tuples."""
@@ -186,19 +181,17 @@ class Bdd:
     def forced_literals(self):
         """(variable, value) pairs forced on every remaining true-path.
 
-        A level forces value 1 when every live node's 0-arc is dead, and 0
-        symmetrically.
+        A level forces value 1 when every node's 0-arc is on the false
+        terminal, and 0 symmetrically; removed nodes have both arcs there.
         """
         if self.root == TRUE or self.is_empty():
             return []
-        lo, hi, alive = self.lo, self.hi, self.alive
+        lo, hi = self.lo, self.hi
         forced = []
         for lev, var in enumerate(self.support):
             all_lo_dead = True
             all_hi_dead = True
             for v in self.level_nodes[lev]:
-                if not alive[v]:
-                    continue
                 if lo[v] != FALSE:
                     all_lo_dead = False
                 if hi[v] != FALSE:
@@ -229,13 +222,15 @@ class Bdd:
         """Restrict to assignments with var == value; False means emptied.
 
         Requires an open checkpoint on the diagram's trail so the restriction
-        can be undone.  Arcs for the discarded value are redirected to the
-        false terminal, and nodes left with no incoming arc are removed,
-        cascading down.  Nodes left with both arcs dead are removed one
-        level at a time going up: each step scans the level above for arcs
-        into the nodes just removed, redirects them to the false terminal
-        and collects the nodes that leaves dead, until a step removes
-        nothing or the root goes.  Levels are narrow, so the scans stand in
+        can be undone.  Every change redirects an arc to the false terminal,
+        and a node is removed exactly when both its arcs end there.  Arcs for
+        the discarded value go first; nodes left with no incoming arc are
+        removed by `_remove_unreachable`, cascading down.  A node that just
+        lost an arc and has both on the false terminal is removed too, and
+        removals then go up one level at a time: each step scans the level
+        above for arcs into nodes just removed (no live node points at a node
+        removed earlier), redirects them, and goes on while that removes a
+        node, until the root goes.  Levels are narrow, so the scans stand in
         for parent lists, which diagrams do not keep.
         """
         if self.trail is None or not self.trail.marks:
@@ -246,69 +241,70 @@ class Bdd:
             lev = self.support.index(var)
         except ValueError:
             raise BddError(f"variable {var} not in support") from None
-        lo, hi, alive, indeg, journal = self.lo, self.hi, self.alive, self.indeg, self.trail.records
+        lo, hi, indeg, journal = self.lo, self.hi, self.indeg, self.trail.records
         arr = lo if value else hi
         bit = 0 if value else 1
-        dead = []
+        removed = False
         for v in self.level_nodes[lev]:
-            if not alive[v]:
-                continue
             target = arr[v]
             if target != FALSE:
-                journal.append((self, (_ARC, v, bit, target)))
+                journal.append((self, (v, bit, target)))
                 arr[v] = FALSE
                 indeg[FALSE] += 1
                 indeg[target] -= 1
                 if target >= 2:
                     if indeg[target] == 0:
                         self._remove_unreachable(target)
-                elif target == TRUE and indeg[TRUE] == 0:
+                elif indeg[TRUE] == 0:  # the last arc into the true terminal
                     return False
-            if lo[v] == FALSE and hi[v] == FALSE:
-                dead.append(v)
-        while dead:
-            for v in dead:
-                journal.append((self, (_DEACT, v)))
-                alive[v] = False
-                indeg[FALSE] -= 2
+                if lo[v] == FALSE and hi[v] == FALSE:
+                    removed = True
+        while removed:
             if lev == 0:
                 return False  # the root went
             lev -= 1
-            dead = []
+            removed = False
             for u in self.level_nodes[lev]:
-                if not alive[u]:
-                    continue
-                # a live node's arc reaches a removed node only if it was just removed
+                lost = False
                 child = lo[u]
-                if not alive[child]:
-                    journal.append((self, (_ARC, u, 0, child)))
+                if child >= 2 and lo[child] == FALSE and hi[child] == FALSE:
+                    journal.append((self, (u, 0, child)))
                     lo[u] = FALSE
                     indeg[FALSE] += 1
                     indeg[child] -= 1
+                    lost = True
                 child = hi[u]
-                if not alive[child]:
-                    journal.append((self, (_ARC, u, 1, child)))
+                if child >= 2 and lo[child] == FALSE and hi[child] == FALSE:
+                    journal.append((self, (u, 1, child)))
                     hi[u] = FALSE
                     indeg[FALSE] += 1
                     indeg[child] -= 1
-                if lo[u] == FALSE and hi[u] == FALSE:
-                    dead.append(u)
+                    lost = True
+                if lost and lo[u] == FALSE and hi[u] == FALSE:
+                    removed = True
         return indeg[TRUE] > 0
 
     def _remove_unreachable(self, start):
-        """Drop nodes with no incoming arcs, cascading toward the terminals."""
-        lo, hi, alive, indeg, journal = self.lo, self.hi, self.alive, self.indeg, self.trail.records
+        """Remove nodes with no incoming arc, cascading toward the terminals.
+
+        A node is removed by redirecting both its arcs to the false terminal,
+        with ordinary arc records; a child that loses its last incoming arc
+        goes next.
+        """
+        lo, hi, indeg, journal = self.lo, self.hi, self.indeg, self.trail.records
+        arcs = ((0, lo), (1, hi))
         stack = [start]
         while stack:
             v = stack.pop()
-            if not alive[v]:
-                continue
-            journal.append((self, (_DEACT, v)))
-            alive[v] = False
-            for child in (lo[v], hi[v]):
-                indeg[child] -= 1
-                if child >= 2 and indeg[child] == 0:
-                    stack.append(child)
+            for bit, arr in arcs:
+                child = arr[v]
+                if child != FALSE:
+                    journal.append((self, (v, bit, child)))
+                    arr[v] = FALSE
+                    indeg[FALSE] += 1
+                    indeg[child] -= 1
+                    if child >= 2 and indeg[child] == 0:
+                        stack.append(child)
 
     # -- diagnostics ----------------------------------------------------------
 
@@ -340,33 +336,31 @@ class Bdd:
         if self.root in (TRUE, FALSE):
             return
         k = self.num_levels
-        node_level = [-1] * len(self.lo)
-        live = set()
+        lo, hi = self.lo, self.hi
+        node_level = [-1] * len(lo)
         for lev in range(k):
             for v in self.level_nodes[lev]:
                 if node_level[v] != -1:
                     raise BddError("node filed under two levels")
                 node_level[v] = lev
-                if self.alive[v]:
-                    live.add(v)
         if self.is_empty():
             return
-        if not self.alive[self.root] or node_level[self.root] != 0:
+        live_levels = [self.live_nodes(lev) for lev in range(k)]
+        live = {v for nodes in live_levels for v in nodes}
+        if self.root not in live or node_level[self.root] != 0:
             raise BddError("root is not a live level-0 node")
         # arcs stay inside the next level or hit a terminal; true-arcs only from the last level
         reach = {self.root}
         for lev in range(k):
-            for v in self.level_nodes[lev]:
-                if not self.alive[v]:
-                    continue
-                for child in (self.lo[v], self.hi[v]):
+            for v in live_levels[lev]:
+                for child in (lo[v], hi[v]):
                     if child == FALSE:
                         continue
                     if child == TRUE:
                         if lev != k - 1:
                             raise BddError("true terminal reached before the last level")
                     else:
-                        if not self.alive[child]:
+                        if child not in live:
                             raise BddError("live node points at a removed node")
                         if node_level[child] != lev + 1:
                             raise BddError("arc skips a level")
@@ -377,24 +371,23 @@ class Bdd:
         # every live node can still reach the true terminal
         can = {TRUE}
         for lev in range(k - 1, -1, -1):
-            for v in self.level_nodes[lev]:
-                if self.alive[v] and (self.lo[v] in can or self.hi[v] in can):
+            for v in live_levels[lev]:
+                if lo[v] in can or hi[v] in can:
                     can.add(v)
         if live - can:
             raise BddError("live node cut off from the true terminal")
-        # incoming-arc counters agree with the arcs
-        counts = [0] * len(self.lo)
-        for v in live:
-            counts[self.lo[v]] += 1
-            counts[self.hi[v]] += 1
-        for v in live | {TRUE}:
-            if counts[v] != self.indeg[v]:
-                raise BddError("incoming-arc counter out of sync")
+        # incoming-arc counters agree with the arcs of every node, removed ones included
+        counts = [0] * len(lo)
+        for v in range(2, len(lo)):
+            counts[lo[v]] += 1
+            counts[hi[v]] += 1
+        if counts != self.indeg:
+            raise BddError("incoming-arc counter out of sync")
         if reduced:
-            for lev in range(k):
+            for nodes in live_levels:
                 pairs = set()
-                for v in self.live_nodes(lev):
-                    key = (self.lo[v], self.hi[v])
+                for v in nodes:
+                    key = (lo[v], hi[v])
                     if key in pairs:
                         raise BddError("two same-level nodes share both children")
                     pairs.add(key)

@@ -35,11 +35,12 @@ diagram is swept: `bstep` for `refresh`, `fw_energy` for the forward
 pass's readout, and the min-sum `_marg_min`/`_scatter_min`/`_bstep_min` for
 `min_marginals`, a fresh sweep over one diagram, which is where the
 rounding search reads its margins.  A `DualState` picks its algebra once,
-from its smoothing.  No kernel skips a removed node, and all are exact on
-restricted diagrams too: fixation leaves no live node pointing at a
-removed one, so a removed node is unreachable (value +inf) or a dead end
-(both arcs on the false terminal).  The generic reference sweeps they are
-tested against live with the tests.
+from its smoothing.  The generic reference sweeps the kernels are tested
+against live with the tests.
+
+No kernel skips a removed node, and all are exact on restricted diagrams
+too, because a removed node has both arcs on the false terminal and no
+live node points at it.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ import time
 from dataclasses import dataclass, field
 
 from .bdd import FALSE, TRUE
+from .model import MAX_OBJECTIVE
 
 INF = math.inf
 
@@ -57,20 +59,6 @@ SRMP = "srmp"
 
 DEFAULT_MAX_PASSES = 1000
 DEFAULT_TOLERANCE = 1e-6
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Termination controls for `run`.
-
-    max_passes counts directional sweeps (a forward/backward round is two);
-    tolerance is the bound change per round, relative to the bound or to
-    the cost scale (see `cost_scale`), below which the run stops -- zero
-    disables the check and runs to the pass limit.
-    """
-
-    max_passes: int = DEFAULT_MAX_PASSES
-    tolerance: float = DEFAULT_TOLERANCE
 
 
 @dataclass(frozen=True)
@@ -187,8 +175,8 @@ def init_duals(bdds, decomposition, objective, smoothing=0.0, averaging=UNIFORM)
     """
     if averaging not in (UNIFORM, SRMP):
         raise ValueError(f"unknown averaging mode {averaging!r}")
-    if smoothing < 0:
-        raise ValueError("smoothing must be nonnegative")
+    if not 0 <= smoothing <= MAX_OBJECTIVE:  # NaN fails too
+        raise ValueError(f"smoothing must lie in [0, 2^60], got {smoothing!r}")
     duals = []
     for j, bdd in enumerate(bdds):
         if tuple(bdd.support) != tuple(decomposition.subproblem_vars[j]):
@@ -522,10 +510,14 @@ def cost_scale(state: DualState) -> float:
     return min(1.0, largest) if largest > 0 else 1.0
 
 
-def run(state: DualState, config: SolverConfig = None) -> DualReport:
-    """Alternate forward/backward passes until converged or out of passes."""
-    if config is None:
-        config = SolverConfig()
+def run(state: DualState, max_passes=DEFAULT_MAX_PASSES, tolerance=DEFAULT_TOLERANCE) -> DualReport:
+    """Alternate forward/backward passes until converged or out of passes.
+
+    max_passes counts directional sweeps (a forward/backward round is two);
+    tolerance is the bound change per round, relative to the bound or to
+    the cost scale (see `cost_scale`), below which the run stops -- zero
+    disables the check and runs to the pass limit.
+    """
     trace = []
     lb = state.dual_value()
     if state.infeasible:
@@ -534,7 +526,7 @@ def run(state: DualState, config: SolverConfig = None) -> DualReport:
     passes = 0
     prev_round = lb
     termination = "pass_limit"
-    while passes < config.max_passes:
+    while passes < max_passes:
         t0 = time.perf_counter()
         lb = forward_pass(state)
         passes += 1
@@ -542,7 +534,7 @@ def run(state: DualState, config: SolverConfig = None) -> DualReport:
         if state.infeasible:
             termination = "infeasible"
             break
-        if passes >= config.max_passes:
+        if passes >= max_passes:
             break
         t0 = time.perf_counter()
         lb = backward_pass(state)
@@ -551,7 +543,7 @@ def run(state: DualState, config: SolverConfig = None) -> DualReport:
         if state.infeasible:
             termination = "infeasible"
             break
-        if abs(lb - prev_round) / max(scale, abs(lb)) < config.tolerance:
+        if abs(lb - prev_round) / max(scale, abs(lb)) < tolerance:
             termination = "converged"
             break
         prev_round = lb

@@ -118,9 +118,9 @@ def _path_counts(bdd):
     """Per-level (accepted paths with the level's variable at 0, same at 1).
 
     Exact integers from one backward and one forward sweep over a
-    non-sentinel diagram, restricted or not (removed nodes count 0 paths, as
-    in the dual's kernels); a node's forward count is final before its
-    level is read, since arcs only reach the next level or a terminal.
+    non-sentinel diagram; a node's forward count is final before its level
+    is read, since arcs only reach the next level or a terminal.  A removed
+    node has both arcs on the false terminal, so it counts 0 paths.
     """
     lo, hi = bdd.lo, bdd.hi
     bw = [0] * len(lo)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import dual as _dual
 from . import primal as _primal
 from .bdd import DEFAULT_STATE_BUDGET, build_bdd
-from .dual import SolverConfig, init_duals
+from .dual import init_duals
 from .model import ILPInstance, decompose, order_variables, presolve_free
 
 SOLVED = "solved"
@@ -35,6 +35,14 @@ class SolveOptions:
     primal_budget: int | None = None  # None -> 10 * num_vars; 0 -> unlimited
     order: str = "input"
     state_budget: int = DEFAULT_STATE_BUDGET
+
+    def __post_init__(self):
+        if self.max_passes < 0:
+            raise ValueError(f"max_passes must be nonnegative, got {self.max_passes}")
+        if self.primal_budget is not None and self.primal_budget < 0:
+            raise ValueError(f"primal_budget must be nonnegative, got {self.primal_budget}")
+        if not self.tolerance >= 0:  # NaN fails too
+            raise ValueError(f"tolerance must be nonnegative, got {self.tolerance!r}")
 
 
 @dataclass
@@ -95,7 +103,7 @@ def solve_instance(instance: ILPInstance, options: SolveOptions = None) -> RunRe
 
     t0 = time.perf_counter()
     state = init_duals(bdds, dec, instance.objective, options.smoothing, options.averaging)
-    dual_report = _dual.run(state, SolverConfig(options.max_passes, options.tolerance))
+    dual_report = _dual.run(state, options.max_passes, options.tolerance)
     dual_ms = (time.perf_counter() - t0) * 1000.0
     trace = [
         _dual.TraceEntry(t.pass_index, t.direction, t.lower_bound + shift, t.time_ms)

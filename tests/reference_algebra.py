@@ -124,13 +124,18 @@ class MessageStore:
             self.fw[bdd.root] = algebra.path_identity
 
 
+def _live(bdd: Bdd, v) -> bool:
+    """Whether node v is not removed: a removed node has both arcs on the false terminal."""
+    return bdd.lo[v] != FALSE or bdd.hi[v] != FALSE
+
+
 def backward_step(bdd: Bdd, store: MessageStore, level: int, theta, algebra: MarginalAlgebra):
     """Recompute backward values of `level` from the level below."""
     bw, lo, hi = store.bw, bdd.lo, bdd.hi
     w = algebra.arc_weight(theta)
     combine, merge = algebra.combine, algebra.merge
     for v in bdd.level_nodes[level]:
-        if bdd.alive[v]:
+        if _live(bdd, v):
             bw[v] = merge(bw[lo[v]], combine(w, bw[hi[v]]))
 
 
@@ -145,7 +150,7 @@ def forward_step(bdd: Bdd, store: MessageStore, level: int, theta, algebra: Marg
     for v in bdd.level_nodes[level + 1]:
         fw[v] = ident
     for v in bdd.level_nodes[level]:
-        if not bdd.alive[v]:
+        if not _live(bdd, v):
             continue
         base = fw[v]
         c = lo[v]
@@ -167,7 +172,7 @@ def aggregate_marginals(bdd: Bdd, store: MessageStore, level: int, theta, algebr
     combine, merge = algebra.combine, algebra.merge
     m0 = m1 = algebra.merge_identity
     for v in bdd.level_nodes[level]:
-        if not bdd.alive[v]:
+        if not _live(bdd, v):
             continue
         base = fw[v]
         m0 = merge(m0, combine(base, bw[lo[v]]))
@@ -222,7 +227,7 @@ def forward_energy(bdd: Bdd, store: MessageStore, theta, algebra: MarginalAlgebr
     combine, merge = algebra.combine, algebra.merge
     total = algebra.merge_identity
     for v in bdd.level_nodes[bdd.num_levels - 1]:
-        if not bdd.alive[v]:
+        if not _live(bdd, v):
             continue
         if lo[v] == TRUE:
             total = merge(total, fw[v])

@@ -20,7 +20,6 @@ from bddsolve.bdd import build_bdd
 from bddsolve.dual import (
     SRMP,
     UNIFORM,
-    SolverConfig,
     backward_pass,
     forward_pass,
     init_duals,
@@ -108,7 +107,7 @@ def _state_for(instance, smoothing=0.0, averaging=UNIFORM):
 
 
 def _snapshot(bdd):
-    return (list(bdd.lo), list(bdd.hi), list(bdd.alive), list(bdd.indeg), bdd.root,
+    return (list(bdd.lo), list(bdd.hi), list(bdd.indeg), bdd.root,
             len(bdd.journal))
 
 
@@ -262,7 +261,7 @@ def test_c04_update_increase_matches_closed_form(monkeypatch):
             checker = _IncreaseChecker(state)
             with monkeypatch.context() as patch:
                 watch_updates(patch, checker)
-                run(state, SolverConfig(max_passes=6, tolerance=0.0))
+                run(state, max_passes=6, tolerance=0.0)
             updates += checker.updates
             matched += checker.matched
         assert updates >= 1000, f"only {updates} updates exercised"
@@ -281,7 +280,7 @@ def test_c05_smoothed_energy_sandwich():
             state, _, bdds = _state_for(instance)
             if state is None:
                 continue
-            run(state, SolverConfig(max_passes=3, tolerance=0.0))
+            run(state, max_passes=3, tolerance=0.0)
             if state.infeasible:
                 continue
             for j, diagram in enumerate(bdds):
@@ -350,7 +349,7 @@ def test_c06_incremental_marginals_match_scratch(monkeypatch):
                 checker = _MarginalChecker(state)
                 with monkeypatch.context() as patch:
                     watch_updates(patch, checker)
-                    run(state, SolverConfig(max_passes=5, tolerance=0.0))
+                    run(state, max_passes=5, tolerance=0.0)
                 compared += checker.compared
         assert compared >= 2000, f"only {compared} marginal pairs compared"
 
@@ -415,7 +414,7 @@ def test_c07_weak_duality_and_split_invariant():
             if state is None or state.infeasible:
                 assert best is None
                 continue
-            report = run(state, SolverConfig(max_passes=6, tolerance=0.0))
+            report = run(state, max_passes=6, tolerance=0.0)
             _, gain = presolve_free(instance, dec)
             assert abs(report.lower_bound + float(gain) - float(best)) <= 1e-6
             exact_checked += 1
@@ -437,7 +436,7 @@ def test_c08_rounding_completeness_and_restoration():
                 infeasible += 1
                 continue
             fixes, gain = presolve_free(instance, dec)
-            run(state, SolverConfig(max_passes=6, tolerance=0.0))
+            run(state, max_passes=6, tolerance=0.0)
             if state.infeasible:
                 assert best is None
                 infeasible += 1
@@ -520,7 +519,7 @@ def _timed_dual(instance, passes):
     nodes = sum(b.node_count() for b in bdds)
     state = init_duals(bdds, dec, instance.objective)
     start = time.perf_counter()
-    report = run(state, SolverConfig(max_passes=passes, tolerance=0.0))
+    report = run(state, max_passes=passes, tolerance=0.0)
     elapsed = time.perf_counter() - start
     return report, nodes, elapsed
 

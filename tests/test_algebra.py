@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from bddsolve.bdd import build_bdd
+from bddsolve.bdd import FALSE, build_bdd
 from bddsolve.dual import min_marginals
 from bddsolve.model import LinearConstraint, Relation
 from bddsolve.primal import _path_counts
@@ -234,7 +234,7 @@ def test_sweeps_track_fixation_and_rollback():
             if not b.fix(var, rng.randint(0, 1)):
                 break
             restricted += 1
-            with_removed += not all(b.alive[2:])
+            with_removed += any(b.lo[v] == FALSE and b.hi[v] == FALSE for v in range(2, len(b.lo)))
             store = MessageStore(b, MIN_MARGINAL)
             got = marginal_sweep(b, store, thetas, MIN_MARGINAL)
             assert got == [pytest.approx(w) for w in brute_min_marginals(b, thetas)]

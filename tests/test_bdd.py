@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from bddsolve.bdd import _DEACT, FALSE, TRUE, Bdd, BddBuildError, BddError, Trail, build_bdd
+from bddsolve.bdd import FALSE, TRUE, Bdd, BddBuildError, BddError, Trail, build_bdd
 from bddsolve.model import LinearConstraint, Relation
 
 
@@ -44,7 +44,7 @@ def minimal_node_count(solutions, k):
 
 
 def snapshot(bdd):
-    return (list(bdd.lo), list(bdd.hi), list(bdd.alive), list(bdd.indeg), bdd.root, len(bdd.journal))
+    return (list(bdd.lo), list(bdd.hi), list(bdd.indeg), bdd.root, len(bdd.journal))
 
 
 def random_row(rng, max_vars=8):
@@ -270,14 +270,14 @@ def test_fix_sequences_match_filtered_brute_force():
         for var in order[: rng.randint(1, len(order))]:
             val = rng.randint(0, 1)
             lev = b.level_of(var)
-            written = len(b.journal)
+            live = {v for v in node_level if b.lo[v] != FALSE or b.hi[v] != FALSE}
             alive = b.fix(var, val)
             remaining = {s for s in remaining if s[lev] == val}
             assert alive == bool(remaining)
             if not alive:
                 break
-            # node removals are the journal's (_DEACT, node) entries
-            removed = [entry[1] for entry in b.journal[written:] if entry[0] == _DEACT]
+            # a node is removed when both its arcs end on the false terminal
+            removed = [v for v in live if b.lo[v] == FALSE and b.hi[v] == FALSE]
             upward += len({node_level[v] for v in removed if node_level[v] < lev}) >= 2
             assert b.solutions(cap=10) == remaining
             b.check_invariants()
@@ -316,7 +316,7 @@ def test_journal_stays_small():
 
 
 def exact(bdd):
-    return (list(bdd.lo), list(bdd.hi), list(bdd.alive), list(bdd.indeg), bdd.root)
+    return (list(bdd.lo), list(bdd.hi), list(bdd.indeg), bdd.root)
 
 
 def test_one_checkpoint_restores_several_diagrams():

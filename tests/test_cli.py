@@ -136,6 +136,30 @@ def test_json_carries_search_counters(tmp_path, capsys):
     assert counters == [4, 3, 1, 1]
 
 
+@pytest.mark.parametrize("smoothing", ["inf", "nan", "1e308", "-1"])
+def test_unusable_smoothing_exits_1(tmp_path, capsys, smoothing):
+    # inf once proved this feasible instance infeasible; 1e308 overflowed the diffs
+    path = tmp_path / "mrf.lp"
+    path.write_text(write_lp(mrf_instance(1, 3, 2, seed=0)))
+    code = main(["solve", str(path), "--smoothing", smoothing])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("bddsolve: ") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [("--node-budget", "-5"), ("--max-passes", "-3"), ("--tol", "nan"), ("--tol", "-1")],
+)
+def test_out_of_range_solve_options_exit_1(small_file, capsys, option, value):
+    code = main(["solve", small_file, option, value])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("bddsolve: ") and "Traceback" not in captured.err
+
+
 def test_max_passes_default_matches_the_library():
     args = _build_parser().parse_args(["solve", "x.lp"])
     assert args.max_passes == DEFAULT_MAX_PASSES

@@ -10,7 +10,6 @@ from bddsolve.dual import (
     SRMP,
     UNIFORM,
     DualReport,
-    SolverConfig,
     backward_pass,
     cost_scale,
     forward_pass,
@@ -208,7 +207,7 @@ def test_conflicting_forcings_prove_infeasibility():
         ],
     )
     state, _ = build_state(problem)
-    report = run(state, SolverConfig(max_passes=10))
+    report = run(state, max_passes=10)
     assert state.infeasible
     assert report.termination == "infeasible"
     assert report.lower_bound == INF
@@ -224,7 +223,7 @@ def test_bound_never_exceeds_optimum():
         problem = random_ilp(rng.randint(3, 8), rng.randint(2, 6), seed=rng.randint(0, 10**6))
         opt, _ = brute_force_solve(problem)
         state, dec = build_state(problem)
-        report = run(state, SolverConfig(max_passes=20, tolerance=0.0))
+        report = run(state, max_passes=20, tolerance=0.0)
         if opt is None:
             continue  # dual may or may not prove infeasibility; nothing to compare
         _, free_gain = presolve_free(problem, dec)
@@ -237,7 +236,7 @@ def test_structured_instances_bound_quality():
     for problem in (mrf_instance(1, 3, 2, seed=5), graph_matching_instance(2, seed=5)):
         opt, _ = brute_force_solve(problem)
         state, _ = build_state(problem, averaging=SRMP)
-        report = run(state, SolverConfig(max_passes=200, tolerance=1e-12))
+        report = run(state, max_passes=200, tolerance=1e-12)
         assert report.lower_bound <= float(opt) + 1e-7
         # every variable is covered here, so the raw bound is the whole bound
         assert report.lower_bound >= float(opt) - 2.0  # sane gap on tiny instances
@@ -248,7 +247,7 @@ def test_cost_scale_follows_the_largest_cost():
     for objective, want in (([3, -5, 1], 1.0), ([0, 0, 0], 1.0), (["1/8", "-1/4", 0], 0.25)):
         state, _ = build_state(inst(["x0", "x1", "x2"], objective, rows))
         assert cost_scale(state) == want
-        run(state, SolverConfig(max_passes=6, tolerance=0.0))
+        run(state, max_passes=6, tolerance=0.0)
         assert cost_scale(state) == pytest.approx(want)  # the copies keep their sums
 
 
@@ -256,7 +255,7 @@ def test_zero_tolerance_still_runs_to_the_limit_on_tiny_costs():
     problem = mrf_instance(1, 3, 2, seed=5)
     tiny = ILPInstance(problem.var_names, [c / 10**9 for c in problem.objective], problem.constraints)
     state, _ = build_state(tiny)
-    report = run(state, SolverConfig(max_passes=30, tolerance=0.0))
+    report = run(state, max_passes=30, tolerance=0.0)
     assert (report.passes, report.termination) == (30, "pass_limit")
 
 
@@ -298,7 +297,7 @@ def test_smoothed_run_monotone_and_valid():
 def test_smoothed_srmp_runs():
     problem = mrf_instance(1, 3, 2, seed=4)
     state, _ = build_state(problem, smoothing=0.3, averaging=SRMP)
-    report = run(state, SolverConfig(max_passes=6, tolerance=0.0))
+    report = run(state, max_passes=6, tolerance=0.0)
     assert report.passes == 6
     assert math.isfinite(report.lower_bound)
     opt, _ = brute_force_solve(problem)
@@ -308,7 +307,7 @@ def test_smoothed_srmp_runs():
 def test_run_report_and_trace_shape():
     problem = mrf_instance(1, 3, 2, seed=1)
     state, _ = build_state(problem)
-    report = run(state, SolverConfig(max_passes=40, tolerance=1e-9))
+    report = run(state, max_passes=40, tolerance=1e-9)
     assert isinstance(report, DualReport)
     assert report.termination in ("converged", "pass_limit")
     assert report.passes == len(report.trace)
@@ -324,8 +323,8 @@ def test_runs_are_deterministic():
     problem = graph_matching_instance(2, seed=8)
     state1, _ = build_state(problem, averaging=SRMP)
     state2, _ = build_state(problem, averaging=SRMP)
-    r1 = run(state1, SolverConfig(max_passes=12, tolerance=0.0))
-    r2 = run(state2, SolverConfig(max_passes=12, tolerance=0.0))
+    r1 = run(state1, max_passes=12, tolerance=0.0)
+    r2 = run(state2, max_passes=12, tolerance=0.0)
     assert [t.lower_bound for t in r1.trace] == [t.lower_bound for t in r2.trace]
     assert state1.duals == state2.duals
 

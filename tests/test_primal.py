@@ -5,7 +5,7 @@ import pytest
 
 from bddsolve import primal
 from bddsolve.bdd import BddError, Trail, build_bdd
-from bddsolve.dual import SolverConfig, init_duals, run
+from bddsolve.dual import init_duals, run
 from bddsolve.model import ILPInstance, LinearConstraint, Relation, decompose, presolve_free
 from bddsolve.primal import (
     ABS_MARGIN,
@@ -27,7 +27,7 @@ def build_state(instance, passes=6):
     bdds = [build_bdd(c, dec.positions) for c in instance.constraints]
     state = init_duals(bdds, dec, instance.objective)
     if passes and not state.infeasible:
-        run(state, SolverConfig(max_passes=passes, tolerance=0.0))
+        run(state, max_passes=passes, tolerance=0.0)
     return state, dec
 
 
@@ -41,7 +41,7 @@ def inst(names, objective, rows):
 
 def snapshot_all(bdds):
     return [
-        (list(b.lo), list(b.hi), list(b.alive), list(b.indeg), b.root, len(b.journal))
+        (list(b.lo), list(b.hi), list(b.indeg), b.root, len(b.journal))
         for b in bdds
     ]
 

@@ -1,3 +1,4 @@
+import inspect
 import math
 import random
 from fractions import Fraction
@@ -6,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bddsolve.dual import DEFAULT_MAX_PASSES, DEFAULT_TOLERANCE, SolverConfig
-from bddsolve.model import ILPInstance, parse_lp
+from bddsolve.dual import DEFAULT_MAX_PASSES, DEFAULT_TOLERANCE, run
+from bddsolve.model import MAX_OBJECTIVE, ILPInstance, parse_lp
 from bddsolve.solver import (
     DUAL_ONLY,
     INFEASIBLE,
@@ -233,8 +234,32 @@ def test_report_is_deterministic():
 
 
 def test_max_passes_default_is_shared():
-    assert SolveOptions().max_passes == SolverConfig().max_passes == DEFAULT_MAX_PASSES == 1000
-    assert SolveOptions().tolerance == SolverConfig().tolerance == DEFAULT_TOLERANCE == 1e-6
+    defaults = inspect.signature(run).parameters
+    assert SolveOptions().max_passes == defaults["max_passes"].default == DEFAULT_MAX_PASSES == 1000
+    assert SolveOptions().tolerance == defaults["tolerance"].default == DEFAULT_TOLERANCE == 1e-6
+
+
+def test_smoothing_at_the_objective_cap_is_sound():
+    # 2^60 is the largest accepted temperature: every dual sum stays finite,
+    # so there is no false infeasibility proof and the bound stays valid
+    cap = float(MAX_OBJECTIVE)
+    feasible = 0
+    for seed in range(60):
+        instance = random_ilp(8, 4, seed)
+        best, _ = brute_force_solve(instance)
+        report = solve_instance(instance, SolveOptions(smoothing=cap))
+        if best is None:
+            assert report.status == INFEASIBLE
+            continue
+        feasible += 1
+        assert report.status != INFEASIBLE
+        assert report.lower_bound <= best
+        if report.status == SOLVED:
+            assert report.objective_value >= best
+    assert feasible >= 20
+    for smoothing in (math.nextafter(cap, math.inf), math.inf, math.nan, 1e308, -1.0):
+        with pytest.raises(ValueError, match="smoothing"):
+            solve_instance(mrf_instance(1, 3, 2, 0), SolveOptions(smoothing=smoothing))
 
 
 def test_tiny_costs_stop_at_the_same_pass():
