@@ -10,6 +10,9 @@ diagram, or (srmp mode) only those the current sweep will visit again.
 Every step provably never lowers the bound; sweeps alternate forward and
 backward over the variable order, keeping forward/backward node values
 current incrementally so a full sweep costs one message update per node.
+A diagram's optimum is its cheapest root-to-true path: a forward pass
+leaves it at the true terminal's forward value, a backward pass at the
+root's backward value.
 
 With smoothing alpha > 0 marginals become soft minima at temperature
 alpha, smin(a, b) = -alpha*log(exp(-a/alpha) + exp(-b/alpha)); the uniform
@@ -28,15 +31,15 @@ is empty -> the instance is proven infeasible and the bound becomes +inf.
 
 A coordinate step is one `mma_update` call: it reads the marginals at
 every covering level, shifts the copies, and advances the messages at
-those levels (forward: the values of the level below; backward: the
-level's own), with the kernel arithmetic written inline over level records
-the `DualState` builds once.  Per-level kernels remain where a whole
-diagram is swept: `bstep` for `refresh`, `fw_energy` for the forward
-pass's readout, and the min-sum `_marg_min`/`_scatter_min`/`_bstep_min` for
-`min_marginals`, a fresh sweep over one diagram, which is where the
-rounding search reads its margins.  A `DualState` picks its algebra once,
-from its smoothing.  The generic reference sweeps the kernels are tested
-against live with the tests.
+those levels (forward: the values of the level below, the true terminal's
+below the last level; backward: the level's own), with the kernel
+arithmetic written inline over level records the `DualState` builds once.
+A whole diagram is swept by `_bsweep` (backward, either algebra) for
+`refresh` and `min_marginals`, and by the min-sum `_marg_min` and
+`_scatter_min` for the forward half of `min_marginals`, a fresh sweep over
+one diagram, which is where the rounding search reads its margins.  A
+`DualState` picks its algebra once, from its smoothing.  The generic
+reference sweeps the kernels are tested against live with the tests.
 
 No kernel skips a removed node, and all are exact on restricted diagrams
 too, because a removed node has both arcs on the false terminal and no
@@ -86,30 +89,25 @@ class DualState:
     `energies[j]` the latest per-diagram optimum, all in cost units for
     either algebra; `infeasible` latches once any update proves the
     constraint set empty.  The algebra is chosen once, here: `smin` is None
-    for min-sum, else the soft minimum at temperature `smoothing`, and
-    `bstep`, `fw_energy` are the matching per-level kernels.
+    for min-sum, else the soft minimum at temperature `smoothing`.
 
-    `sweeps[forward][var]` is `(records, flags, count)` for a step in that
-    direction, fixed once.  `records` holds one level record per covering
-    diagram, `(fw[j], bw[j], duals[j], lev, level nodes, nodes of the level
-    below, lo, hi)`; a record refers to the live lists, so fixation and
-    rollback show through it, and both directions share it.  `flags` holds
-    one `(member, step)` pair per record: whether the diagram shares the
-    step's averaged total (uniform: every one; srmp: those with a level
-    still ahead, or every one if none has) and whether the step advances
-    its messages (forward: a level below is left; backward: always).
+    `sweeps[forward][var]` is `(records, members, count)` for a step in
+    that direction, fixed once.  `records` holds one level record per
+    covering diagram, `(fw[j], bw[j], duals[j], lev, level nodes, nodes
+    below, lo, hi)`, where the nodes below the last level are `(TRUE,)`; a
+    record refers to the live lists, so fixation and rollback show through
+    it, and both directions share it.  `members` flags per record whether
+    the diagram shares the step's averaged total (uniform: every one;
+    srmp: those with a level still ahead, or every one if none has), and
     `count` is the number of members.
     """
 
     def __init__(self, bdds, decomposition, duals, smoothing, averaging):
         self.bdds = bdds
-        self.decomposition = decomposition
         self.duals = duals
         self.smoothing = smoothing
         self.averaging = averaging
-        self.smin, self.bstep, self.fw_energy = (
-            _soft_min_kernels(smoothing) if smoothing > 0 else _MIN_KERNELS
-        )
+        self.smin = _soft_min(smoothing) if smoothing > 0 else None
         self.infeasible = False
         self.fw = [[INF] * len(b.lo) for b in bdds]
         self.bw = [[INF] * len(b.lo) for b in bdds]
@@ -121,28 +119,21 @@ class DualState:
             fwj, bwj, costs, lo, hi, nodes = self.fw[j], self.bw[j], duals[j], b.lo, b.hi, b.level_nodes
             for lev, var in enumerate(b.support):
                 self.slots.setdefault(var, []).append((j, lev))
-                below = nodes[lev + 1] if lev < last[j] else ()
+                below = nodes[lev + 1] if lev < last[j] else (TRUE,)
                 records.setdefault(var, []).append((fwj, bwj, costs, lev, nodes[lev], below, lo, hi))
-        interned = {}  # (members, steps) -> their flag pairs, shared by equal keys
+        interned = {}  # equal member tuples share one object
 
-        def entry(recs, ahead, steps):
+        def entry(recs, ahead):
             members = ahead if averaging == SRMP and True in ahead else (True,) * len(ahead)
-            flags = interned.get((members, steps))
-            if flags is None:
-                flags = interned[members, steps] = tuple(zip(members, steps))
-            return recs, flags, sum(members)
+            members = interned.setdefault(members, members)
+            return recs, members, sum(members)
 
         self.sweeps = {True: {}, False: {}}
         for var, slots in self.slots.items():
             recs = tuple(records[var])
-            ahead = tuple([lev < last[j] for j, lev in slots])
-            self.sweeps[True][var] = entry(recs, ahead, ahead)
-            self.sweeps[False][var] = entry(recs, tuple([lev > 0 for _, lev in slots]), (True,) * len(slots))
+            self.sweeps[True][var] = entry(recs, tuple([lev < last[j] for j, lev in slots]))
+            self.sweeps[False][var] = entry(recs, tuple([lev > 0 for _, lev in slots]))
         self.active = [i for i in decomposition.order if decomposition.var_subproblems[i]]
-
-    @property
-    def num_subproblems(self):
-        return len(self.bdds)
 
     def dual_value(self):
         """Current sum of per-diagram optima (raw: no offset, no free vars)."""
@@ -154,13 +145,15 @@ class DualState:
         """Recompute every backward value and energy; reseed forward roots.
 
         Needed once after construction and after any direct surgery on
-        `duals`; passes keep the arrays current on their own.
+        `duals`; passes keep the arrays current on their own.  A diagram
+        whose root is the true terminal has no levels, so its seeded
+        forward value stays its optimum.
         """
         for j, bdd in enumerate(self.bdds):
             bwj = self.bw[j]
-            _bsweep(bdd, bwj, self.duals[j], self.bstep)
+            _bsweep(bdd, bwj, self.duals[j], self.smin)
             self.energies[j] = bwj[bdd.root]
-            if bdd.root >= 2:
+            if bdd.root != FALSE:
                 self.fw[j][bdd.root] = 0.0
         if any(e == INF for e in self.energies):
             self.infeasible = True
@@ -225,33 +218,8 @@ def _scatter_min(bdd, fwj, level, cost):
                 fwj[c] = b
 
 
-def _bstep_min(bdd, bwj, level, cost):
-    lo, hi = bdd.lo, bdd.hi
-    for v in bdd.level_nodes[level]:
-        a = bwj[lo[v]]
-        b = cost + bwj[hi[v]]
-        bwj[v] = a if a <= b else b
-
-
-def _fw_energy_min(bdd, fwj, cost_last):
-    lo, hi = bdd.lo, bdd.hi
-    best = INF
-    for v in bdd.level_nodes[-1]:
-        if lo[v] == TRUE and fwj[v] < best:
-            best = fwj[v]
-        if hi[v] == TRUE:
-            b = fwj[v] + cost_last
-            if b < best:
-                best = b
-    return best
-
-
-# min-sum compares inline, so its set has no `smin`
-_MIN_KERNELS = (None, _bstep_min, _fw_energy_min)
-
-
-def _soft_min_kernels(alpha):
-    """`(smin, bstep, fw_energy)` at temperature alpha > 0, shaped like `_MIN_KERNELS`."""
+def _soft_min(alpha):
+    """The soft minimum at temperature alpha > 0, in cost units."""
 
     def smin(a, b):
         # -alpha * log(exp(-a/alpha) + exp(-b/alpha)); exact when b is +inf
@@ -261,30 +229,24 @@ def _soft_min_kernels(alpha):
             return a
         return a - alpha * math.log1p(math.exp((a - b) / alpha))
 
-    def bstep(bdd, bwj, level, cost):
-        lo, hi = bdd.lo, bdd.hi
-        for v in bdd.level_nodes[level]:
-            bwj[v] = smin(bwj[lo[v]], cost + bwj[hi[v]])
-
-    def fw_energy(bdd, fwj, cost_last):
-        lo, hi = bdd.lo, bdd.hi
-        total = INF
-        for v in bdd.level_nodes[-1]:
-            if lo[v] == TRUE:
-                total = smin(total, fwj[v])
-            if hi[v] == TRUE:
-                total = smin(total, fwj[v] + cost_last)
-        return total
-
-    return smin, bstep, fw_energy
+    return smin
 
 
-def _bsweep(bdd, bwj, costs, bstep):
+def _bsweep(bdd, bwj, costs, smin=None):
     """Seed the terminals and recompute every backward value bottom-up."""
     bwj[FALSE] = INF
     bwj[TRUE] = 0.0
+    lo, hi, level_nodes = bdd.lo, bdd.hi, bdd.level_nodes
     for lev in range(bdd.num_levels - 1, -1, -1):
-        bstep(bdd, bwj, lev, costs[lev])
+        cost = costs[lev]
+        if smin is None:
+            for v in level_nodes[lev]:
+                a = bwj[lo[v]]
+                b = cost + bwj[hi[v]]
+                bwj[v] = a if a <= b else b
+        else:
+            for v in level_nodes[lev]:
+                bwj[v] = smin(bwj[lo[v]], cost + bwj[hi[v]])
 
 
 def min_marginals(bdd, costs):
@@ -296,7 +258,7 @@ def min_marginals(bdd, costs):
     if bdd.root < 2:
         return []
     bw = [INF] * len(bdd.lo)
-    _bsweep(bdd, bw, costs, _bstep_min)
+    _bsweep(bdd, bw, costs)
     fw = [INF] * len(bdd.lo)
     fw[bdd.root] = 0.0
     last = bdd.num_levels - 1
@@ -317,16 +279,17 @@ def mma_update(state: DualState, var, forward=True):
     Reads the marginal pair in every covering diagram (requires fw current
     at the variable's levels and bw current below them), shifts the cost
     copies, and advances the messages past the variable: forward, fw of
-    the level below each covering level; backward, bw of the covering
-    levels.  Returns the diffs m1 - m0 in slot order (see the module notes
-    for infinities and nan).  A finite sum is averaged over the members
-    `state.sweeps` holds for this variable and direction.  An update that
-    proves infeasibility latches it and leaves the messages as they were.
+    the level below each covering level (the true terminal's below a last
+    level); backward, bw of the covering levels.  Returns the diffs m1 - m0
+    in slot order (see the module notes for infinities and nan).  A finite
+    sum is averaged over the members `state.sweeps` holds for this variable
+    and direction.  An update that proves infeasibility latches it and
+    leaves the messages as they were.
     """
     entry = state.sweeps[forward].get(var)
     if entry is None:
         raise ValueError(f"variable {var} is not covered by any diagram")
-    records, flags, count = entry
+    records, members, count = entry
     smin = state.smin
     diffs = []
     if smin is None:
@@ -357,32 +320,30 @@ def mma_update(state: DualState, var, forward=True):
     if math.isfinite(total):
         share = total / count
     else:
-        forcing = _forcing(diffs, flags)
+        forcing = _forcing(diffs)
         if forcing is None:
             state.infeasible = True
             return diffs
-        shifts, flags, share = forcing
+        shifts, members, share = forcing
 
     # Each diagram's copy becomes (copy - shift) + share for members and
     # copy - shift otherwise; the message step then reads the new copy.
     if forward:
-        for (fwj, _, costs, lev, nodes, below, lo, hi), d, (member, step) in zip(records, shifts, flags):
+        for (fwj, _, costs, lev, nodes, below, lo, hi), d, member in zip(records, shifts, members):
             cost = costs[lev] - d
             if member:
                 cost += share
             costs[lev] = cost
-            if not step:
-                continue
             for v in below:
                 fwj[v] = INF
             if smin is None:
                 for v in nodes:
                     base = fwj[v]
                     c = lo[v]
-                    if c >= 2 and base < fwj[c]:
+                    if c and base < fwj[c]:
                         fwj[c] = base
                     c = hi[v]
-                    if c >= 2:
+                    if c:
                         b = base + cost
                         if b < fwj[c]:
                             fwj[c] = b
@@ -390,13 +351,13 @@ def mma_update(state: DualState, var, forward=True):
                 for v in nodes:
                     base = fwj[v]
                     c = lo[v]
-                    if c >= 2:
+                    if c:
                         fwj[c] = smin(fwj[c], base)
                     c = hi[v]
-                    if c >= 2:
+                    if c:
                         fwj[c] = smin(fwj[c], base + cost)
     else:
-        for (_, bwj, costs, lev, nodes, _, lo, hi), d, (member, _) in zip(records, shifts, flags):
+        for (_, bwj, costs, lev, nodes, _, lo, hi), d, member in zip(records, shifts, members):
             cost = costs[lev] - d
             if member:
                 cost += share
@@ -412,8 +373,8 @@ def mma_update(state: DualState, var, forward=True):
     return diffs
 
 
-def _forcing(diffs, flags):
-    """`(shifts, flags, share)` for a step whose diffs do not sum finitely.
+def _forcing(diffs):
+    """`(shifts, members, share)` for a step whose diffs do not sum finitely.
 
     None when the step proves infeasibility: diagrams force the variable
     both ways, or one is empty.  Otherwise some diagrams force one value
@@ -434,28 +395,30 @@ def _forcing(diffs, flags):
             moved += d
     absorbers = [d == forced for d in diffs]
     share = moved / sum(absorbers)
-    flags = tuple((bool(moved) and a, step) for a, (_, step) in zip(absorbers, flags))
-    return shifts, flags, share
+    return shifts, [bool(moved) and a for a in absorbers], share
 
 
 # -- passes ----------------------------------------------------------------------
 
 
-def _finish_pass(state: DualState, read):
-    """Store every diagram's optimum and return the raw bound.
+def _pass(state: DualState, forward):
+    """Step every active variable in one direction; returns the raw bound.
 
-    `read(j, bdd)` is a non-sentinel diagram's optimum, taken from the
-    messages the pass left current; sentinels need none.  Latches
-    infeasibility.
+    Each diagram's optimum is then read where the pass left it current:
+    the true terminal's forward value, or the root's backward value.
+    Latches infeasibility.
     """
-    energies = state.energies
-    for j, bdd in enumerate(state.bdds):
-        if bdd.root == TRUE:
-            energies[j] = 0.0
-        elif bdd.root == FALSE:
-            energies[j] = INF
-        else:
-            energies[j] = read(j, bdd)
+    if state.infeasible:
+        return INF
+    update = mma_update
+    for var in state.active if forward else reversed(state.active):
+        update(state, var, forward)
+        if state.infeasible:
+            return INF
+    if forward:
+        state.energies[:] = [fwj[TRUE] for fwj in state.fw]
+    else:
+        state.energies[:] = [bwj[bdd.root] for bwj, bdd in zip(state.bw, state.bdds)]
     total = state.dual_value()
     if total == INF:
         state.infeasible = True
@@ -466,17 +429,10 @@ def forward_pass(state: DualState):
     """Sweep the variable order forward; returns the raw bound afterwards.
 
     Requires bw current everywhere (a refresh or a completed backward
-    pass).  Leaves fw current everywhere, so a backward pass may follow.
+    pass).  Leaves fw current everywhere, the true terminal included, so a
+    backward pass may follow.
     """
-    if state.infeasible:
-        return INF
-    update = mma_update
-    for var in state.active:
-        update(state, var, True)
-        if state.infeasible:
-            return INF
-    fw, duals, fw_energy = state.fw, state.duals, state.fw_energy
-    return _finish_pass(state, lambda j, bdd: fw_energy(bdd, fw[j], duals[j][-1]))
+    return _pass(state, True)
 
 
 def backward_pass(state: DualState):
@@ -485,15 +441,7 @@ def backward_pass(state: DualState):
     Requires fw current everywhere (a completed forward pass).  Leaves bw
     current everywhere, so a forward pass may follow.
     """
-    if state.infeasible:
-        return INF
-    update = mma_update
-    for var in reversed(state.active):
-        update(state, var, False)
-        if state.infeasible:
-            return INF
-    bw = state.bw
-    return _finish_pass(state, lambda j, bdd: bw[j][bdd.root])
+    return _pass(state, False)
 
 
 def cost_scale(state: DualState) -> float:

@@ -267,7 +267,7 @@ def scratch_energy(state, j):
 
 def scratch_dual_value(state):
     """Sum of every diagram's scratch energy."""
-    return sum(scratch_energy(state, j) for j in range(state.num_subproblems))
+    return sum(scratch_energy(state, j) for j in range(len(state.bdds)))
 
 
 # -- marginals of an enumerated assignment set ---------------------------------
@@ -299,39 +299,62 @@ def marginals_of_set(assignments, values, alpha=0.0):
 
 
 def level_kernels(state):
-    """`(marg, scatter, bstep)` for one level of one diagram, in the state's algebra.
+    """`(marg, scatter, bstep, readout)` for one diagram, in the state's algebra.
 
-    Min-sum uses the dual's own kernels; soft-min builds twins on the
-    state's `smin`.  Arguments as in `dual._marg_min`, `dual._scatter_min`
-    and `dual._bstep_min`.
+    Arguments as in `dual._marg_min` and `dual._scatter_min`, which are the
+    min-sum `marg` and `scatter`; soft-min builds twins on the state's
+    `smin`.  `bstep(bdd, bwj, level, cost)` recomputes one level's backward
+    values and `readout(bdd, fwj, cost)` is the optimum read off the last
+    level's forward values, whose 1-arcs cost `cost`; both fold with the
+    state's `smin`, or with a min keeping the earlier value on ties.
     """
     if state.smin is None:
-        return dual._marg_min, dual._scatter_min, dual._bstep_min
-    smin = state.smin
+        marg, scatter = dual._marg_min, dual._scatter_min
 
-    def marg(bdd, fwj, bwj, level, cost):
+        def smin(a, b):
+            return a if a <= b else b
+
+    else:
+        smin = state.smin
+
+        def marg(bdd, fwj, bwj, level, cost):
+            lo, hi = bdd.lo, bdd.hi
+            m0 = m1 = INF
+            for v in bdd.level_nodes[level]:
+                base = fwj[v]
+                m0 = smin(m0, base + bwj[lo[v]])
+                m1 = smin(m1, base + cost + bwj[hi[v]])
+            return m0, m1
+
+        def scatter(bdd, fwj, level, cost):
+            lo, hi = bdd.lo, bdd.hi
+            for v in bdd.level_nodes[level + 1]:
+                fwj[v] = INF
+            for v in bdd.level_nodes[level]:
+                base = fwj[v]
+                c = lo[v]
+                if c >= 2:
+                    fwj[c] = smin(fwj[c], base)
+                c = hi[v]
+                if c >= 2:
+                    fwj[c] = smin(fwj[c], base + cost)
+
+    def bstep(bdd, bwj, level, cost):
         lo, hi = bdd.lo, bdd.hi
-        m0 = m1 = INF
         for v in bdd.level_nodes[level]:
-            base = fwj[v]
-            m0 = smin(m0, base + bwj[lo[v]])
-            m1 = smin(m1, base + cost + bwj[hi[v]])
-        return m0, m1
+            bwj[v] = smin(bwj[lo[v]], cost + bwj[hi[v]])
 
-    def scatter(bdd, fwj, level, cost):
+    def readout(bdd, fwj, cost):
         lo, hi = bdd.lo, bdd.hi
-        for v in bdd.level_nodes[level + 1]:
-            fwj[v] = INF
-        for v in bdd.level_nodes[level]:
-            base = fwj[v]
-            c = lo[v]
-            if c >= 2:
-                fwj[c] = smin(fwj[c], base)
-            c = hi[v]
-            if c >= 2:
-                fwj[c] = smin(fwj[c], base + cost)
+        total = INF
+        for v in bdd.level_nodes[-1]:
+            if lo[v] == TRUE:
+                total = smin(total, fwj[v])
+            if hi[v] == TRUE:
+                total = smin(total, fwj[v] + cost)
+        return total
 
-    return marg, scatter, state.bstep
+    return marg, scatter, bstep, readout
 
 
 def _slot_update(state, var, forward, marg):
@@ -379,11 +402,14 @@ def slot_pass(state, forward, kinds=None):
 
     The loop `dual.forward_pass`/`backward_pass` ran before a coordinate
     step became one fused call over level records; same arithmetic, so the
-    results must agree to the bit.  `kinds`, a Counter, tallies the steps.
+    results must agree to the bit.  A forward step at a diagram's last level
+    writes the true terminal's forward value from `readout`, and the pass
+    reads each optimum there (forward) or at the root (backward); sentinel
+    diagrams are read off their root.  `kinds`, a Counter, tallies the steps.
     """
     if state.infeasible:
         return INF
-    marg, scatter, bstep = level_kernels(state)
+    marg, scatter, bstep, readout = level_kernels(state)
     bdds, fw, bw, duals = state.bdds, state.fw, state.bw, state.duals
     for var in state.active if forward else reversed(state.active):
         kind = _slot_update(state, var, forward, marg)
@@ -396,9 +422,17 @@ def slot_pass(state, forward, kinds=None):
                 bstep(bdds[j], bw[j], lev, duals[j][lev])
             elif lev < bdds[j].num_levels - 1:
                 scatter(bdds[j], fw[j], lev, duals[j][lev])
-    if forward:
-        return dual._finish_pass(state, lambda j, bdd: state.fw_energy(bdd, fw[j], duals[j][-1]))
-    return dual._finish_pass(state, lambda j, bdd: bw[j][bdd.root])
+            else:
+                fw[j][TRUE] = readout(bdds[j], fw[j], duals[j][lev])
+    for j, bdd in enumerate(bdds):
+        if bdd.root < 2:
+            state.energies[j] = 0.0 if bdd.root == TRUE else INF
+        else:
+            state.energies[j] = fw[j][TRUE] if forward else bw[j][bdd.root]
+    total = sum(state.energies)
+    if total == INF:
+        state.infeasible = True
+    return total
 
 
 # -- watching the dual's coordinate updates ------------------------------------

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from bddsolve.cli import _build_parser, main
+from bddsolve.cli import _build_parser, entry, main
 from bddsolve.dual import DEFAULT_MAX_PASSES, DEFAULT_TOLERANCE
 from bddsolve.model import parse_lp, write_lp
 from bddsolve.testkit import mrf_instance, random_ilp
@@ -259,6 +259,15 @@ def test_generate_kinds(capsys):
         instance = parse_lp(out)
         if shape is not None:
             assert (instance.num_vars, len(instance.constraints)) == shape
+
+
+def test_entry_exits_with_the_command_status(monkeypatch, capsys):
+    # `entry` is what the installed `bddsolve` script runs: argv in, SystemExit out
+    monkeypatch.setattr(sys, "argv", ["bddsolve", "generate", "mrf"])
+    with pytest.raises(SystemExit) as stop:
+        entry()
+    assert stop.value.code == 0
+    assert parse_lp(capsys.readouterr().out).num_vars == 14
 
 
 def test_generate_output_file_deterministic(tmp_path, capsys):

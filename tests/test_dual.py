@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from bddsolve.bdd import Trail, build_bdd
+from bddsolve.bdd import TRUE, Trail, build_bdd
 from bddsolve.dual import (
     SRMP,
     UNIFORM,
@@ -263,7 +263,7 @@ def test_smoothed_energies_below_hard():
     problem = random_ilp(6, 4, seed=77)
     hard, _ = build_state(problem, smoothing=0.0)
     soft, _ = build_state(problem, smoothing=0.5)
-    for j in range(hard.num_subproblems):
+    for j in range(len(hard.bdds)):
         assert scratch_energy(soft, j) <= scratch_energy(hard, j) + 1e-12
 
 
@@ -384,7 +384,16 @@ def test_fused_passes_match_the_per_level_loop(averaging, smoothing):
 @pytest.mark.parametrize("smoothing", [0.0, 0.3])
 def test_passes_follow_diagrams_restricted_after_the_state_was_built(smoothing):
     # the level records refer to each diagram's live arcs, so fixation and
-    # rollback after the state was built must show in the passes
+    # rollback after the state was built must show in the passes; each pass
+    # leaves every optimum at the true terminal (forward) or the root (backward)
+    def optima(state, forward):
+        # (value where the pass left it, stored energy) per non-sentinel diagram
+        return [
+            (fw[TRUE] if forward else bw[b.root], e)
+            for fw, bw, b, e in zip(state.fw, state.bw, state.bdds, state.energies)
+            if b.root >= 2
+        ]
+
     moved = 0
     for seed in range(6):
         problem = mrf_instance(1, 3, 2, seed)
@@ -408,6 +417,8 @@ def test_passes_follow_diagrams_restricted_after_the_state_was_built(smoothing):
                     lb = a_pass(state)
                     assert not state.infeasible, label
                     assert lb == pytest.approx(scratch_dual_value(state), abs=1e-8), label
+                    for read, stored in optima(state, a_pass is forward_pass):
+                        assert read == stored, label
             if label == "restricted":
                 rollback_all(state.bdds, mark)
     assert moved >= 4

@@ -152,7 +152,7 @@ GENERATORS = {
     num_rows=st.integers(1, 6),
     seed=st.integers(0, 10**6),
     permute_rows=st.booleans(),
-    scale=st.sampled_from([Fraction(1), Fraction(1, 10**9), Fraction(10**6)]),
+    scale=st.sampled_from([Fraction(1), Fraction(1, 10**9), Fraction(10**6), Fraction(2**50)]),
     averaging=st.sampled_from(["uniform", "srmp"]),
     smoothing=st.sampled_from([0.0, 0.3]),
     order=st.sampled_from(["input", "cuthill_mckee"]),
