@@ -20,6 +20,10 @@ own at its first checkpoint; the rounding search attaches all diagrams to
 one shared trail, so a checkpoint is a single mark on it and a rollback
 undoes only the records written since that mark, whichever diagrams they
 belong to.  Restoration is bit-exact.
+
+Within one instance, rows of one shape (see `build_bdd`) may share a
+single `level_nodes` structure.  Nothing ever mutates it: fixing and
+rollback change only each diagram's own arcs and incoming-arc counters.
 """
 
 from __future__ import annotations
@@ -98,7 +102,9 @@ class Bdd:
 
     Node ids are integers; 0 and 1 are the false/true terminals, internal
     nodes start at 2 and are numbered level by level in creation order, so
-    two builds of the same row are identical.
+    two builds of the same row are identical.  `lo`, `hi` and `indeg` belong
+    to this diagram alone; `level_nodes` is read-only and may be shared with
+    diagrams of the same shape in one instance.
     """
 
     __slots__ = (
@@ -406,7 +412,9 @@ def _sentinel(constraint_name, support, satisfiable):
     )
 
 
-def build_bdd(constraint: LinearConstraint, positions=None, state_budget=DEFAULT_STATE_BUDGET) -> Bdd:
+def build_bdd(
+    constraint: LinearConstraint, positions=None, state_budget=DEFAULT_STATE_BUDGET, shapes=None
+) -> Bdd:
     """Compile one row into a reduced leveled diagram.
 
     Support is sorted by `positions` (global order ranks; identity when
@@ -414,6 +422,15 @@ def build_bdd(constraint: LinearConstraint, positions=None, state_budget=DEFAULT
     that admit every completion or none; a bottom-up pass then merges nodes
     with equal children and drops states that cannot reach the true terminal.
     Unsatisfiable rows give an empty sentinel.
+
+    `shapes`, when given, is a dict private to one instance.  The diagram
+    depends only on its row's shape: the coefficients in support order
+    (after `>=` rows are negated into `<=`), the relation, the right-hand
+    side and `state_budget`.  The first row of a shape is compiled once and
+    kept there as a template no returned diagram aliases; every row of that
+    shape then gets the template's `level_nodes`, shared and never mutated,
+    with its own copies of the arcs and counters that `fix` changes.  The
+    result equals a fresh build field by field.
     """
     if positions is None:
         key = lambda i: i
@@ -428,10 +445,30 @@ def build_bdd(constraint: LinearConstraint, positions=None, state_budget=DEFAULT
         coeffs = [-a for a in coeffs]
         rhs = -rhs
         relation = Relation.LE
+    if shapes is None:
+        return _compile(constraint.name, support, coeffs, relation, rhs, state_budget)
+    shape = (tuple(coeffs), relation, rhs, state_budget)
+    template = shapes.get(shape)
+    if template is None:
+        template = _compile(constraint.name, support, coeffs, relation, rhs, state_budget)
+        shapes[shape] = template
+    return Bdd(
+        constraint.name,
+        support,
+        template.root,
+        template.lo[:],
+        template.hi[:],
+        template.level_nodes,
+        template.indeg[:],
+    )
+
+
+def _compile(name, support, coeffs, relation, rhs, state_budget):
+    """Build the diagram of a `<=` or `=` row from its coefficients in support order."""
     k = len(support)
     if k == 0:
         ok = (0 == rhs) if relation is Relation.EQ else (0 <= rhs)
-        return _sentinel(constraint.name, support, ok)
+        return _sentinel(name, support, ok)
 
     suffix_min = [0] * (k + 1)
     suffix_max = [0] * (k + 1)
@@ -451,7 +488,7 @@ def build_bdd(constraint: LinearConstraint, positions=None, state_budget=DEFAULT
 
     root_state = normalize(rhs, 0)
     if root_state is None:
-        return _sentinel(constraint.name, support, False)
+        return _sentinel(name, support, False)
 
     # forward dynamic program over residuals; children encoded as terminal
     # ids or next-level local index + 2
@@ -479,7 +516,7 @@ def build_bdd(constraint: LinearConstraint, positions=None, state_budget=DEFAULT
                     local = len(nxt)
                     if local >= state_budget:
                         raise BddBuildError(
-                            f"constraint {constraint.name!r} exceeds the per-level state budget"
+                            f"constraint {name!r} exceeds the per-level state budget"
                         )
                     nxt[rn] = local
                 pair.append(local + 2)
@@ -510,7 +547,7 @@ def build_bdd(constraint: LinearConstraint, positions=None, state_budget=DEFAULT
         rep_below = reps
     root_token = rep_below[0]
     if root_token == FALSE:
-        return _sentinel(constraint.name, support, False)
+        return _sentinel(name, support, False)
 
     # top-down assembly in first-reference order gives deterministic ids
     level_tokens = []
@@ -553,4 +590,4 @@ def build_bdd(constraint: LinearConstraint, positions=None, state_budget=DEFAULT
             indeg[lo[v]] += 1
             indeg[hi[v]] += 1
 
-    return Bdd(constraint.name, support, 2, lo, hi, level_nodes, indeg)
+    return Bdd(name, support, 2, lo, hi, level_nodes, indeg)

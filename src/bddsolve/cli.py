@@ -126,6 +126,7 @@ def _report_payload(report: RunReport, var_names):
         "primal_conflicts": report.primal_conflicts,
         "primal_backtracks": report.primal_backtracks,
         "primal_max_depth": report.primal_max_depth,
+        "build_time_ms": round(report.build_time_ms, 3),
         "dual_time_ms": round(report.dual_time_ms, 3),
         "primal_time_ms": round(report.primal_time_ms, 3),
     }

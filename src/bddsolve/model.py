@@ -7,6 +7,7 @@ subproblem and records, per variable, the set of subproblems covering it.
 
 from __future__ import annotations
 
+import math
 import re
 from collections import deque
 from dataclasses import dataclass, field
@@ -131,7 +132,10 @@ class ILPInstance:
         return all(con.is_satisfied_by(values) for con in self.constraints)
 
     def objective_value(self, values) -> Fraction:
-        return sum((c * v for c, v in zip(self.objective, values)), Fraction(0)) + self.objective_offset
+        """Exact c.x + offset, summed as integers over the lcm of the denominators."""
+        scale = math.lcm(*(c.denominator for c in self.objective))
+        total = sum(c.numerator * (scale // c.denominator) * v for c, v in zip(self.objective, values))
+        return Fraction(total, scale) + self.objective_offset
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,7 @@ class RunReport:
     solution: list | None = None
     objective_value: Fraction | None = None
     primal_attempts: int = 0
+    build_time_ms: float = 0.0
     dual_time_ms: float = 0.0
     primal_time_ms: float = 0.0
     primal_conflicts: int = 0
@@ -83,13 +84,18 @@ def solve_instance(instance: ILPInstance, options: SolveOptions = None) -> RunRe
     free_fixes, free_gain = presolve_free(instance, dec)
     shift = float(instance.objective_offset + free_gain)
 
-    bdds = [build_bdd(c, dec.positions, options.state_budget) for c in instance.constraints]
+    t0 = time.perf_counter()
+    shapes = {}  # one compiled template per row shape, dropped once the rows are built
+    bdds = [build_bdd(c, dec.positions, options.state_budget, shapes) for c in instance.constraints]
+    build_ms = (time.perf_counter() - t0) * 1000.0
+    del shapes
     num_nodes = sum(b.node_count() for b in bdds)
     base = dict(
         instance_name=instance.name,
         num_vars=instance.num_vars,
         num_constraints=len(instance.constraints),
         num_nodes=num_nodes,
+        build_time_ms=build_ms,
     )
 
     if any(b.is_empty() for b in bdds):

@@ -486,7 +486,7 @@ def test_c09_chain_generator_counts_and_optimum():
 
 
 def _mask_times(text):
-    return re.sub(r'"(?:time_ms|dual_time_ms|primal_time_ms)": [0-9.eE+-]+', '"t": 0', text)
+    return re.sub(r'"(?:time_ms|build_time_ms|dual_time_ms|primal_time_ms)": [0-9.eE+-]+', '"t": 0', text)
 
 
 def test_c10_cli_determinism(tmp_path, cli_env):

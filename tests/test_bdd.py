@@ -4,7 +4,15 @@ import random
 import pytest
 
 from bddsolve.bdd import FALSE, TRUE, Bdd, BddBuildError, BddError, Trail, build_bdd
-from bddsolve.model import LinearConstraint, Relation
+from bddsolve.model import LinearConstraint, Relation, decompose, order_variables
+from bddsolve.primal import restriction_propagation
+from bddsolve.testkit import (
+    cell_tracking_instance,
+    graph_matching_instance,
+    mrf_instance,
+    random_ilp,
+    tomography_instance,
+)
 
 
 def row(terms, relation, rhs, name="r"):
@@ -375,3 +383,114 @@ def test_to_dot_shape():
     assert "style=dotted" in dot
     assert "left" in dot and "right" in dot
     assert dot.count("->") == 2 * b.node_count()
+
+
+# -- rows of one shape share a compiled template -------------------------------
+
+
+def fields(bdd):
+    return (bdd.constraint_name, bdd.support, bdd.root, bdd.lo, bdd.hi, bdd.level_nodes, bdd.indeg)
+
+
+def shape_kinds(seed):
+    return [
+        random_ilp(10, 40, seed),
+        random_ilp(8, 40, seed, coeff_pool=(1, -1)),
+        mrf_instance(3, 4, 3, seed),
+        graph_matching_instance(3, seed),
+        cell_tracking_instance(6, seed),
+        tomography_instance(10, 3, seed),
+    ]
+
+
+def sentinel_rows():
+    """Empty-support and unsatisfiable rows, each shape twice, plus `>=` twins of `<=` rows."""
+    rows = []
+    for rep in range(2):
+        rows += [
+            row([], Relation.LE, 0, name=f"empty_ok{rep}"),
+            row([], Relation.EQ, 1, name=f"empty_bad{rep}"),
+            row([(rep, 1)], Relation.GE, 2, name=f"unsat{rep}"),
+            row([(rep, 2), (rep + 2, 3)], Relation.EQ, 1, name=f"unsat_dp{rep}"),
+            row([(rep, 1), (rep + 2, -1)], Relation.LE, 0, name=f"le{rep}"),
+            row([(rep, -1), (rep + 2, 1)], Relation.GE, 0, name=f"ge{rep}"),
+        ]
+    return rows
+
+
+@pytest.mark.parametrize("order", ["input", "cuthill_mckee"])
+@pytest.mark.parametrize("seed", range(4))
+def test_shape_cache_equals_fresh_builds(seed, order):
+    hits = 0
+    for inst in shape_kinds(seed):
+        positions = decompose(inst, order_variables(inst, order)).positions
+        shapes = {}
+        rows = list(inst.constraints) + sentinel_rows()
+        cached = [build_bdd(c, positions, shapes=shapes) for c in rows]
+        for c, b in zip(rows, cached):
+            assert fields(b) == fields(build_bdd(c, positions))
+        # arcs and counters are never aliased, between siblings or with the template
+        mutable = [arr for b in cached for arr in (b.lo, b.hi, b.indeg)]
+        mutable += [arr for t in shapes.values() for arr in (t.lo, t.hi, t.indeg)]
+        assert len({id(arr) for arr in mutable}) == len(mutable)
+        hits += len(cached) - len(shapes)
+        assert len(shapes) < len(cached)  # every kind repeats at least the sentinel rows
+    assert hits > 0
+
+
+def test_shape_key_includes_rhs_relation_and_budget():
+    shapes = {}
+    rows = [
+        row([(0, 1), (1, 1)], Relation.LE, 1, name="a"),
+        row([(2, 1), (3, 1)], Relation.EQ, 1, name="b"),
+        row([(4, 1), (5, 1)], Relation.LE, 0, name="c"),
+        row([(6, -1), (7, -1)], Relation.GE, -1, name="d"),  # the `<=` form of "a"
+    ]
+    built = [build_bdd(c, shapes=shapes) for c in rows]
+    assert len(shapes) == 3 and built[3].level_nodes is built[0].level_nodes
+    assert build_bdd(rows[0], state_budget=7, shapes=shapes).level_nodes is not built[0].level_nodes
+    assert len(shapes) == 4
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_shape_siblings_stay_isolated_under_fixes_and_rollback(seed):
+    shapes = {}
+    groups = []  # (diagrams, slots) of each instance; all share `shapes` and one trail
+    fresh = {}
+    for inst in (mrf_instance(3, 3, 2, seed), tomography_instance(8, 3, seed)):
+        positions = decompose(inst).positions
+        bdds = [build_bdd(c, positions, shapes=shapes) for c in inst.constraints]
+        slots = {}
+        for j, (c, b) in enumerate(zip(inst.constraints, bdds)):
+            fresh[id(b)] = exact(build_bdd(c, positions))
+            for lev, var in enumerate(b.support):
+                slots.setdefault(var, []).append((j, lev))
+        groups.append((bdds, slots))
+    everything = [b for bdds, _ in groups for b in bdds]
+    trail = Trail()
+    trail.attach(everything)
+    token = trail.checkpoint()
+    rng = random.Random(seed)
+    for bdds, slots in groups:
+        assignment = {}
+        for var in rng.sample(sorted(slots), 3):
+            if var not in assignment:
+                if not restriction_propagation(bdds, slots, assignment, var, rng.randint(0, 1), []):
+                    break
+    touched = {id(owner) for owner, _ in trail.records}
+    siblings = {}
+    for b in everything:
+        siblings.setdefault(id(b.level_nodes), []).append(b)
+    # some fixed diagram has a sibling of its shape that nothing fixed
+    assert any(
+        {id(b) in touched for b in group} == {True, False} for group in siblings.values()
+    )
+    for b in everything:
+        b.check_invariants()
+        if id(b) not in touched:
+            assert exact(b) == fresh[id(b)]
+    trail.rollback(token)
+    assert trail.records == []
+    for b in everything:
+        assert exact(b) == fresh[id(b)]
+        b.check_invariants(reduced=True)

@@ -64,6 +64,7 @@ def test_solve_writes_json_report(small_file, capsys):
     assert payload["upper_bound"] == -2.0
     assert payload["objective_exact"] == "-2"
     assert payload["lower_bound"] <= -2.0 + 1e-9
+    assert type(payload["build_time_ms"]) is float and payload["build_time_ms"] >= 0.0
     assert "solution found" in captured.err
 
 
@@ -301,7 +302,7 @@ def test_generate_then_solve_round_trip(capsys):
 
 
 def _mask_times(text):
-    return re.sub(r'"(?:time_ms|dual_time_ms|primal_time_ms)": [0-9.eE+-]+', '"t": 0', text)
+    return re.sub(r'"(?:time_ms|build_time_ms|dual_time_ms|primal_time_ms)": [0-9.eE+-]+', '"t": 0', text)
 
 
 def test_cli_import_leaves_numpy_out(cli_env):

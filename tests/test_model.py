@@ -186,6 +186,26 @@ def test_check_assignment_and_objective():
     assert inst.objective_value([1, 1]) == Fraction(3)
 
 
+def test_objective_value_equals_a_fraction_sum():
+    def plain(inst, values):
+        return sum((c * v for c, v in zip(inst.objective, values)), Fraction(0)) + inst.objective_offset
+
+    rng = random.Random(23)
+    cases = [(ILPInstance([], [], [], objective_offset=Fraction(-7, 3)), [])]
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        objective = [Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3, 4, 6, 7, 9, 10, 12)))
+                     for _ in range(n)]
+        offset = Fraction(rng.randint(-20, 20), rng.choice((1, 5, 8)))
+        inst = ILPInstance([f"x{i}" for i in range(n)], objective, [], objective_offset=offset)
+        cases.append((inst, [0] * n))
+        cases.append((inst, [rng.randint(0, 1) for _ in range(n)]))
+    for inst, values in cases:
+        got = inst.objective_value(values)
+        expected = plain(inst, values)
+        assert type(got) is Fraction and got == expected and str(got) == str(expected)
+
+
 def test_decompose_incidence_is_inverse():
     rng = random.Random(7)
     for _ in range(25):

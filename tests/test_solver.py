@@ -92,6 +92,14 @@ End
     assert report.solution is None
 
 
+def test_reports_build_time():
+    solved = solve_instance(parse_lp(SMALL, name="small"))
+    empty = solve_instance(parse_lp(SMALL.replace("cap: x + y <= 1", "cap: x + y >= 3"), name="bad"))
+    assert empty.status == INFEASIBLE and empty.passes == 0
+    for report in (solved, empty):
+        assert type(report.build_time_ms) is float and report.build_time_ms >= 0.0
+
+
 def test_cross_row_conflict_detected():
     text = """\
 Minimize
