@@ -36,7 +36,6 @@ FALSE = 0
 TRUE = 1
 
 DEFAULT_STATE_BUDGET = 1 << 22
-DEFAULT_ENUMERATION_CAP = 25
 
 
 class BddError(Exception):
@@ -134,16 +133,6 @@ class Bdd:
     def num_levels(self):
         return len(self.support)
 
-    @property
-    def journal(self):
-        """This diagram's undo entries on its trail, oldest first."""
-        if self.trail is None:
-            return []
-        return [entry for owner, entry in self.trail.records if owner is self]
-
-    def level_of(self, var):
-        return self.support.index(var)
-
     def is_empty(self):
         if self.root == FALSE:
             return True
@@ -160,29 +149,6 @@ class Bdd:
         """Nodes of `level` with an arc off the false terminal, i.e. not removed."""
         lo, hi = self.lo, self.hi
         return [v for v in self.level_nodes[level] if lo[v] != FALSE or hi[v] != FALSE]
-
-    def solutions(self, cap=DEFAULT_ENUMERATION_CAP):
-        """All satisfying assignments over the support, as 0/1 tuples."""
-        if len(self.support) > cap:
-            raise BddError(f"support of {len(self.support)} exceeds enumeration cap {cap}")
-        if self.is_empty():
-            return set()
-        if self.root == TRUE:
-            return {()}
-        out = set()
-        lo, hi = self.lo, self.hi
-        stack = [(self.root, ())]
-        while stack:
-            v, prefix = stack.pop()
-            for bit, child in ((0, lo[v]), (1, hi[v])):
-                if child == FALSE:
-                    continue
-                path = prefix + (bit,)
-                if child == TRUE:
-                    out.add(path)
-                else:
-                    stack.append((child, path))
-        return out
 
     def forced_literals(self):
         """(variable, value) pairs forced on every remaining true-path.

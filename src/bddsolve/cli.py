@@ -120,6 +120,7 @@ def _report_payload(report: RunReport, var_names):
         "passes": report.passes,
         "lower_bound": lb,
         "upper_bound": None,
+        "gap": report.gap,
         "objective_exact": None,
         "solution": None,
         "primal_attempts": report.primal_attempts,

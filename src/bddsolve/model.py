@@ -3,6 +3,10 @@
 An instance is a rational objective over binary variables plus a list of
 integer linear constraints.  Decomposition assigns each constraint its own
 subproblem and records, per variable, the set of subproblems covering it.
+
+LP text is read line by line with whole-line patterns, and each line's terms
+are checked in bulk; only a line that fails is scanned again, token by
+token, to report the line and column of its fault.
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import chain, compress
+from operator import itemgetter
 
 MAX_COEFFICIENT = 1 << 20
 MAX_RHS = 1 << 40
@@ -76,7 +82,8 @@ class ILPInstance:
     name: str = "instance"
 
     def __post_init__(self):
-        self.objective = [Fraction(c) for c in self.objective]
+        # `parse_lp` hands over Fractions already; wrap only what is not one
+        self.objective = [c if type(c) is Fraction else Fraction(c) for c in self.objective]
         self.objective_offset = Fraction(self.objective_offset)
         self.validate()
 
@@ -93,19 +100,45 @@ class ILPInstance:
         return cached
 
     def validate(self):
-        n = len(self.var_names)
+        """Raise ModelError naming the first fault, in the order checked below.
+
+        Each check runs over all items at once; only a failing one walks its
+        items to name the first fault.
+        """
+        names = self.var_names
+        n = len(names)
         if len(self.objective) != n:
             raise ModelError("objective length does not match variable count")
-        if len(set(self.var_names)) != n:
+        if len(set(names)) != n:
             raise ModelError("duplicate variable name")
-        for nm in self.var_names:
-            if not IDENTIFIER_RE.match(nm):
-                raise ModelError(f"invalid variable name {nm!r}")
-        for nm, c in zip(self.var_names, self.objective):
-            if _beyond_objective_cap(c):
-                raise ModelError(f"objective coefficient overflow for variable {nm!r}")
+        if not all(map(IDENTIFIER_RE.match, names)):
+            for nm in names:
+                if not IDENTIFIER_RE.match(nm):
+                    raise ModelError(f"invalid variable name {nm!r}")
+        if any(map(_beyond_objective_cap, self.objective)):
+            for nm, c in zip(names, self.objective):
+                if _beyond_objective_cap(c):
+                    raise ModelError(f"objective coefficient overflow for variable {nm!r}")
         if _beyond_objective_cap(self.objective_offset):
             raise ModelError("objective constant overflow")
+        rows = self.constraints
+        terms = [con.terms for con in rows]
+        flat = list(chain.from_iterable(terms))
+        idx = list(map(itemgetter(0), flat))
+        coeffs = list(map(itemgetter(1), flat))
+        if (
+            len({con.name for con in rows}) != len(rows)
+            or sum(map(len, map(dict, terms))) != len(flat)  # a repeated variable merges in its row's dict
+            or min(idx, default=0) < 0
+            or max(idx, default=-1) >= n
+            or 0 in coeffs
+            or max(map(abs, coeffs), default=0) > MAX_COEFFICIENT
+            or max((abs(con.rhs) for con in rows), default=0) > MAX_RHS
+        ):
+            self._raise_row_fault()
+
+    def _raise_row_fault(self):
+        n = len(self.var_names)
         seen_rows = set()
         for con in self.constraints:
             if con.name in seen_rows:
@@ -140,7 +173,96 @@ class ILPInstance:
 
 # ---------------------------------------------------------------------------
 # LP text format
+#
+# Well-formed lines are read by patterns, not token by token.  The terms of
+# a line are read by one `findall`, and they must tile it: `findall` skips
+# what no term matches, so a stray character or a missing sign shows as
+# terms shorter than the line.  (One `fullmatch` over a repeated term
+# pattern would do too, but on an objective line of thousands of terms the
+# regex engine's backtracking stack runs to megabytes; a Binary line is
+# checked by its characters and names for the same reason.)  The patterns
+# accept exactly what the token scanner further below accepts, and read
+# every name whole, as the scanner does.  A line that fails a pattern or a
+# check is scanned again, token by token, only to report its line, column
+# and reason.
+#
+# A constraint row is first split at its names.  The text between them, its
+# skeleton, fixes the row's structure, coefficients, relation and right-hand
+# side, so each distinct skeleton is read once per parse, as a row with
+# every name replaced by `x`; rows that share it only look up their names.
 
+_IDENT = r"[A-Za-z_][A-Za-z0-9_.\-]*"
+_NUMBER = r"\d+(?:\.\d+)?(?:/\d+)?"
+_LABEL = rf"{_IDENT}[ \t]*:[ \t]*"
+_LABEL_RE = re.compile(_LABEL)
+_ROW_RE = re.compile(rf"{_LABEL}([^<>=]*?)[ \t]*(<=|>=|=)[ \t]*([+-]?)[ \t]*({_NUMBER})")
+_BINARY_CHARS_RE = re.compile(r"[A-Za-z0-9_.\- \t]*")
+_NAME_SPLIT_RE = re.compile(rf"({_IDENT})")
+# one signed term: (term, sign and coefficient, name, "") or (term, "", "", signed constant)
+_TERM_RE = re.compile(rf"([ \t]*(?:([+-][ \t]*(?:{_NUMBER})?)[ \t]*({_IDENT})|([+-][ \t]*{_NUMBER})))")
+
+_RELATIONS = {"<=": Relation.LE, ">=": Relation.GE, "=": Relation.EQ}
+
+
+def _signed_number(literal):
+    """Value of a matched `[+-] [number]` literal (1 without a number), None if malformed."""
+    digits = literal.lstrip("+- \t")
+    if not digits:
+        value = 1
+    elif digits.isdecimal():  # plain digits: an int, much cheaper than a Fraction
+        value = int(digits)
+    else:
+        try:
+            value = Fraction(digits)
+        except (ValueError, ZeroDivisionError):
+            return None
+    return -value if literal[:1] == "-" else value
+
+
+def _row_coefficient(literal):
+    """An int row coefficient, or 0 when malformed, fractional, zero or beyond the cap."""
+    value = _signed_number(literal)
+    if value is None or value.denominator != 1 or not 0 < abs(value) <= MAX_COEFFICIENT:
+        return 0
+    return int(value)
+
+
+def _terms(body):
+    """(coefficient literals, names, constant literals) of a sum of signed terms, or None if malformed."""
+    if body[:1] not in "+-":
+        body = "+" + body  # the first term's sign may be left out
+    found = _TERM_RE.findall(body)
+    if sum(map(len, map(itemgetter(0), found))) != len(body):
+        return None
+    _, literals, names, constants = zip(*found) if found else ((),) * 4
+    return literals, names, constants
+
+
+def _binary_names(line):
+    """The names of a Binary line, or None if it holds more than names, spaces and tabs."""
+    names = line.split()
+    if _BINARY_CHARS_RE.fullmatch(line) is None or not all(map(IDENTIFIER_RE.match, names)):
+        return None
+    return names
+
+
+def _row_shape(skeleton):
+    """(coefficients, relation, rhs) of the rows split into `skeleton`, or None if malformed.
+
+    A coefficient that is malformed, fractional, zero or beyond the cap reads 0.
+    """
+    m = _ROW_RE.fullmatch("x".join(skeleton))
+    if m is None:
+        return None
+    body, relation, sign, number = m.groups()
+    terms = _terms(body)
+    rhs = _signed_number(sign + number)
+    if terms is None or not terms[1] or any(terms[2]) or rhs is None or rhs.denominator != 1:
+        return None  # also for a row without terms or with a constant term
+    return tuple(map(_row_coefficient, terms[0])), _RELATIONS[relation], int(rhs)
+
+
+# -- the token scanner: locates the fault in a line the patterns rejected
 
 _TOKEN_RE = re.compile(
     r"[ \t]*(?:"
@@ -149,8 +271,6 @@ _TOKEN_RE = re.compile(
     r"|(?P<op><=|>=|=|\+|-|:)"
     r")"
 )
-
-_RELATIONS = {"<=": Relation.LE, ">=": Relation.GE, "=": Relation.EQ}
 
 
 def _tokenize(line, lineno):
@@ -224,136 +344,205 @@ def _labelled_line(tokens, lineno):
     return tokens[0][1], 2
 
 
+def _scan_objective(line, lineno):
+    """Scanner reading of the objective line: (terms with columns, constant)."""
+    tokens = _tokenize(line, lineno)
+    _, idx = _labelled_line(tokens, lineno)
+    terms, constant, idx = _parse_terms(tokens, idx, lineno, allow_constant=True)
+    if idx != len(tokens):
+        raise LpParseError(lineno, tokens[idx][2], "trailing tokens after objective")
+    return terms, constant
+
+
+def _scan_row(line, lineno):
+    """Scanner reading of a constraint row: (terms with columns, right-hand side)."""
+    tokens = _tokenize(line, lineno)
+    rowname, idx = _labelled_line(tokens, lineno)
+    terms, _, idx = _parse_terms(tokens, idx, lineno, allow_constant=False)
+    if not terms:
+        raise LpParseError(lineno, 1, f"constraint {rowname!r} has no terms")
+    if idx >= len(tokens) or tokens[idx][1] not in _RELATIONS:
+        raise LpParseError(lineno, tokens[idx - 1][2], "expected '<=', '>=' or '='")
+    idx += 1
+    sign = 1
+    if idx < len(tokens) and tokens[idx][0] == "op" and tokens[idx][1] in "+-":
+        sign = -1 if tokens[idx][1] == "-" else 1
+        idx += 1
+    if idx >= len(tokens) or tokens[idx][0] != "number":
+        raise LpParseError(lineno, tokens[idx - 1][2], "expected right-hand side")
+    rhs = sign * _parse_number(tokens[idx][1], lineno, tokens[idx][2])
+    if rhs.denominator != 1:
+        raise LpParseError(lineno, tokens[idx][2], "right-hand side must be an integer")
+    idx += 1
+    if idx != len(tokens):
+        raise LpParseError(lineno, tokens[idx][2], "trailing tokens after constraint")
+    return terms, int(rhs)
+
+
+def _scan_binary(line, lineno, seen):
+    for kind, textval, col in _tokenize(line, lineno):
+        if kind != "ident":
+            raise LpParseError(lineno, col, "expected variable name")
+        if textval in seen:
+            raise LpParseError(lineno, col, f"duplicate variable {textval!r}")
+        seen.add(textval)
+
+
+def _check_objective(terms, constant, lineno, index):
+    filled = set()
+    for coeff, varname, col in terms:
+        i = index.get(varname)
+        if i is None:
+            raise LpParseError(lineno, col, f"non-binary variable {varname!r}")
+        if i in filled:
+            raise LpParseError(lineno, col, f"duplicate variable {varname!r} in objective")
+        if _beyond_objective_cap(coeff):
+            raise LpParseError(lineno, col, "objective coefficient overflow")
+        filled.add(i)
+    if _beyond_objective_cap(constant):
+        raise LpParseError(lineno, 1, "objective constant overflow")
+
+
+def _check_row(terms, rhs, lineno, index):
+    used = set()
+    for coeff, varname, col in terms:
+        i = index.get(varname)
+        if i is None:
+            raise LpParseError(lineno, col, f"non-binary variable {varname!r}")
+        if i in used:
+            raise LpParseError(lineno, col, f"duplicate variable {varname!r} in constraint")
+        used.add(i)
+        if coeff.denominator != 1:
+            raise LpParseError(lineno, col, "constraint coefficients must be integers")
+        a = int(coeff)
+        if a == 0:
+            raise LpParseError(lineno, col, "zero coefficient")
+        if abs(a) > MAX_COEFFICIENT:
+            raise LpParseError(lineno, col, "integer overflow in coefficient")
+    if abs(rhs) > MAX_RHS:
+        raise LpParseError(lineno, 1, "integer overflow in right-hand side")
+
+
+def _locate(scan, *args):
+    """Re-read a line that failed a pattern or a check; `scan` raises its LpParseError."""
+    scan(*args)
+    raise AssertionError(f"{scan.__name__} accepts a line the LP patterns reject: {args}")
+
+
+def _read_objective(line, lineno):
+    """(names, coefficients, constant, within the caps) of the objective line.
+
+    Raises the scanner's LpParseError for a malformed line; the variables
+    and caps are checked later, once the Binary section is read.
+    """
+    label = _LABEL_RE.match(line)
+    terms = None if label is None else _terms(line[label.end():])
+    if terms is None:
+        _locate(_scan_objective, line, lineno)
+    literals, names, constants = terms
+    constants = list(map(_signed_number, filter(None, constants)))
+    if constants:  # a constant's match carries no name
+        literals, names = tuple(compress(literals, names)), tuple(filter(None, names))
+    values = {literal: _signed_number(literal) for literal in set(literals)}
+    if None in values.values() or None in constants:
+        _locate(_scan_objective, line, lineno)
+    values = {literal: Fraction(value) for literal, value in values.items()}
+    constant = sum(constants, Fraction(0))
+    within_caps = not any(map(_beyond_objective_cap, values.values())) and not _beyond_objective_cap(constant)
+    return names, list(map(values.__getitem__, literals)), constant, within_caps
+
+
 def parse_lp(text, name="instance"):
     """Parse the LP subset: Minimize / Subject To / Binary / End sections.
 
     Lines starting with a backslash are comments.  Variables are declared in
     the Binary section and appear in first-declaration order in the instance.
+
+    Each line is read whole by patterns (a row through its skeleton; see the
+    notes above `_IDENT`) and its terms are checked in bulk; only a line
+    that fails is scanned again, token by token, for the line and column of
+    its first fault.  Faults of layout and numbers come first, line by line up to
+    'End'; then those of the objective's terms, then each row's in order,
+    then a repeated row name, reported at its second label.
     """
     lines = text.splitlines()
     total = len(lines)
-    cursor = 0
+    # (stripped line, line number) of every line that is neither blank nor a comment
+    content = ((s, k) for k, s in enumerate(map(str.strip, lines), 1) if s and s[0] != "\\")
+    past_end = (None, total)
 
-    def next_content():
-        nonlocal cursor
-        while cursor < total:
-            raw = lines[cursor]
-            cursor += 1
-            stripped = raw.strip()
-            if stripped and not stripped.startswith("\\"):
-                return stripped, cursor
-        return None, cursor
-
-    line, ln = next_content()
+    line, ln = next(content, past_end)
     if line != "Minimize":
         raise LpParseError(ln if line is not None else total or 1, 1, "expected 'Minimize'")
 
-    line, ln = next_content()
+    line, ln = next(content, past_end)
     if line is None:
         raise LpParseError(total or 1, 1, "missing objective line")
-    tokens = _tokenize(line, ln)
-    _, idx = _labelled_line(tokens, ln)
-    obj_terms, obj_constant, idx = _parse_terms(tokens, idx, ln, allow_constant=True)
-    if idx != len(tokens):
-        raise LpParseError(ln, tokens[idx][2], "trailing tokens after objective")
-    obj_lineno = ln
+    obj_names, obj_coeffs, obj_constant, obj_within_caps = _read_objective(line, ln)
+    obj_line, obj_lineno = line, ln
 
-    raw_constraints = []
-    line, ln = next_content()
+    raw_rows = []
+    row_shapes = {}  # skeleton -> (coefficients, relation, rhs)
+    line, ln = next(content, past_end)
     if line == "Subject To":
-        while True:
-            line, ln = next_content()
-            if line is None:
-                raise LpParseError(total, 1, "missing 'Binary' section")
+        for line, ln in content:
             if line == "Binary":
                 break
-            tokens = _tokenize(line, ln)
-            rowname, idx = _labelled_line(tokens, ln)
-            terms, _, idx = _parse_terms(tokens, idx, ln, allow_constant=False)
-            if not terms:
-                raise LpParseError(ln, 1, f"constraint {rowname!r} has no terms")
-            if idx >= len(tokens) or tokens[idx][1] not in _RELATIONS:
-                raise LpParseError(ln, tokens[idx - 1][2], "expected '<=', '>=' or '='")
-            relation = _RELATIONS[tokens[idx][1]]
-            idx += 1
-            sign = 1
-            if idx < len(tokens) and tokens[idx][0] == "op" and tokens[idx][1] in "+-":
-                sign = -1 if tokens[idx][1] == "-" else 1
-                idx += 1
-            if idx >= len(tokens) or tokens[idx][0] != "number":
-                raise LpParseError(ln, tokens[idx - 1][2], "expected right-hand side")
-            rhs = sign * _parse_number(tokens[idx][1], ln, tokens[idx][2])
-            if rhs.denominator != 1:
-                raise LpParseError(ln, tokens[idx][2], "right-hand side must be an integer")
-            idx += 1
-            if idx != len(tokens):
-                raise LpParseError(ln, tokens[idx][2], "trailing tokens after constraint")
-            raw_constraints.append((rowname, terms, relation, int(rhs), ln))
+            parts = _NAME_SPLIT_RE.split(line)  # [text, label, text, name, ..., name, text]
+            skeleton = tuple(parts[::2])
+            shape = row_shapes.get(skeleton)
+            if shape is None:
+                shape = _row_shape(skeleton)
+                if shape is None:
+                    _locate(_scan_row, line, ln)
+                row_shapes[skeleton] = shape
+            coeffs, relation, rhs = shape
+            if 0 in coeffs:
+                _scan_row(line, ln)  # raises for a malformed number; other faults wait their turn
+            raw_rows.append((parts[1], parts[3::2], coeffs, relation, rhs, line, ln))
+        else:
+            raise LpParseError(total, 1, "missing 'Binary' section")
     if line != "Binary":
         raise LpParseError(ln if line is not None else total or 1, 1, "expected 'Binary'")
 
     var_names = []
     seen = set()
-    while True:
-        line, ln = next_content()
-        if line is None:
-            raise LpParseError(total, 1, "missing 'End'")
+    for line, ln in content:
         if line == "End":
             break
-        for kind, textval, col in _tokenize(line, ln):
-            if kind != "ident":
-                raise LpParseError(ln, col, "expected variable name")
-            if textval in seen:
-                raise LpParseError(ln, col, f"duplicate variable {textval!r}")
-            seen.add(textval)
-            var_names.append(textval)
-    line, ln = next_content()
+        names = _binary_names(line)
+        if names is None or not seen.isdisjoint(names) or len(set(names)) != len(names):
+            _locate(_scan_binary, line, ln, seen)
+        seen.update(names)
+        var_names.extend(names)
+    else:
+        raise LpParseError(total, 1, "missing 'End'")
+    line, ln = next(content, past_end)
     if line is not None:
         raise LpParseError(ln, 1, "content after 'End'")
 
     index = {nm: i for i, nm in enumerate(var_names)}
+    obj_index = list(map(index.get, obj_names))
+    if None in obj_index or len(set(obj_index)) != len(obj_index) or not obj_within_caps:
+        _locate(_check_objective, *_scan_objective(obj_line, obj_lineno), obj_lineno, index)
     objective = [Fraction(0)] * len(var_names)
-    filled = set()
-    for coeff, varname, col in obj_terms:
-        i = index.get(varname)
-        if i is None:
-            raise LpParseError(obj_lineno, col, f"non-binary variable {varname!r}")
-        if i in filled:
-            raise LpParseError(obj_lineno, col, f"duplicate variable {varname!r} in objective")
-        if _beyond_objective_cap(coeff):
-            raise LpParseError(obj_lineno, col, "objective coefficient overflow")
-        filled.add(i)
-        objective[i] = coeff
-    if _beyond_objective_cap(obj_constant):
-        raise LpParseError(obj_lineno, 1, "objective constant overflow")
+    for i, c in zip(obj_index, obj_coeffs):
+        objective[i] = c
 
     constraints = []
-    for rowname, terms, relation, rhs, ln in raw_constraints:
-        row = []
-        used = set()
-        for coeff, varname, col in terms:
-            i = index.get(varname)
-            if i is None:
-                raise LpParseError(ln, col, f"non-binary variable {varname!r}")
-            if i in used:
-                raise LpParseError(ln, col, f"duplicate variable {varname!r} in constraint")
-            used.add(i)
-            if coeff.denominator != 1:
-                raise LpParseError(ln, col, "constraint coefficients must be integers")
-            a = int(coeff)
-            if a == 0:
-                raise LpParseError(ln, col, "zero coefficient")
-            if abs(a) > MAX_COEFFICIENT:
-                raise LpParseError(ln, col, "integer overflow in coefficient")
-            row.append((i, a))
-        if abs(rhs) > MAX_RHS:
-            raise LpParseError(ln, 1, "integer overflow in right-hand side")
-        constraints.append(LinearConstraint(rowname, tuple(row), relation, rhs))
+    for rowname, names, coeffs, relation, rhs, line, ln in raw_rows:
+        idx = tuple(map(index.get, names))
+        if None in idx or 0 in coeffs or len(set(idx)) != len(idx) or not -MAX_RHS <= rhs <= MAX_RHS:
+            _locate(_check_row, *_scan_row(line, ln), ln, index)
+        constraints.append(LinearConstraint(rowname, tuple(zip(idx, coeffs)), relation, rhs))
+    if len({con.name for con in constraints}) != len(constraints):
+        labels = set()
+        for rowname, *_, ln in raw_rows:
+            if rowname in labels:  # the label opens the (stripped) line
+                raise LpParseError(ln, 1, f"duplicate constraint name {rowname!r}")
+            labels.add(rowname)
 
-    try:
-        return ILPInstance(var_names, objective, constraints, obj_constant, name=name)
-    except ModelError as exc:
-        raise LpParseError(1, 1, str(exc)) from None
+    return ILPInstance(var_names, objective, constraints, obj_constant, name=name)
 
 
 def _format_rational(q: Fraction) -> str:

@@ -66,6 +66,23 @@ class RunReport:
     primal_max_depth: int = 0
     trace: list = field(default_factory=list)
 
+    @property
+    def gap(self):
+        """min(1, (ub - lb) / max(|ub|, |lb|)); 0 once infeasibility is proven, None without a solution.
+
+        Both bounds 0 read as 0, and a lower bound within the solver's
+        tolerance above the solution clamps to 0.
+        """
+        if self.status == INFEASIBLE:
+            return 0.0
+        if self.objective_value is None:
+            return None
+        ub = float(self.objective_value)
+        scale = max(abs(ub), abs(self.lower_bound))
+        if scale == 0:
+            return 0.0
+        return min(1.0, max(0.0, (ub - self.lower_bound) / scale))
+
 
 def _effective_budget(option_value, num_vars):
     if option_value is None:

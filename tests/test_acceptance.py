@@ -36,6 +36,7 @@ from bddsolve.model import (
 )
 from bddsolve.primal import _path_counts, primal_search
 from bddsolve.testkit import brute_force_solve, mrf_instance, random_ilp
+from bdd_queries import journal, solutions
 from reference_algebra import (
     COUNTING,
     LOG_PARTITION,
@@ -108,7 +109,7 @@ def _state_for(instance, smoothing=0.0, averaging=UNIFORM):
 
 def _snapshot(bdd):
     return (list(bdd.lo), list(bdd.hi), list(bdd.indeg), bdd.root,
-            len(bdd.journal))
+            len(journal(bdd)))
 
 
 # -- 1: row diagrams encode exactly the satisfying set ------------------------
@@ -123,7 +124,7 @@ def test_c01_row_diagrams_match_enumeration():
             k = len(con.terms)
             diagram = build_bdd(con)
             want = _brute_solutions(con, k)
-            assert diagram.solutions() == want, f"row {t} disagrees with enumeration"
+            assert solutions(diagram) == want, f"row {t} disagrees with enumeration"
             nonempty += bool(want)
         assert nonempty > 400  # the sampler must mostly produce satisfiable rows
 
@@ -137,11 +138,11 @@ def test_c02_unit_sum_diagram_shape_and_fixing():
         diagram = build_bdd(con)
         assert diagram.support == (1, 3, 7)
         assert diagram.node_count() == 5
-        assert diagram.solutions() == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
+        assert solutions(diagram) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
         token = diagram.checkpoint()
         assert diagram.fix(3, 1)
         assert diagram.node_count() == 3
-        assert diagram.solutions() == {(0, 1, 0)}
+        assert solutions(diagram) == {(0, 1, 0)}
         diagram.rollback(token)
         assert diagram.node_count() == 5
 
@@ -284,7 +285,7 @@ def test_c05_smoothed_energy_sandwich():
             if state.infeasible:
                 continue
             for j, diagram in enumerate(bdds):
-                sols = diagram.solutions()
+                sols = solutions(diagram)
                 if not sols:
                     continue
                 lam = state.duals[j]

@@ -7,6 +7,7 @@ from bddsolve.bdd import FALSE, build_bdd
 from bddsolve.dual import min_marginals
 from bddsolve.model import LinearConstraint, Relation
 from bddsolve.primal import _path_counts
+from bdd_queries import solutions
 from reference_algebra import (
     COUNTING,
     LOG_PARTITION,
@@ -47,7 +48,7 @@ def path_cost(bits, thetas):
 
 
 def brute_min_marginals(bdd, thetas):
-    sols = bdd.solutions()
+    sols = solutions(bdd)
     out = []
     for lev in range(bdd.num_levels):
         pair = []
@@ -159,7 +160,7 @@ def test_min_marginals_match_enumeration():
         want = brute_min_marginals(b, thetas)
         for g, w in zip(got, want):
             assert g == pytest.approx(w)
-        best = min(path_cost(s, thetas) for s in b.solutions())
+        best = min(path_cost(s, thetas) for s in solutions(b))
         assert subproblem_energy(b, store, MIN_MARGINAL) == pytest.approx(best)
         assert forward_energy(b, store, thetas[-1], MIN_MARGINAL) == pytest.approx(best)
 
@@ -173,7 +174,7 @@ def test_counting_marginals_match_enumeration():
             continue
         store = MessageStore(b, COUNTING)
         got = marginal_sweep(b, store, [0] * b.num_levels, COUNTING)
-        sols = b.solutions()
+        sols = solutions(b)
         for lev, (n0, n1) in enumerate(got):
             assert n0 == sum(1 for s in sols if s[lev] == 0)
             assert n1 == sum(1 for s in sols if s[lev] == 1)
@@ -190,7 +191,7 @@ def test_log_partition_matches_enumeration():
         thetas = [rng.uniform(-3, 3) for _ in range(b.num_levels)]
         store = MessageStore(b, LOG_PARTITION)
         got = marginal_sweep(b, store, thetas, LOG_PARTITION)
-        sols = b.solutions()
+        sols = solutions(b)
         for lev, pair in enumerate(got):
             for val in (0, 1):
                 terms = [math.exp(path_cost(s, thetas)) for s in sols if s[lev] == val]
@@ -213,7 +214,7 @@ def test_soft_min_sandwiches_the_minimum():
         soft_store = MessageStore(b, LOG_PARTITION)
         backward_sweep(b, soft_store, [-t / alpha for t in lam], LOG_PARTITION)
         soft = -alpha * subproblem_energy(b, soft_store, LOG_PARTITION)
-        n = len(b.solutions())
+        n = len(solutions(b))
         assert soft <= hard + 1e-9
         assert soft >= hard - alpha * math.log(n) - 1e-9
 

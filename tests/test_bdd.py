@@ -13,6 +13,7 @@ from bddsolve.testkit import (
     random_ilp,
     tomography_instance,
 )
+from bdd_queries import journal, level_of, solutions
 
 
 def row(terms, relation, rhs, name="r"):
@@ -52,7 +53,7 @@ def minimal_node_count(solutions, k):
 
 
 def snapshot(bdd):
-    return (list(bdd.lo), list(bdd.hi), list(bdd.indeg), bdd.root, len(bdd.journal))
+    return (list(bdd.lo), list(bdd.hi), list(bdd.indeg), bdd.root, len(journal(bdd)))
 
 
 def random_row(rng, max_vars=8):
@@ -72,7 +73,7 @@ def test_pick_one_of_three():
     b = build_bdd(row([(0, 1), (1, 1), (2, 1)], Relation.EQ, 1))
     assert b.support == (0, 1, 2)
     assert b.node_count() == 5
-    assert b.solutions() == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
+    assert solutions(b) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
     b.check_invariants(reduced=True)
 
 
@@ -98,7 +99,7 @@ def test_check_invariants_rejects_misleveled_nodes():
 def test_force_both_zero():
     b = build_bdd(row([(0, 1), (1, 1)], Relation.LE, 0))
     assert b.node_count() == 2
-    assert b.solutions() == {(0, 0)}
+    assert solutions(b) == {(0, 0)}
 
 
 def test_unsatisfiable_row_is_empty_sentinel():
@@ -106,7 +107,7 @@ def test_unsatisfiable_row_is_empty_sentinel():
     assert b.root == FALSE
     assert b.is_empty()
     assert b.node_count() == 0
-    assert b.solutions() == set()
+    assert solutions(b) == set()
 
 
 def test_vacuous_row_keeps_its_level():
@@ -114,18 +115,18 @@ def test_vacuous_row_keeps_its_level():
     b = build_bdd(row([(0, 1)], Relation.LE, 1))
     assert b.node_count() == 1
     assert b.lo[b.root] == TRUE and b.hi[b.root] == TRUE
-    assert b.solutions() == {(0,), (1,)}
+    assert solutions(b) == {(0,), (1,)}
 
 
 def test_empty_support_sentinels():
     assert not build_bdd(row([], Relation.LE, 0)).is_empty()
     assert build_bdd(row([], Relation.EQ, 1)).is_empty()
-    assert build_bdd(row([], Relation.LE, 0)).solutions() == {()}
+    assert solutions(build_bdd(row([], Relation.LE, 0))) == {()}
 
 
 def test_ge_row_matches_negation():
     b = build_bdd(row([(0, 2), (1, 1), (2, 3)], Relation.GE, 3))
-    assert b.solutions() == brute_solutions(row([(0, 2), (1, 1), (2, 3)], Relation.GE, 3), (0, 1, 2))
+    assert solutions(b) == brute_solutions(row([(0, 2), (1, 1), (2, 3)], Relation.GE, 3), (0, 1, 2))
 
 
 def test_positions_reorder_support():
@@ -137,7 +138,7 @@ def test_positions_reorder_support():
     positions[5], positions[9] = 2, 0
     b2 = build_bdd(row(terms, Relation.EQ, 1), positions)
     assert b2.support == (9, 2, 5)
-    assert b2.solutions() == b.solutions()
+    assert solutions(b2) == solutions(b)
 
 
 def test_build_is_deterministic():
@@ -156,7 +157,7 @@ def test_state_budget_enforced():
 def test_enumeration_cap():
     c = row([(i, 1) for i in range(6)], Relation.LE, 3)
     with pytest.raises(BddError):
-        build_bdd(c).solutions(cap=5)
+        solutions(build_bdd(c), cap=5)
 
 
 def test_random_rows_match_brute_force_and_are_minimal():
@@ -168,7 +169,7 @@ def test_random_rows_match_brute_force_and_are_minimal():
         if not expect:
             assert b.is_empty()
             continue
-        assert b.solutions(cap=10) == expect
+        assert solutions(b, cap=10) == expect
         b.check_invariants(reduced=True)
         assert b.node_count() == minimal_node_count(expect, len(b.support))
 
@@ -194,11 +195,11 @@ def test_fix_narrows_pick_one_of_three():
     token = b.checkpoint()
     assert b.fix(1, 1)
     assert b.node_count() == 3
-    assert b.solutions() == {(0, 1, 0)}
+    assert solutions(b) == {(0, 1, 0)}
     assert sorted(b.forced_literals()) == [(0, 0), (1, 1), (2, 0)]
     b.check_invariants()
     b.rollback(token)
-    assert b.solutions() == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
+    assert solutions(b) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
 
 
 def test_conflicting_fixes_empty_the_diagram():
@@ -232,11 +233,11 @@ def test_nested_checkpoints():
     mid = snapshot(b)
     t2 = b.checkpoint()
     b.fix(1, 1)
-    assert b.solutions() == {(0, 1, 1, 0), (0, 1, 0, 1)}
+    assert solutions(b) == {(0, 1, 1, 0), (0, 1, 0, 1)}
     b.rollback(t2)
     assert snapshot(b) == mid
     b.rollback(t1)
-    assert b.solutions() == {s for s in itertools.product((0, 1), repeat=4) if sum(s) == 2}
+    assert solutions(b) == {s for s in itertools.product((0, 1), repeat=4) if sum(s) == 2}
     with pytest.raises(BddError):
         b.rollback(t2)  # invalidated by rolling back its parent
 
@@ -277,7 +278,7 @@ def test_fix_sequences_match_filtered_brute_force():
         rng.shuffle(order)
         for var in order[: rng.randint(1, len(order))]:
             val = rng.randint(0, 1)
-            lev = b.level_of(var)
+            lev = level_of(b, var)
             live = {v for v in node_level if b.lo[v] != FALSE or b.hi[v] != FALSE}
             alive = b.fix(var, val)
             remaining = {s for s in remaining if s[lev] == val}
@@ -287,15 +288,15 @@ def test_fix_sequences_match_filtered_brute_force():
             # a node is removed when both its arcs end on the false terminal
             removed = [v for v in live if b.lo[v] == FALSE and b.hi[v] == FALSE]
             upward += len({node_level[v] for v in removed if node_level[v] < lev}) >= 2
-            assert b.solutions(cap=10) == remaining
+            assert solutions(b, cap=10) == remaining
             b.check_invariants()
             forced = b.forced_literals()
             assert (var, val) in forced
             for fvar, fval in forced:
-                flev = b.level_of(fvar)
+                flev = level_of(b, fvar)
                 assert all(s[flev] == fval for s in remaining)
         b.rollback(token)
-        assert b.solutions(cap=10) == brute_solutions(c, b.support)
+        assert solutions(b, cap=10) == brute_solutions(c, b.support)
     assert wide >= 40
     assert upward > 50  # fixes that removed nodes on two or more levels above their own
 
@@ -316,8 +317,8 @@ def test_journal_stays_small():
     b.checkpoint()
     for i in range(k - 1):
         assert b.fix(i, 0)
-    assert b.solutions() == {tuple(1 if i == k - 1 else 0 for i in range(k))}
-    assert len(b.journal) <= 4 * initial
+    assert solutions(b) == {tuple(1 if i == k - 1 else 0 for i in range(k))}
+    assert len(journal(b)) <= 4 * initial
 
 
 # -- the shared trail ---------------------------------------------------------
@@ -341,7 +342,7 @@ def test_one_checkpoint_restores_several_diagrams():
     assert cap.fix(2, 1)
     assert exact(pick) != before[0] and exact(cap) != before[1]
     assert {id(owner) for owner, _ in trail.records} == {id(pick), id(cap)}
-    assert len(pick.journal) + len(cap.journal) == len(trail.records) and idle.journal == []
+    assert len(journal(pick)) + len(journal(cap)) == len(trail.records) and journal(idle) == []
     trail.rollback(token)
     assert [exact(b) for b in bdds] == before
     assert trail.records == [] and trail.marks == []
@@ -368,7 +369,7 @@ def test_stale_trail_mark_raises():
     b.fix(1, 1)
     with pytest.raises(BddError):
         trail.rollback(first)
-    assert [m[0] for m in trail.marks] == [second] and len(b.journal) > 0
+    assert [m[0] for m in trail.marks] == [second] and len(journal(b)) > 0
     inner = trail.checkpoint()
     trail.rollback(second)
     with pytest.raises(BddError):

@@ -320,3 +320,18 @@ def test_subprocess_runs_are_identical(tmp_path, cli_env):
     second = subprocess.run(cmd, capture_output=True, text=True, env=cli_env)
     assert first.returncode == 0 and second.returncode == 0
     assert _mask_times(first.stdout) == _mask_times(second.stdout)
+
+
+def test_json_reports_the_gap(small_file, tmp_path, capsys):
+    assert main(["solve", small_file]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    ub, lb = payload["upper_bound"], payload["lower_bound"]
+    assert payload["gap"] == min(1.0, max(0.0, (ub - lb) / max(abs(ub), abs(lb))))
+    infeasible = tmp_path / "bad.lp"
+    infeasible.write_text(INFEASIBLE)
+    assert main(["solve", str(infeasible)]) == 2
+    assert json.loads(capsys.readouterr().out)["gap"] == 0.0
+    unsolved = tmp_path / "grid.lp"
+    unsolved.write_text(write_lp(mrf_instance(2, 2, 2, seed=1)))
+    assert main(["solve", str(unsolved), "--node-budget", "1"]) == 3
+    assert json.loads(capsys.readouterr().out)["gap"] is None

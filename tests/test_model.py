@@ -179,6 +179,57 @@ def test_instance_validation_rejects_bad_rows():
     ILPInstance(["x"], [Fraction(-(1 << 60))], [], objective_offset=Fraction(1 << 60))
 
 
+def _row(name, terms, rhs=1):
+    return LinearConstraint(name, terms, Relation.LE, rhs)
+
+
+# (case, ILPInstance arguments, message of the first fault), recorded from the per-item checks
+VALIDATION_FAULTS = [
+    ("objective length", (["x", "y"], [Fraction(1)], []), "objective length does not match variable count"),
+    ("repeated name", (["x", "x"], [Fraction(1)] * 2, []), "duplicate variable name"),
+    ("name with a space", (["x", "a b"], [Fraction(1)] * 2, []), "invalid variable name 'a b'"),
+    ("empty name", (["x", ""], [Fraction(1)] * 2, []), "invalid variable name ''"),
+    ("name ending in a newline", (["x\n"], [Fraction(1)], []), "invalid variable name 'x\\n'"),
+    ("objective overflow", (["x", "y"], [Fraction(1), Fraction(-(1 << 60) - 1)], []),
+     "objective coefficient overflow for variable 'y'"),
+    ("offset overflow", (["x"], [Fraction(1)], [], Fraction(1 << 61)), "objective constant overflow"),
+    ("repeated row name", (["x", "y"], [Fraction(1)] * 2, [_row("c", ((0, 1),)), _row("c", ((1, 1),))]),
+     "duplicate constraint name 'c'"),
+    ("unknown index", (["x"], [Fraction(1)], [_row("c", ((0, 1), (1, 1)))]),
+     "constraint 'c' references unknown variable index 1"),
+    ("negative index", (["x"], [Fraction(1)], [_row("c", ((-1, 1),))]),
+     "constraint 'c' references unknown variable index -1"),
+    ("repeated variable", (["x", "y"], [Fraction(1)] * 2, [_row("c", ((0, 1), (1, 1), (0, 2)))]),
+     "duplicate variable in constraint 'c'"),
+    ("zero coefficient", (["x"], [Fraction(1)], [_row("c", ((0, 0),))]), "zero coefficient in constraint 'c'"),
+    ("coefficient overflow", (["x"], [Fraction(1)], [_row("c", ((0, -(1 << 20) - 1),))]),
+     "coefficient overflow in constraint 'c'"),
+    ("rhs overflow", (["x"], [Fraction(1)], [_row("c", ((0, 1),), -(1 << 40) - 1)]),
+     "right-hand side overflow in constraint 'c'"),
+    ("first of two faulty rows", (["x", "y"], [Fraction(1)] * 2, [_row("a", ((0, 1), (0, 1))), _row("b", ((5, 1),))]),
+     "duplicate variable in constraint 'a'"),
+    ("rhs fault before a later row's", (["x"], [Fraction(1)], [_row("a", ((0, 1),), 1 << 41), _row("b", ((0, 0),))]),
+     "right-hand side overflow in constraint 'a'"),
+    ("row fault before a repeated name", (["x"], [Fraction(1)], [_row("a", ((0, 0),)), _row("a", ((0, 1),))]),
+     "zero coefficient in constraint 'a'"),
+]
+
+
+@pytest.mark.parametrize("args,message", [c[1:] for c in VALIDATION_FAULTS], ids=[c[0] for c in VALIDATION_FAULTS])
+def test_instance_validation_names_the_first_fault(args, message):
+    with pytest.raises(ModelError) as err:
+        ILPInstance(*args)
+    assert str(err.value) == message
+
+
+def test_instance_keeps_its_own_objective_list():
+    given = [Fraction(1), 2]
+    inst = ILPInstance(["x", "y"], given, [])
+    assert inst.objective == [Fraction(1), Fraction(2)] and all(type(c) is Fraction for c in inst.objective)
+    given[0] = Fraction(5)
+    assert inst.objective[0] == 1
+
+
 def test_check_assignment_and_objective():
     inst = parse_lp(SIMPLE)
     assert inst.check_assignment([1, 0])

@@ -19,6 +19,7 @@ from bddsolve.primal import (
     rollback_all,
 )
 from bddsolve.testkit import brute_force_solve, graph_matching_instance, mrf_instance, random_ilp
+from bdd_queries import journal
 from reference_algebra import COUNTING, MIN_MARGINAL, MessageStore, marginal_sweep
 
 
@@ -41,7 +42,7 @@ def inst(names, objective, rows):
 
 def snapshot_all(bdds):
     return [
-        (list(b.lo), list(b.hi), list(b.indeg), b.root, len(b.journal))
+        (list(b.lo), list(b.hi), list(b.indeg), b.root, len(journal(b)))
         for b in bdds
     ]
 

@@ -1,6 +1,7 @@
 import inspect
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -315,3 +316,21 @@ End
     assert report.solution == [1, 0]
     assert report.objective_value == Fraction(0)
     assert report.lower_bound == pytest.approx(0.0)
+
+
+def test_report_gap():
+    solved = solve_instance(parse_lp(SMALL, name="small"))
+    ub, lb = float(solved.objective_value), solved.lower_bound
+    assert solved.gap == min(1.0, max(0.0, (ub - lb) / max(abs(ub), abs(lb))))
+    infeasible = solve_instance(random_ilp(6, 4, seed=77))
+    assert infeasible.status == INFEASIBLE and infeasible.gap == 0.0
+    unsolved = solve_instance(mrf_instance(2, 2, 2, seed=1), SolveOptions(primal_budget=1))
+    assert unsolved.status == DUAL_ONLY and unsolved.gap is None
+
+    def report(lb, ub):
+        return replace(solved, lower_bound=lb, objective_value=Fraction(ub))
+
+    assert report(-4.0, -2).gap == 0.5
+    assert report(-100.0, 10).gap == 1.0  # capped
+    assert report(0.0, 0).gap == 0.0
+    assert report(3.0 + 1e-9, 3).gap == 0.0  # a bound within tolerance above the solution
