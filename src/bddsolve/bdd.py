@@ -14,12 +14,13 @@ cascading down, and nodes left with both arcs on the false terminal are
 removed one level at a time going up, each step scanning the level above
 for arcs into the nodes just removed.
 
-Every mutation is an arc redirect, written as a `(diagram, (node, bit,
-old child))` undo record to a `Trail`.  A lone diagram gets a trail of its
-own at its first checkpoint; the rounding search attaches all diagrams to
-one shared trail, so a checkpoint is a single mark on it and a rollback
-undoes only the records written since that mark, whichever diagrams they
-belong to.  Restoration is bit-exact.
+Every mutation is an arc redirect, written as an undo record to a
+`Trail`: three flat entries, the diagram, `node * 2 + bit` and the old
+child.  A lone diagram gets a trail of its own at its first checkpoint;
+the rounding search attaches all diagrams to one shared trail, so a
+checkpoint is a single mark on it and a rollback undoes only the records
+written since that mark, whichever diagrams they belong to.  Restoration
+is bit-exact.
 
 Within one instance, rows of one shape (see `build_bdd`) may share a
 single `level_nodes` structure.  Nothing ever mutates it: fixing and
@@ -49,17 +50,18 @@ class BddBuildError(BddError):
 class Trail:
     """Undo records of every diagram attached to it, oldest first.
 
-    A checkpoint marks the current record count under a token that is never
-    reused; rolling back to it pops the records written since, restoring
-    each diagram's arcs and arc counters, and closes every checkpoint
-    opened after it.
+    One record is three flat entries of `records`: the diagram, `node * 2 +
+    bit` and the child the arc pointed at before.  A checkpoint marks the
+    current length of `records` under a token that is never reused; rolling
+    back to it pops the records written since, restoring each diagram's arcs
+    and arc counters, and closes every checkpoint opened after it.
     """
 
     __slots__ = ("records", "marks", "_last_token")
 
     def __init__(self):
-        self.records = []  # (diagram, entry), oldest first
-        self.marks = []  # (token, record count), oldest first
+        self.records = []  # diagram, node * 2 + bit, old child per redirect, oldest first
+        self.marks = []  # (token, length of records), oldest first
         self._last_token = 0
 
     def attach(self, bdds):
@@ -87,9 +89,13 @@ class Trail:
         keep = marks[idx][1]
         del marks[idx:]
         records = self.records
+        pop = records.pop
         while len(records) > keep:
-            bdd, (u, bit, old) = records.pop()
-            arr = bdd.hi if bit else bdd.lo
+            old = pop()
+            arc = pop()
+            bdd = pop()
+            arr = bdd.hi if arc & 1 else bdd.lo
+            u = arc >> 1
             indeg = bdd.indeg
             indeg[arr[u]] -= 1
             arr[u] = old
@@ -220,7 +226,7 @@ class Bdd:
         for v in self.level_nodes[lev]:
             target = arr[v]
             if target != FALSE:
-                journal.append((self, (v, bit, target)))
+                journal += (self, v * 2 + bit, target)
                 arr[v] = FALSE
                 indeg[FALSE] += 1
                 indeg[target] -= 1
@@ -240,14 +246,14 @@ class Bdd:
                 lost = False
                 child = lo[u]
                 if child >= 2 and lo[child] == FALSE and hi[child] == FALSE:
-                    journal.append((self, (u, 0, child)))
+                    journal += (self, u * 2, child)
                     lo[u] = FALSE
                     indeg[FALSE] += 1
                     indeg[child] -= 1
                     lost = True
                 child = hi[u]
                 if child >= 2 and lo[child] == FALSE and hi[child] == FALSE:
-                    journal.append((self, (u, 1, child)))
+                    journal += (self, u * 2 + 1, child)
                     hi[u] = FALSE
                     indeg[FALSE] += 1
                     indeg[child] -= 1
@@ -271,7 +277,7 @@ class Bdd:
             for bit, arr in arcs:
                 child = arr[v]
                 if child != FALSE:
-                    journal.append((self, (v, bit, child)))
+                    journal += (self, v * 2 + bit, child)
                     arr[v] = FALSE
                     indeg[FALSE] += 1
                     indeg[child] -= 1

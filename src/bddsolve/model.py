@@ -23,6 +23,9 @@ from operator import itemgetter
 MAX_COEFFICIENT = 1 << 20
 MAX_RHS = 1 << 40
 MAX_OBJECTIVE = 1 << 60  # |objective coefficient| and |offset|; keeps every dual sum finite
+# Longest number the parser reads.  Every cap above is far shorter, and no
+# setting of Python's digit limit for int() (640 at least) rejects it.
+MAX_DIGITS = 640
 
 IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.\-]*\Z")
 
@@ -205,10 +208,12 @@ _RELATIONS = {"<=": Relation.LE, ">=": Relation.GE, "=": Relation.EQ}
 
 
 def _signed_number(literal):
-    """Value of a matched `[+-] [number]` literal (1 without a number), None if malformed."""
+    """Value of a matched `[+-] [number]` literal (1 without a number), None if malformed or too long."""
     digits = literal.lstrip("+- \t")
     if not digits:
         value = 1
+    elif len(digits) > MAX_DIGITS:
+        return None
     elif digits.isdecimal():  # plain digits: an int, much cheaper than a Fraction
         value = int(digits)
     else:
@@ -292,6 +297,8 @@ def _tokenize(line, lineno):
 
 def _parse_number(text, lineno, col):
     """An int for plain digits (the common case, and much cheaper), else a Fraction."""
+    if len(text) > MAX_DIGITS:
+        raise LpParseError(lineno, col, f"number too long ({len(text)} characters)")
     if text.isdecimal():
         return int(text)
     try:

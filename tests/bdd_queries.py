@@ -1,15 +1,21 @@
-"""Diagram queries that only the tests use: undo entries, levels, and path enumeration."""
+"""Diagram queries that only the tests use: undo records, levels, and path enumeration."""
 
 from bddsolve.bdd import FALSE, TRUE, BddError
 
 DEFAULT_ENUMERATION_CAP = 25
 
 
+def trail_records(trail):
+    """`(diagram, (node, bit, old child))` per undo record of `trail`, oldest first."""
+    flat = trail.records
+    return [(flat[k], (flat[k + 1] >> 1, flat[k + 1] & 1, flat[k + 2])) for k in range(0, len(flat), 3)]
+
+
 def journal(bdd):
     """This diagram's undo entries on its trail, oldest first."""
     if bdd.trail is None:
         return []
-    return [entry for owner, entry in bdd.trail.records if owner is bdd]
+    return [entry for owner, entry in trail_records(bdd.trail) if owner is bdd]
 
 
 def level_of(bdd, var):

@@ -16,6 +16,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
 
+from bddsolve import dual
 from bddsolve.bdd import build_bdd
 from bddsolve.dual import (
     SRMP,
@@ -522,26 +523,35 @@ def _timed_dual(instance, passes):
     start = time.perf_counter()
     report = run(state, max_passes=passes, tolerance=0.0)
     elapsed = time.perf_counter() - start
-    return report, nodes, elapsed
+    return report, nodes, elapsed, state.store is not None
 
 
-def test_c11_pass_time_scales_with_nodes():
+# both sizes on the list kernels, then both on the array store: the store's
+# per-node time is several times lower, so mixing the two would compare kernels
+PATHS = {"lists": {"ARRAY_MIN_NODES": 1 << 62}, "array store": {"ARRAY_MIN_NODES": 0, "ARRAY_MIN_WAVE_NODES": 1}}
+
+
+def test_c11_pass_time_scales_with_nodes(monkeypatch):
     with criterion("criterion 11 (linear scaling smoke test)", budget=60.0):
         small = mrf_instance(10, 10, 2, seed=0)
         large = mrf_instance(30, 30, 2, seed=0)
         assert large.num_vars > 8000
 
-        report_s, nodes_s, time_s = _timed_dual(small, passes=20)
-        report_l, nodes_l, time_l = _timed_dual(large, passes=20)
-        assert report_l.passes == 20
+        for path, constants in PATHS.items():
+            for name, value in constants.items():
+                monkeypatch.setattr(dual, name, value)
+            report_s, nodes_s, time_s, array_s = _timed_dual(small, passes=20)
+            report_l, nodes_l, time_l, array_l = _timed_dual(large, passes=20)
+            assert report_l.passes == 20
+            assert array_s == array_l == (path == "array store")
 
-        bounds = [t.lower_bound for t in report_l.trace]
-        for a, b in zip(bounds, bounds[1:]):
-            assert b >= a - 1e-6 * max(1.0, abs(a)), "bound not monotone"
+            bounds = [t.lower_bound for t in report_l.trace]
+            for a, b in zip(bounds, bounds[1:]):
+                assert b >= a - 1e-6 * max(1.0, abs(a)), f"bound not monotone ({path})"
 
-        ratio_small = time_s / nodes_s
-        ratio_large = time_l / nodes_l
-        assert ratio_large <= 3.0 * ratio_small, (
-            f"per-node time grew: {ratio_large:.3e} vs {ratio_small:.3e}")
-        assert ratio_large >= ratio_small / 3.0, (
-            f"per-node time shrank: {ratio_large:.3e} vs {ratio_small:.3e}")
+            ratio_small = time_s / nodes_s
+            ratio_large = time_l / nodes_l
+            assert ratio_large <= 3.0 * ratio_small, (
+                f"per-node time grew ({path}): {ratio_large:.3e} vs {ratio_small:.3e}")
+            assert ratio_large >= ratio_small / 3.0, (
+                f"per-node time shrank ({path}): {ratio_large:.3e} vs {ratio_small:.3e}")

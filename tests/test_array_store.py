@@ -1,0 +1,263 @@
+"""The min-sum array store against the list kernels it replaces on large states.
+
+A state takes the array store when it is min-sum, has at least
+`ARRAY_MIN_NODES` diagram nodes and at least `ARRAY_MIN_WAVE_NODES` nodes
+per wave.  The tests force either path by patching those constants, and
+require every result to be equal to the bit: pass bounds, cost copies,
+energies, reports and search outcomes.
+"""
+
+import math
+import subprocess
+import sys
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+
+from bddsolve import dual
+from bddsolve.bdd import Trail, build_bdd
+from bddsolve.dual import SRMP, UNIFORM, backward_pass, forward_pass, init_duals, mma_update, run
+from bddsolve.model import ILPInstance, LinearConstraint, Relation, decompose, order_variables, write_lp
+from bddsolve.primal import checkpoint_all, compute_scores, primal_search, restriction_propagation, rollback_all
+from bddsolve.solver import SolveOptions, solve_instance
+from bddsolve.testkit import (
+    cell_tracking_instance,
+    graph_matching_instance,
+    mrf_instance,
+    random_ilp,
+    tomography_instance,
+)
+
+GENERATORS = (
+    lambda s: random_ilp(9, 5, s),
+    lambda s: mrf_instance(2, 3, 3, s),
+    lambda s: graph_matching_instance(3, s),
+    lambda s: cell_tracking_instance(5, s),
+    lambda s: tomography_instance(6, 3, s),
+)
+
+
+def use(monkeypatch, array):
+    """Make every state built from here on take the array store, or the lists."""
+    if array:
+        monkeypatch.setattr(dual, "ARRAY_MIN_NODES", 0)
+        monkeypatch.setattr(dual, "ARRAY_MIN_WAVE_NODES", 1)
+    else:
+        monkeypatch.setattr(dual, "ARRAY_MIN_NODES", 1 << 62)
+
+
+def build_state(monkeypatch, instance, array, averaging=UNIFORM):
+    use(monkeypatch, array)
+    dec = decompose(instance)
+    bdds = [build_bdd(c, dec.positions) for c in instance.constraints]
+    state = init_duals(bdds, dec, instance.objective, 0.0, averaging)
+    assert (state.store is not None) == array
+    return state
+
+
+def bounds(report):
+    return [(t.pass_index, t.direction, repr(t.lower_bound)) for t in report.trace]
+
+
+def outcome(report):
+    """Everything a solve reports except its times."""
+    return (
+        report.status, report.termination, report.passes, repr(report.lower_bound), report.num_nodes,
+        [(t.pass_index, t.direction, repr(t.lower_bound)) for t in report.trace],
+        report.objective_value, report.solution, report.primal_attempts, report.primal_conflicts,
+        report.primal_backtracks, report.primal_max_depth,
+    )
+
+
+@pytest.mark.parametrize("averaging", [UNIFORM, SRMP])
+def test_runs_equal_the_list_kernels(averaging, monkeypatch):
+    kinds = Counter()
+    forcing = dual._forcing
+
+    def counted(diffs):
+        result = forcing(diffs)
+        kinds["proof" if result is None else "forced"] += 1
+        return result
+
+    for make in GENERATORS:
+        for seed in range(6):
+            problem = make(700 + seed)
+            lists = build_state(monkeypatch, problem, False, averaging)
+            want = run(lists, max_passes=30, tolerance=0.0)
+            array = build_state(monkeypatch, problem, True, averaging)
+            with monkeypatch.context() as m:
+                m.setattr(dual, "_forcing", counted)
+                got = run(array, max_passes=30, tolerance=0.0)
+            assert (got.termination, got.passes, bounds(got)) == (want.termination, want.passes, bounds(want))
+            assert repr(array.duals) == repr(lists.duals)
+            assert repr(array.energies) == repr(lists.energies)
+            assert array.infeasible == lists.infeasible
+    assert kinds["forced"] >= 500
+    assert kinds["proof"] >= 5
+
+
+def _two_proofs():
+    # forward pass order a, B, c, d, A.  A proves infeasibility (r0 against r1)
+    # in the first wave, B (r2 against r3) in the second; the sequential pass
+    # stops at B, so the wave steps of c and d (r4 and r5) must be undone
+    names = ["a", "B", "c", "d", "A"]
+    a, b, c, d, big_a = range(5)
+    rows = [
+        ((big_a, 1),), Relation.GE, 1,
+        ((big_a, 1),), Relation.LE, 0,
+        ((a, 1), (b, 1)), Relation.GE, 2,
+        ((b, 1),), Relation.LE, 0,
+        ((c, 1), (d, 1)), Relation.LE, 1,
+        ((c, 2), (d, 1)), Relation.GE, 1,
+    ]
+    rows = [rows[k : k + 3] for k in range(0, len(rows), 3)]
+    return ILPInstance(
+        names,
+        [Fraction(v) for v in (3, -1, -2, 5, 1)],
+        tuple(LinearConstraint(f"r{k}", t, rel, rhs) for k, (t, rel, rhs) in enumerate(rows)),
+    )
+
+
+def test_a_proof_undoes_the_steps_after_the_first_prover(monkeypatch):
+    problem = _two_proofs()
+    lists = build_state(monkeypatch, problem, False)
+    array = build_state(monkeypatch, problem, True)
+    assert list(array.store.wave[True]) == [0, 1, 0, 1, 0]  # A proves in the first wave, B in the second
+    before = [list(costs) for costs in array.duals]
+    assert forward_pass(lists) == forward_pass(array) == math.inf
+    assert array.infeasible and lists.infeasible
+    assert repr(array.duals) == repr(lists.duals)
+    # a's forced step moved nothing; c and d stepped in the waves, but come
+    # after B in pass order, so their steps are undone
+    assert array.duals == before
+
+
+def test_public_functions_equal_the_list_kernels(monkeypatch):
+    problem = mrf_instance(4, 4, 2, seed=5)
+    lists = build_state(monkeypatch, problem, False)
+    array = build_state(monkeypatch, problem, True)
+
+    def same():
+        assert repr(array.duals) == repr(lists.duals)
+        assert repr(array.energies) == repr(lists.energies)
+        assert repr(array.dual_value()) == repr(lists.dual_value())
+
+    same()
+    for a_pass in (forward_pass, backward_pass, forward_pass):
+        assert repr(a_pass(array)) == repr(a_pass(lists))
+        same()
+    array.refresh()
+    lists.refresh()
+    same()
+    # run twice, the first ending on a forward pass: the second starts from
+    # backward values older than the copies, on both paths alike
+    for passes in (5, 6):
+        want, got = run(lists, passes, 0.0), run(array, passes, 0.0)
+        assert (got.termination, got.passes, bounds(got)) == (want.termination, want.passes, bounds(want))
+        same()
+    assert array.store.schedule is None  # freed once the run returned
+    for strategy in ("neg_mm", "abs_mm", "reduction_aligned"):
+        want, got = compute_scores(lists, strategy), compute_scores(array, strategy)
+        assert (repr(got.margins), got.preference, got.order) == (repr(want.margins), want.preference, want.order)
+    want, got = primal_search(lists, budget=200), primal_search(array, budget=200)
+    assert (got.status, got.assignment, got.attempts, got.conflicts, got.backtracks, got.max_depth) == (
+        want.status, want.assignment, want.attempts, want.conflicts, want.backtracks, want.max_depth)
+    assert repr(run(array, 4, 0.0).lower_bound) == repr(run(lists, 4, 0.0).lower_bound)
+    same()
+
+
+def test_refresh_reads_restricted_diagrams(monkeypatch):
+    # the schedule copies the arcs when it is built, so after fixing or rolling
+    # back diagrams `refresh` brings the passes up to date, as on the lists
+    problem = mrf_instance(3, 3, 2, seed=2)
+    states = [build_state(monkeypatch, problem, array) for array in (False, True)]
+    for state in states:
+        run(state, 4, 0.0)
+        Trail().attach(state.bdds)
+    marks = [checkpoint_all(state.bdds) for state in states]
+    for state in states:
+        assignment = {}
+        for var in range(0, problem.num_vars, 4):
+            if var not in assignment:
+                restriction_propagation(state.bdds, state.slots, assignment, var, 1, [])
+    rounds = []
+    for restricted in (True, False):
+        for state in states:
+            state.refresh()
+        got = [[repr(p(state)) for p in (forward_pass, backward_pass) * 2] for state in states]
+        assert got[0] == got[1], restricted
+        assert repr(states[0].duals) == repr(states[1].duals)
+        rounds.append(got[0])
+        for state, mark in zip(states, marks):
+            if restricted:
+                rollback_all(state.bdds, mark)
+    assert rounds[0] != rounds[1]  # the restriction moved the bounds
+
+
+def test_an_empty_diagram_proves_infeasibility_on_both_stores(monkeypatch):
+    # r0 has no solution: its diagram is an empty sentinel, levels without nodes
+    problem = ILPInstance(
+        ["a", "b", "c"],
+        [Fraction(1), Fraction(-1), Fraction(2)],
+        (LinearConstraint("r0", ((0, 1), (1, 1)), Relation.GE, 3),
+         LinearConstraint("r1", ((1, 1), (2, 1)), Relation.LE, 1)),
+    )
+    for array in (False, True):
+        state = build_state(monkeypatch, problem, array)
+        assert state.infeasible and state.energies[0] == math.inf
+        report = run(state, 4, 0.0)
+        assert (report.termination, report.passes, report.lower_bound) == ("infeasible", 0, math.inf)
+
+
+def test_mma_update_refuses_an_array_state(monkeypatch):
+    state = build_state(monkeypatch, mrf_instance(2, 2, 2, seed=0), True)
+    with pytest.raises(ValueError, match="array store"):
+        mma_update(state, state.active[0])
+
+
+def test_soft_min_and_small_states_keep_the_lists(monkeypatch):
+    problem = graph_matching_instance(3, seed=1)
+    use(monkeypatch, True)
+    dec = decompose(problem)
+    bdds = [build_bdd(c, dec.positions) for c in problem.constraints]
+    assert init_duals(bdds, dec, problem.objective, 0.3).store is None
+    monkeypatch.undo()
+    assert init_duals(bdds, dec, problem.objective).store is None  # far below ARRAY_MIN_NODES
+
+
+def test_deep_schedules_keep_the_lists():
+    # a chain in Cuthill-McKee order steps one variable after another: thousands
+    # of waves of a few nodes each, where per-wave numpy calls cost more than lists
+    problem = mrf_instance(1, 3000, 2, seed=0)
+    dec = decompose(problem, order_variables(problem, "cuthill_mckee"))
+    bdds = [build_bdd(c, dec.positions, shapes={}) for c in problem.constraints]
+    assert sum(len(b.lo) - 2 for b in bdds) >= dual.ARRAY_MIN_NODES
+    assert init_duals(bdds, dec, problem.objective).store is None
+    dec = decompose(problem)
+    bdds = [build_bdd(c, dec.positions, shapes={}) for c in problem.constraints]
+    assert init_duals(bdds, dec, problem.objective).store is not None
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_grid_solves_equal_the_list_kernels(seed, monkeypatch):
+    problem = mrf_instance(30, 30, 2, seed)
+    options = SolveOptions(max_passes=20, tolerance=0.0)
+    got = solve_instance(problem, options)  # the default path: grid is above both thresholds
+    use(monkeypatch, False)
+    want = solve_instance(problem, options)
+    assert outcome(got) == outcome(want)
+    assert got.status == "solved"
+
+
+def test_small_solves_leave_numpy_unimported(cli_env, tmp_path):
+    path = tmp_path / "small.lp"
+    path.write_text(write_lp(mrf_instance(3, 3, 2, seed=8)))
+    code = (
+        "import sys; from bddsolve import model, solver; "
+        f"report = solver.solve_instance(model.parse_lp(open({str(path)!r}).read())); "
+        "print(report.status, 'numpy' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=cli_env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["solved", "False"]

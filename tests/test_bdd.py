@@ -13,7 +13,7 @@ from bddsolve.testkit import (
     random_ilp,
     tomography_instance,
 )
-from bdd_queries import journal, level_of, solutions
+from bdd_queries import journal, level_of, solutions, trail_records
 
 
 def row(terms, relation, rhs, name="r"):
@@ -341,8 +341,8 @@ def test_one_checkpoint_restores_several_diagrams():
     assert pick.fix(0, 0) and pick.fix(1, 1)
     assert cap.fix(2, 1)
     assert exact(pick) != before[0] and exact(cap) != before[1]
-    assert {id(owner) for owner, _ in trail.records} == {id(pick), id(cap)}
-    assert len(journal(pick)) + len(journal(cap)) == len(trail.records) and journal(idle) == []
+    assert {id(owner) for owner, _ in trail_records(trail)} == {id(pick), id(cap)}
+    assert len(journal(pick)) + len(journal(cap)) == len(trail_records(trail)) and journal(idle) == []
     trail.rollback(token)
     assert [exact(b) for b in bdds] == before
     assert trail.records == [] and trail.marks == []
@@ -478,7 +478,7 @@ def test_shape_siblings_stay_isolated_under_fixes_and_rollback(seed):
             if var not in assignment:
                 if not restriction_propagation(bdds, slots, assignment, var, rng.randint(0, 1), []):
                     break
-    touched = {id(owner) for owner, _ in trail.records}
+    touched = {id(owner) for owner, _ in trail_records(trail)}
     siblings = {}
     for b in everything:
         siblings.setdefault(id(b.level_nodes), []).append(b)

@@ -32,6 +32,8 @@ def _binary(*lines):
     return "Minimize\n obj: x\nBinary\n" + "".join(f"{ln}\n" for ln in lines)
 
 
+_LONG = "9" * 5000
+
 # (case, text, line, column, message)
 PARSE_ERRORS = [
     # sections
@@ -59,6 +61,8 @@ PARSE_ERRORS = [
      "duplicate variable 'x' in objective"),
     ("objective coefficient overflow", "Minimize\n obj: x + 1152921504606846977 y\nBinary\n x y\nEnd\n", 2, 30,
      "objective coefficient overflow"),
+    ("objective coefficient too long", f"Minimize\n obj: x + {_LONG} y\nBinary\n x y\nEnd\n", 2, 10,
+     "number too long (5000 characters)"),
     ("objective constant overflow", "Minimize\n obj: x + 1152921504606846976 + 1\nBinary\n x\nEnd\n", 2, 1,
      "objective constant overflow"),
     # constraint rows
@@ -93,6 +97,9 @@ PARSE_ERRORS = [
     ("row rhs overflow", _rows("c: x + y <= 1099511627777"), 4, 1, "integer overflow in right-hand side"),
     ("row negative rhs overflow", _rows("c: x + y >= -1099511627777"), 4, 1,
      "integer overflow in right-hand side"),
+    # a number past Python's int() digit limit is too long for every cap
+    ("row coefficient too long", _rows(f"c: x + {_LONG} y <= 1"), 4, 8, "number too long (5000 characters)"),
+    ("row rhs too long", _rows(f"c: x + y <= {_LONG}"), 4, 13, "number too long (5000 characters)"),
     # which fault is reported first
     ("layout fault after a variable fault", _rows("a: x + q <= 1", "b: x + y <= ?"), 5, 13,
      "unexpected character '?'"),
