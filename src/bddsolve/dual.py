@@ -37,9 +37,10 @@ arithmetic written inline over level records the `DualState` builds once.
 A whole diagram is swept by `_bsweep` (backward, either algebra) for
 `refresh` and `min_marginals`, and by the min-sum `_marg_min` and
 `_scatter_min` for the forward half of `min_marginals`, a fresh sweep over
-one diagram, which is where the rounding search reads its margins.  A
-`DualState` picks its algebra once, from its smoothing.  The generic
-reference sweeps the kernels are tested against live with the tests.
+one diagram, which is where the rounding search reads its margins on the
+list store.  A `DualState` picks its algebra once, from its smoothing.
+The generic reference sweeps the kernels are tested against live with the
+tests.
 
 No kernel skips a removed node, and all are exact on restricted diagrams
 too, because a removed node has both arcs on the false terminal and no
@@ -55,15 +56,22 @@ direction is 0, or 1 + the largest wave among the variables its diagrams
 step just before it, so the waves of a pass are the levels of that
 dependency order.  Each wave's steps then run as one vectorised step: the
 same additions, subtractions, minima and divisions as `mma_update`, on the
-same operands in the same association.  Totals are summed slot by slot
-from 0.0, as `sum` does up to Python 3.11; `np.sum` would pair them
-differently, and so does `sum` from 3.12 on, which compensates float sums
-(there the stores may differ in the last bits).  A variable
+same operands in the same association.  Both stores fold a step's total
+slot by slot from 0.0 (`np.sum` would pair the terms differently, and so
+would `sum`, which compensates float sums from Python 3.12 on).  A variable
 whose total is not finite goes through `_forcing` alone.  So bounds, cost
 copies, energies and everything downstream are equal to the bit on either
 store.  A proof of infeasibility leaves the copies as the sequential pass
 would, by undoing the steps of the variables from the first proving one
 on.  numpy is imported only on the array path.
+
+A `run` that ends feasible on the array store also reads the rounding
+margins, each variable's sum of m1 - m0 over its diagrams, off its
+schedule before freeing it: the direction the last pass left current is
+read as it is, and the other one is swept afresh into a temporary array.
+It keeps them in `state.margins` for `primal.compute_scores`, which
+otherwise sweeps each diagram with `min_marginals`; the next pass or
+`refresh` drops them, and list states never keep any.
 """
 
 from __future__ import annotations
@@ -131,6 +139,12 @@ class DualState:
     constraint set empty.  The algebra is chosen once, here: `smin` is None
     for min-sum, else the soft minimum at temperature `smoothing`.
 
+    `margins` is None, or the rounding margins a `run` on the array store
+    read off its schedule (see the module notes): a numpy array with one
+    sum per variable of `slots`, in its order.  Every pass and `refresh`
+    drops them.  They belong to the diagrams as the run found them, so
+    fixing diagrams calls for a `refresh` before scoring too.
+
     `slots[var]` lists the variable's `(diagram, level)` pairs, diagrams in
     order.  On the array store it is built when `run` has freed the wave
     tables (or at first use), so the two never take memory at once.
@@ -164,6 +178,7 @@ class DualState:
         self.infeasible = False
         self.active = [i for i in decomposition.order if decomposition.var_subproblems[i]]
         self.energies = [0.0] * len(bdds)
+        self.margins = None
         self.store = None
         if self.smin is None and sum(len(b.lo) - 2 for b in bdds) >= ARRAY_MIN_NODES:
             self.store = _ArrayStore.build(bdds, self.active)
@@ -215,8 +230,10 @@ class DualState:
         `duals`; passes keep the arrays current on their own.  A diagram
         whose root is the true terminal has no levels, so its seeded
         forward value stays its optimum.  On the array store this also
-        reads `duals` and the diagrams' arcs into a fresh schedule.
+        reads `duals` and the diagrams' arcs into a fresh schedule.  Drops
+        `margins`.
         """
+        self.margins = None
         if self.store is not None:
             self.store.refresh(self)
         else:
@@ -249,13 +266,12 @@ def init_duals(bdds, decomposition, objective, smoothing=0.0, averaging=UNIFORM)
         raise ValueError(f"unknown averaging mode {averaging!r}")
     if not 0 <= smoothing <= MAX_OBJECTIVE:  # NaN fails too
         raise ValueError(f"smoothing must lie in [0, 2^60], got {smoothing!r}")
+    share = {i: float(objective[i]) / len(js) for i, js in enumerate(decomposition.var_subproblems) if js}
     duals = []
     for j, bdd in enumerate(bdds):
         if tuple(bdd.support) != tuple(decomposition.subproblem_vars[j]):
             raise ValueError(f"diagram {j} disagrees with the decomposition's support")
-        duals.append(
-            [float(objective[i]) / len(decomposition.var_subproblems[i]) for i in bdd.support]
-        )
+        duals.append([share[i] for i in bdd.support])
     state = DualState(list(bdds), decomposition, duals, smoothing, averaging)
     state.refresh()
     return state
@@ -373,6 +389,7 @@ def mma_update(state: DualState, var, forward=True):
     records, members, count = entry
     smin = state.smin
     diffs = []
+    total = 0.0  # folded left in slot order, as the array store sums its columns
     if smin is None:
         for fwj, bwj, costs, lev, nodes, _, lo, hi in records:
             cost = costs[lev]
@@ -385,7 +402,9 @@ def mma_update(state: DualState, var, forward=True):
                 b = base + cost + bwj[hi[v]]
                 if b < m1:
                     m1 = b
-            diffs.append(m1 - m0)
+            d = m1 - m0
+            diffs.append(d)
+            total += d
     else:
         for fwj, bwj, costs, lev, nodes, _, lo, hi in records:
             cost = costs[lev]
@@ -394,9 +413,10 @@ def mma_update(state: DualState, var, forward=True):
                 base = fwj[v]
                 m0 = smin(m0, base + bwj[lo[v]])
                 m1 = smin(m1, base + cost + bwj[hi[v]])
-            diffs.append(m1 - m0)
+            d = m1 - m0
+            diffs.append(d)
+            total += d
 
-    total = sum(diffs)
     shifts = diffs
     if math.isfinite(total):
         share = total / count
@@ -489,6 +509,7 @@ def _pass(state: DualState, forward):
     the true terminal's forward value, or the root's backward value.
     Latches infeasibility.
     """
+    state.margins = None
     if state.infeasible:
         return INF
     if state.store is not None:
@@ -540,14 +561,16 @@ class _ArrayStore:
     reads its forward value, while its backward value stays +inf.  `fw` and
     `bw` live as long as the state, like the list path's, and so does the
     layout: each slot's variable `var`, its `first`/`last` level flags, and
-    per direction each variable's wave number `wave[forward]`.  A
+    per direction each variable's wave number `wave[forward]`.  `fresh`
+    names the direction whose values the last `refresh` or pass left
+    current with the cost copies (True: forward, False: backward).  A
     `_Schedule` (the cost copies and the wave tables) is built from `duals`
     and the diagrams' current arcs by `open`, and freed by `close` once the
     copies are back in `duals`.  `held` keeps it open between the passes of
     one `run`; a pass outside `run` closes it behind itself.
     """
 
-    __slots__ = ("base", "roots", "var", "first", "last", "wave", "fw", "bw", "schedule", "held")
+    __slots__ = ("base", "roots", "var", "first", "last", "wave", "fw", "bw", "fresh", "schedule", "held")
 
     @classmethod
     def build(cls, bdds, active):
@@ -574,6 +597,7 @@ class _ArrayStore:
                 return None
         self.fw = np.full(int(sizes.sum()), INF)
         self.bw = np.full(int(sizes.sum()), INF)
+        self.fresh = False
         self.schedule = None
         self.held = False
         return self
@@ -614,6 +638,7 @@ class _ArrayStore:
             bw[w.nodes] = np.where(a <= b, a, b)
         state.energies[:] = bw[self.roots].tolist()
         fw[self.roots[self.roots != self.base + FALSE]] = 0.0
+        self.fresh = False
 
     def sweep(self, state, forward):
         """One pass, one vectorised coordinate step per wave; False once it proves infeasibility.
@@ -682,13 +707,69 @@ class _ArrayStore:
             undo = sched.rank >= proof if forward else sched.rank <= proof
             costs[undo] = saved[undo]
             state.infeasible = True
-        elif forward:
-            state.energies[:] = fw[self.base + TRUE].tolist()
         else:
-            state.energies[:] = bw[self.roots].tolist()
+            self.fresh = forward
+            if forward:
+                state.energies[:] = fw[self.base + TRUE].tolist()
+            else:
+                state.energies[:] = bw[self.roots].tolist()
         if not self.held:
             self.close(state)
         return proof is None
+
+    def margins(self, state):
+        """Each variable's sum of m1 - m0 over its diagrams, as `primal.compute_scores` adds them.
+
+        One numpy array, the variables in the order of their first slot, as
+        `state.slots` lists them.  Requires a feasible state.  The direction
+        `fresh` names is current with the cost copies and is read as it is;
+        the other one is swept afresh into a temporary array, so `fw` and
+        `bw` stay as the passes left them.  A slot's pair comes from
+        `min_marginals`' float operations, and each variable's diffs are
+        added in slot order from 0.0, so the margins equal `compute_scores`'
+        per-diagram sums to the bit.
+        """
+        import numpy as np
+
+        sched = self.open(state)
+        costs = sched.costs
+        fw, bw = self.fw, self.bw
+        if self.fresh:  # a forward pass came last: backward values afresh, as `refresh` computes them
+            bw = np.full(len(bw), INF)
+            bw[self.base + TRUE] = 0.0
+            for w in sched.waves[False]:
+                a = bw[w.lo]
+                b = _spread(costs[w.slots], w.columns) + bw[w.hi]
+                bw[w.nodes] = np.where(a <= b, a, b)
+        else:  # forward values afresh, scattered wave by wave while the pairs are read
+            fw = np.full(len(fw), INF)
+            fw[self.roots[self.roots != self.base + FALSE]] = 0.0
+        diff = np.empty(len(costs))
+        for w in sched.waves[True]:
+            f = fw[w.nodes]
+            m0 = f + bw[w.lo]
+            fc = f + _spread(costs[w.slots], w.columns)
+            m1 = fc + bw[w.hi]
+            if not self.fresh:
+                np.minimum.at(fw, w.lo, f)
+                np.minimum.at(fw, w.hi, fc)
+            for start, count in w.columns[1:]:
+                np.minimum(m0[:count], m0[start : start + count], out=m0[:count])
+                np.minimum(m1[:count], m1[start : start + count], out=m1[:count])
+            n = len(w.slots)
+            diff[w.slots] = m1[:n] - m0[:n]
+        del fw, bw  # frees the temporary array before the fold allocates
+        # each variable's slots, in slot order: fold them column by column from 0.0
+        by_var = np.argsort(self.var, kind="stable")
+        var = self.var[by_var]
+        starts = np.flatnonzero(np.append(True, var[1:] != var[:-1]))
+        counts = np.diff(np.append(starts, len(var)))
+        total = np.zeros(len(starts))
+        with np.errstate(invalid="ignore"):  # inf + -inf: forced both ways, nan as in `compute_scores`
+            for k in range(int(counts.max(initial=0))):
+                has = counts > k
+                total[has] += diff[by_var[starts[has] + k]]
+        return total[np.argsort(by_var[starts])]
 
 
 def _spread(values, columns):
@@ -872,16 +953,22 @@ def run(state: DualState, max_passes=DEFAULT_MAX_PASSES, tolerance=DEFAULT_TOLER
     the cost scale (see `cost_scale`), below which the run stops -- zero
     disables the check and runs to the pass limit.
 
-    On the array store one schedule serves every pass of the run; when the
-    run returns, the cost copies are back in `state.duals` and the schedule
-    is freed.
+    On the array store one schedule serves every pass of the run.  A run
+    that ends feasible reads the rounding margins off it before it is
+    freed (`_ArrayStore.margins`) and keeps them in `state.margins`, where
+    `primal.compute_scores` takes them instead of sweeping each diagram;
+    the next pass or `refresh` drops them.  When the run returns, the cost
+    copies are back in `state.duals` and the schedule is freed.
     """
     store = state.store
     if store is None:
         return _run(state, max_passes, tolerance)
     store.held = True
     try:
-        return _run(state, max_passes, tolerance)
+        report = _run(state, max_passes, tolerance)
+        if not state.infeasible:
+            state.margins = store.margins(state)
+        return report
     finally:
         store.held = False
         store.close(state)

@@ -15,8 +15,10 @@ only the records that branch wrote, restoring the diagrams bit for bit.
 Budgets cap the number of branch attempts; exhausting the tree without a
 budget stop is a proof of infeasibility.
 
-Margins always come from the dual's min-sum kernels (`dual.min_marginals`)
-run over the raw cost copies, whether or not the dual ascent was smoothed.
+Margins always come from the dual's min-sum kernels over the raw cost
+copies, whether or not the dual ascent was smoothed: the sums a `dual.run`
+on the array store kept in `state.margins`, else one `dual.min_marginals`
+sweep per diagram.
 """
 
 from __future__ import annotations
@@ -72,30 +74,33 @@ class PrimalResult:
 
 
 def compute_scores(state, strategy=NEG_MARGIN) -> PrimalScores:
-    """Score every covered variable from fresh min-sum sweeps.
+    """Score every covered variable from its min-sum margins.
 
-    neg_mm ranks by -margin (strong 1-preferences first), abs_mm by
-    |margin| (most decided first), reduction_aligned by margin signed with
-    the diagrams' solution-count imbalance (most contentious first); path
-    counts are taken only for that strategy.
+    The margins are `state.margins` when the dual kept them (a `dual.run`
+    on the array store that ended feasible, until the next pass or
+    `refresh`); otherwise one fresh `min_marginals` sweep per diagram
+    gives them, equal to the bit.  neg_mm ranks by -margin (strong
+    1-preferences first), abs_mm by |margin| (most decided first),
+    reduction_aligned by margin signed with the diagrams' solution-count
+    imbalance (most contentious first); path counts are taken per diagram,
+    and only for that strategy.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    margins = {}
+    sweep = state.margins is None
+    margins = {} if sweep else dict(zip(state.slots, state.margins.tolist()))
     counts = {} if strategy == COUNT_ALIGNED else None
-    for j, bdd in enumerate(state.bdds):
-        if bdd.root < 2:
-            continue
-        pairs = min_marginals(bdd, state.duals[j])
-        if counts is not None:
-            cpairs = _path_counts(bdd)
-        for lev, var in enumerate(bdd.support):
-            m0, m1 = pairs[lev]
-            # IEEE subtraction: +inf where the diagram forces 0, -inf where it forces 1
-            margins[var] = margins.get(var, 0.0) + (m1 - m0)
+    if sweep or counts is not None:
+        for j, bdd in enumerate(state.bdds):
+            if bdd.root < 2:
+                continue
+            if sweep:
+                for var, (m0, m1) in zip(bdd.support, min_marginals(bdd, state.duals[j])):
+                    # IEEE subtraction: +inf where the diagram forces 0, -inf where it forces 1
+                    margins[var] = margins.get(var, 0.0) + (m1 - m0)
             if counts is not None:
-                n0, n1 = cpairs[lev]
-                counts[var] = counts.get(var, 0) + (n1 - n0)
+                for var, (n0, n1) in zip(bdd.support, _path_counts(bdd)):
+                    counts[var] = counts.get(var, 0) + (n1 - n0)
 
     preference = {}
     score = {}

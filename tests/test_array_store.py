@@ -4,7 +4,7 @@ A state takes the array store when it is min-sum, has at least
 `ARRAY_MIN_NODES` diagram nodes and at least `ARRAY_MIN_WAVE_NODES` nodes
 per wave.  The tests force either path by patching those constants, and
 require every result to be equal to the bit: pass bounds, cost copies,
-energies, reports and search outcomes.
+energies, the rounding margins a run keeps, reports and search outcomes.
 """
 
 import math
@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from bddsolve import dual
+from bddsolve import dual, primal
 from bddsolve.bdd import Trail, build_bdd
 from bddsolve.dual import SRMP, UNIFORM, backward_pass, forward_pass, init_duals, mma_update, run
 from bddsolve.model import ILPInstance, LinearConstraint, Relation, decompose, order_variables, write_lp
@@ -193,6 +193,131 @@ def test_refresh_reads_restricted_diagrams(monkeypatch):
             if restricted:
                 rollback_all(state.bdds, mark)
     assert rounds[0] != rounds[1]  # the restriction moved the bounds
+
+
+def kept(state):
+    """The margins a run on the array store kept, by variable."""
+    return dict(zip(state.slots, state.margins.tolist()))
+
+
+def swept(state):
+    """`compute_scores`' margins from one `min_marginals` sweep per diagram, whatever the state keeps."""
+    held, state.margins = state.margins, None
+    try:
+        return compute_scores(state).margins
+    finally:
+        state.margins = held
+
+
+def margin_kinds(margins):
+    return Counter("nan" if math.isnan(m) else "inf" if math.isinf(m) else "finite" for m in margins.values())
+
+
+@pytest.mark.parametrize("averaging", [UNIFORM, SRMP])
+def test_run_keeps_the_per_diagram_margins(averaging, monkeypatch):
+    # after 0 passes the refreshed backward values are current, after 7 the
+    # forward ones, after 8 the backward ones; a proof (some instances here)
+    # keeps no margins
+    kinds = Counter()
+    for make in GENERATORS:
+        for seed in range(6):
+            problem = make(900 + seed)
+            for passes in (0, 7, 8):
+                lists = build_state(monkeypatch, problem, False, averaging)
+                array = build_state(monkeypatch, problem, True, averaging)
+                run(lists, passes, 0.0)
+                run(array, passes, 0.0)
+                assert lists.margins is None
+                assert array.store.schedule is None
+                if array.infeasible:
+                    assert array.margins is None
+                    kinds["proof"] += 1
+                    continue
+                assert repr(kept(array)) == repr(swept(array)) == repr(swept(lists))
+                kinds.update(margin_kinds(kept(array)))
+                for strategy in ("neg_mm", "abs_mm", "reduction_aligned"):
+                    want, got = compute_scores(lists, strategy), compute_scores(array, strategy)
+                    assert (repr(got.margins), got.preference, got.order) == (
+                        repr(want.margins), want.preference, want.order)
+    # forced variables give infinite margins, and forcings both ways nan
+    # ones where no pass ran to prove them
+    assert kinds["finite"] > 3000 and kinds["inf"] >= 40 and kinds["nan"] >= 1 and kinds["proof"] >= 5
+
+
+def test_passes_and_refresh_drop_the_margins(monkeypatch):
+    state = build_state(monkeypatch, mrf_instance(3, 3, 2, seed=4), True)
+    for step in (state.refresh, lambda: forward_pass(state), lambda: backward_pass(state)):
+        run(state, 3, 0.0)
+        assert state.margins is not None
+        step()
+        assert state.margins is None
+
+
+def test_margins_follow_fixes_refresh_and_rollback(monkeypatch):
+    problem = mrf_instance(3, 3, 2, seed=2)
+    states = [build_state(monkeypatch, problem, array) for array in (False, True)]
+    for state in states:
+        run(state, 4, 0.0)
+        Trail().attach(state.bdds)
+    lists, array = states
+    marks = [checkpoint_all(state.bdds) for state in states]
+    for state in states:
+        assignment = {}
+        for var in (0, 8):
+            assert restriction_propagation(state.bdds, state.slots, assignment, var, 1, [])
+    unrestricted = kept(array)
+    seen = []
+    for restricted in (True, False):
+        for state in states:
+            state.refresh()
+            assert state.margins is None
+            run(state, 5, 0.0)
+        assert not array.infeasible
+        assert repr(kept(array)) == repr(swept(array)) == repr(swept(lists))
+        seen.append(kept(array))
+        if restricted:
+            assert margin_kinds(seen[-1])["inf"] >= 2  # the fixed variables at least
+            for state, mark in zip(states, marks):
+                rollback_all(state.bdds, mark)
+    assert seen[0] != seen[1]
+    assert margin_kinds(seen[1]) == margin_kinds(unrestricted)
+
+
+def test_scoring_after_run_builds_no_schedule(monkeypatch):
+    built = []
+
+    class Counted(dual._Schedule):
+        def __init__(self, state, store):
+            built.append(1)
+            super().__init__(state, store)
+
+    monkeypatch.setattr(dual, "_Schedule", Counted)
+    state = build_state(monkeypatch, mrf_instance(4, 4, 2, seed=3), True)
+    run(state, 6, 0.0)
+    assert len(built) == 1  # refresh's, which the run used
+    assert state.store.schedule is None
+
+    def refuse(*args):
+        raise AssertionError("scored by sweeping diagrams")
+
+    monkeypatch.setattr(primal, "min_marginals", refuse)
+    for strategy in ("neg_mm", "abs_mm", "reduction_aligned"):
+        compute_scores(state, strategy)
+    assert primal_search(state, budget=100).status == "solved"
+    assert len(built) == 1 and state.store.schedule is None
+
+
+def test_list_totals_fold_left_like_the_store(monkeypatch):
+    # the store adds each variable's diffs column by column from 0.0; a
+    # compensated total (math.fsum, or `sum` from Python 3.12 on) in the list
+    # kernels would part the stores in the last bits
+    monkeypatch.setattr(dual, "sum", math.fsum, raising=False)
+    problem = mrf_instance(4, 4, 3, seed=6)
+    lists = build_state(monkeypatch, problem, False)
+    array = build_state(monkeypatch, problem, True)
+    want, got = run(lists, 12, 0.0), run(array, 12, 0.0)
+    assert bounds(got) == bounds(want)
+    assert repr(array.duals) == repr(lists.duals)
 
 
 def test_an_empty_diagram_proves_infeasibility_on_both_stores(monkeypatch):
