@@ -37,8 +37,8 @@ arithmetic written inline over level records the `DualState` builds once.
 A whole diagram is swept by `_bsweep` (backward, either algebra) for
 `refresh` and `min_marginals`, and by the min-sum `_marg_min` and
 `_scatter_min` for the forward half of `min_marginals`, a fresh sweep over
-one diagram, which is where the rounding search reads its margins on the
-list store.  A `DualState` picks its algebra once, from its smoothing.
+one diagram, which is where `DualState.margins` reads the rounding margins
+on the list store.  A `DualState` picks its algebra once, from its smoothing.
 The generic reference sweeps the kernels are tested against live with the
 tests.
 
@@ -58,20 +58,21 @@ dependency order.  Each wave's steps then run as one vectorised step: the
 same additions, subtractions, minima and divisions as `mma_update`, on the
 same operands in the same association.  Both stores fold a step's total
 slot by slot from 0.0 (`np.sum` would pair the terms differently, and so
-would `sum`, which compensates float sums from Python 3.12 on).  A variable
-whose total is not finite goes through `_forcing` alone.  So bounds, cost
-copies, energies and everything downstream are equal to the bit on either
-store.  A proof of infeasibility leaves the copies as the sequential pass
-would, by undoing the steps of the variables from the first proving one
-on.  numpy is imported only on the array path.
+would `sum`, which compensates float sums from Python 3.12 on), and the
+bound is the energies folded from 0.0 too.  A variable whose total is not
+finite goes through `_forcing` alone.  So bounds, cost copies, energies
+and everything downstream are equal to the bit on either store.  A proof
+of infeasibility leaves the copies as the sequential pass would, by
+undoing the steps of the variables from the first proving one on.  numpy
+is imported only on the array path.
 
-A `run` that ends feasible on the array store also reads the rounding
-margins, each variable's sum of m1 - m0 over its diagrams, off its
-schedule before freeing it: the direction the last pass left current is
-read as it is, and the other one is swept afresh into a temporary array.
-It keeps them in `state.margins` for `primal.compute_scores`, which
-otherwise sweeps each diagram with `min_marginals`; the next pass or
-`refresh` drops them, and list states never keep any.
+The array store builds its wave tables once, with the state; they depend
+only on the diagrams' levels and supports.  `refresh` re-reads what a fix
+or a rollback can change: the cost copies and the arcs.  The rounding
+margins, each variable's sum of m1 - m0 over its diagrams, are computed
+on demand by `DualState.margins`: on the array store by one read-only wave
+pass into temporary forward and backward arrays, on lists by one
+`min_marginals` sweep per diagram.
 """
 
 from __future__ import annotations
@@ -138,25 +139,16 @@ class DualState:
     either algebra; `infeasible` latches once any update proves the
     constraint set empty.  The algebra is chosen once, here: `smin` is None
     for min-sum, else the soft minimum at temperature `smoothing`.
-
-    `margins` is None, or the rounding margins a `run` on the array store
-    read off its schedule (see the module notes): a numpy array with one
-    sum per variable of `slots`, in its order.  Every pass and `refresh`
-    drops them.  They belong to the diagrams as the run found them, so
-    fixing diagrams calls for a `refresh` before scoring too.
-
-    `slots[var]` lists the variable's `(diagram, level)` pairs, diagrams in
-    order.  On the array store it is built when `run` has freed the wave
-    tables (or at first use), so the two never take memory at once.
+    `covering[var]` lists the diagrams covering the variable, ascending:
+    the decomposition's `var_subproblems`, kept by reference.
 
     On the array store (`store` set, see the module notes) `fw`/`bw` are
     None and `sweeps` is empty; the store keeps the messages, and between
     calls of `refresh`, `forward_pass`, `backward_pass` and `run` the cost
     copies are back in `duals`.  The store reads `duals` and the diagrams'
-    arcs when it builds its schedule: at `refresh`, and at a pass or run
-    that finds none open.  So after direct surgery on `duals`, or fixing
-    diagrams, call `refresh` before the next pass, as the list store needs
-    anyway for its backward values.
+    arcs only at `refresh`.  So after direct surgery on `duals`, or fixing
+    diagrams, call `refresh` before the next pass or `margins`, as the
+    list store needs anyway for its backward values.
 
     `sweeps[forward][var]` is `(records, members, count)` for a step in
     that direction, fixed once.  `records` holds one level record per
@@ -176,26 +168,25 @@ class DualState:
         self.averaging = averaging
         self.smin = _soft_min(smoothing) if smoothing > 0 else None
         self.infeasible = False
-        self.active = [i for i in decomposition.order if decomposition.var_subproblems[i]]
+        self.covering = decomposition.var_subproblems
+        self.active = [i for i in decomposition.order if self.covering[i]]
         self.energies = [0.0] * len(bdds)
-        self.margins = None
         self.store = None
         if self.smin is None and sum(len(b.lo) - 2 for b in bdds) >= ARRAY_MIN_NODES:
-            self.store = _ArrayStore.build(bdds, self.active)
+            self.store = _ArrayStore.build(bdds, self.active, averaging)
         if self.store is not None:
-            self._slots = None  # built once `run` has freed the wave tables, or at first use
             self.fw = self.bw = None
             self.sweeps = {True: {}, False: {}}
             return
-        self._slots = {}
         self.fw = [[INF] * len(b.lo) for b in bdds]
         self.bw = [[INF] * len(b.lo) for b in bdds]
+        slots = {}  # per variable its (diagram, level) pairs, diagrams in order
         records = {}
         last = [len(b.support) - 1 for b in bdds]
         for j, b in enumerate(bdds):
             fwj, bwj, costs, lo, hi, nodes = self.fw[j], self.bw[j], duals[j], b.lo, b.hi, b.level_nodes
             for lev, var in enumerate(b.support):
-                self._slots.setdefault(var, []).append((j, lev))
+                slots.setdefault(var, []).append((j, lev))
                 below = nodes[lev + 1] if lev < last[j] else (TRUE,)
                 records.setdefault(var, []).append((fwj, bwj, costs, lev, nodes[lev], below, lo, hi))
         interned = {}  # equal member tuples share one object
@@ -206,22 +197,19 @@ class DualState:
             return recs, members, sum(members)
 
         self.sweeps = {True: {}, False: {}}
-        for var, slots in self.slots.items():
+        for var, pairs in slots.items():
             recs = tuple(records[var])
-            self.sweeps[True][var] = entry(recs, tuple([lev < last[j] for j, lev in slots]))
-            self.sweeps[False][var] = entry(recs, tuple([lev > 0 for _, lev in slots]))
-
-    @property
-    def slots(self):
-        if self._slots is None:
-            self._slots = _slot_map(self.bdds)
-        return self._slots
+            self.sweeps[True][var] = entry(recs, tuple([lev < last[j] for j, lev in pairs]))
+            self.sweeps[False][var] = entry(recs, tuple([lev > 0 for _, lev in pairs]))
 
     def dual_value(self):
-        """Current sum of per-diagram optima (raw: no offset, no free vars)."""
+        """Current sum of per-diagram optima (raw: no offset, no free vars), folded from 0.0."""
         if self.infeasible:
             return INF
-        return sum(self.energies)
+        total = 0.0
+        for e in self.energies:
+            total += e
+        return total
 
     def refresh(self):
         """Recompute every backward value and energy; reseed forward roots.
@@ -230,10 +218,8 @@ class DualState:
         `duals`; passes keep the arrays current on their own.  A diagram
         whose root is the true terminal has no levels, so its seeded
         forward value stays its optimum.  On the array store this also
-        reads `duals` and the diagrams' arcs into a fresh schedule.  Drops
-        `margins`.
+        re-reads `duals` and the diagrams' arcs.
         """
-        self.margins = None
         if self.store is not None:
             self.store.refresh(self)
         else:
@@ -246,13 +232,33 @@ class DualState:
         if any(e == INF for e in self.energies):
             self.infeasible = True
 
+    def margins(self):
+        """`{var: margin}` for every covered variable, in `active` order.
 
-def _slot_map(bdds):
-    slots = {}
-    for j, b in enumerate(bdds):
-        for lev, var in enumerate(b.support):
-            slots.setdefault(var, []).append((j, lev))
-    return slots
+        A variable's margin is its m1 - m0 summed over its diagrams from 0.0
+        in diagram order, each an IEEE difference of min-sum marginals over
+        the current cost copies (+inf where a diagram forces 0, -inf where
+        it forces 1, nan where forcings conflict), whatever the smoothing.
+        Computed afresh on each call from a feasible state: on the array
+        store by one read-only wave pass (see `_ArrayStore.margins`), on
+        lists by one `min_marginals` sweep per diagram; equal to the bit.
+        """
+        if self.store is not None:
+            return self.store.margins(self)
+        sums = {}
+        for j, bdd in enumerate(self.bdds):
+            if bdd.root >= 2:  # an empty diagram (infeasible state) has no marginals
+                for var, (m0, m1) in zip(bdd.support, min_marginals(bdd, self.duals[j])):
+                    sums[var] = sums.get(var, 0.0) + (m1 - m0)
+        return {var: sums[var] for var in self.active if var in sums}
+
+
+def check_modes(smoothing, averaging):
+    """Raise ValueError unless `averaging` is known and `smoothing` lies in [0, 2^60]."""
+    if averaging not in (UNIFORM, SRMP):
+        raise ValueError(f"unknown averaging mode {averaging!r}")
+    if not 0 <= smoothing <= MAX_OBJECTIVE:  # NaN fails too
+        raise ValueError(f"smoothing must lie in [0, 2^60], got {smoothing!r}")
 
 
 def init_duals(bdds, decomposition, objective, smoothing=0.0, averaging=UNIFORM) -> DualState:
@@ -262,10 +268,7 @@ def init_duals(bdds, decomposition, objective, smoothing=0.0, averaging=UNIFORM)
     supports (both sort by the global order).  Ends with a `refresh`, so
     the state is immediately ready for a forward pass.
     """
-    if averaging not in (UNIFORM, SRMP):
-        raise ValueError(f"unknown averaging mode {averaging!r}")
-    if not 0 <= smoothing <= MAX_OBJECTIVE:  # NaN fails too
-        raise ValueError(f"smoothing must lie in [0, 2^60], got {smoothing!r}")
+    check_modes(smoothing, averaging)
     share = {i: float(objective[i]) / len(js) for i, js in enumerate(decomposition.var_subproblems) if js}
     duals = []
     for j, bdd in enumerate(bdds):
@@ -509,7 +512,6 @@ def _pass(state: DualState, forward):
     the true terminal's forward value, or the root's backward value.
     Latches infeasibility.
     """
-    state.margins = None
     if state.infeasible:
         return INF
     if state.store is not None:
@@ -558,87 +560,110 @@ class _ArrayStore:
 
     Node v of diagram j sits at `base[j] + v` of `fw` and `bw`.  The false
     terminal's place is a sink: forward scatters may write it and nothing
-    reads its forward value, while its backward value stays +inf.  `fw` and
-    `bw` live as long as the state, like the list path's, and so does the
-    layout: each slot's variable `var`, its `first`/`last` level flags, and
-    per direction each variable's wave number `wave[forward]`.  `fresh`
-    names the direction whose values the last `refresh` or pass left
-    current with the cost copies (True: forward, False: backward).  A
-    `_Schedule` (the cost copies and the wave tables) is built from `duals`
-    and the diagrams' current arcs by `open`, and freed by `close` once the
-    copies are back in `duals`.  `held` keeps it open between the passes of
-    one `run`; a pass outside `run` closes it behind itself.
+    reads its forward value, while its backward value stays +inf.  `costs`
+    holds the cost copies flat in slot order (diagram by diagram, level by
+    level), and `rank` gives each slot's variable's place in `active`.
+    `wave[forward]` is each variable's wave number in that direction, and
+    `waves[forward]` lists the waves' tables in pass order (see `_Wave`).
+    All of these live as long as the state.  `build` makes every table
+    that depends only on the diagrams' levels and supports; `refresh`
+    re-reads `costs` from `duals` and each wave's `lo`/`hi` from the arcs.
+    A pass writes the copies back into `duals` (`write_back`), except
+    while `held`: `run` holds them until its last pass.
     """
 
-    __slots__ = ("base", "roots", "var", "first", "last", "wave", "fw", "bw", "fresh", "schedule", "held")
+    __slots__ = ("base", "roots", "wave", "rank", "waves", "costs", "fw", "bw", "held")
 
     @classmethod
-    def build(cls, bdds, active):
-        """The store for `bdds`, or None when its schedule would have too many waves to pay off."""
+    def build(cls, bdds, active, averaging):
+        """The store for `bdds`, or None when it would have too many waves to pay off."""
         import numpy as np
 
+        i32 = np.int32
         self = cls()
         sizes = np.fromiter(map(len, (b.lo for b in bdds)), np.int64, len(bdds))
         levels = np.fromiter(map(len, (b.support for b in bdds)), np.int64, len(bdds))
         self.base = np.cumsum(sizes) - sizes
         self.roots = self.base + np.fromiter((b.root for b in bdds), np.int64, len(bdds))
         ends = np.cumsum(levels)[levels > 0]
-        self.var = np.fromiter(chain.from_iterable(b.support for b in bdds), np.int32, int(levels.sum()))
-        self.first = np.zeros(len(self.var), bool)
-        self.first[ends - levels[levels > 0]] = True
-        self.last = np.zeros(len(self.var), bool)
-        self.last[ends - 1] = True
+        var = np.fromiter(chain.from_iterable(b.support for b in bdds), i32, int(levels.sum()))
+        first = np.zeros(len(var), bool)
+        first[ends - levels[levels > 0]] = True
+        last = np.zeros(len(var), bool)
+        last[ends - 1] = True
         limit = (int(sizes.sum()) - 2 * len(bdds)) // ARRAY_MIN_WAVE_NODES
         num_vars = max(active, default=-1) + 1
         self.wave = {}
-        for forward, has, step in ((True, ~self.first, -1), (False, ~self.last, 1)):
-            self.wave[forward] = _wave_numbers(self.var, has, step, num_vars, limit)
+        for forward, has, step in ((True, ~first, -1), (False, ~last, 1)):
+            self.wave[forward] = _wave_numbers(var, has, step, num_vars, limit)
             if self.wave[forward] is None:
                 return None
+        base = self.base.astype(i32)
+        diag = np.repeat(np.arange(len(bdds), dtype=i32), levels)
+        width = np.fromiter(map(len, chain.from_iterable(b.level_nodes for b in bdds)), i32, len(var))
+        start = np.cumsum(width) - width
+        nodes = np.fromiter(
+            chain.from_iterable(chain.from_iterable(b.level_nodes for b in bdds)), i32, int(width.sum())
+        )
+        nodes += np.repeat(base[diag], width)
+        heads = np.concatenate((nodes, base + TRUE))  # what a slot's `below` draws from
+        rank_of = np.zeros(num_vars, i32)
+        rank_of[active] = np.arange(len(active), dtype=i32)
+        self.rank = rank = rank_of[var]
+        self.waves = {}
+        for forward, ahead in ((True, ~last), (False, ~first)):
+            number = self.wave[forward][var]
+            order = np.lexsort((-width, number)).astype(i32)  # stable: slot order within a width
+            bounds = np.searchsorted(number[order], np.arange(int(number.max(initial=-1)) + 2)).tolist()
+            self.waves[forward] = [
+                _wave(order[a:b], width, start, nodes, rank, ahead, averaging == SRMP,
+                      last, diag, heads if forward else None)
+                for a, b in zip(bounds, bounds[1:])
+            ]
+        self.costs = None
         self.fw = np.full(int(sizes.sum()), INF)
         self.bw = np.full(int(sizes.sum()), INF)
-        self.fresh = False
-        self.schedule = None
         self.held = False
         return self
 
-    def open(self, state):
-        """The schedule, built from `state.duals` and the diagrams' arcs unless already open."""
-        if self.schedule is None:
-            self.schedule = _Schedule(state, self)
-        return self.schedule
-
-    def close(self, state):
-        """Write the cost copies back into `state.duals` and free the schedule."""
-        if self.schedule is None:
-            return
-        flat = self.schedule.costs.tolist()
+    def write_back(self, state):
+        """Write the cost copies back into `state.duals`."""
+        flat = self.costs.tolist()
         k = 0
         for costs in state.duals:
             n = len(costs)
             costs[:] = flat[k : k + n]
             k += n
-        self.schedule = None
 
     def refresh(self, state):
-        """`DualState.refresh` on the store: a fresh schedule, then every backward value.
-
-        The schedule stays open, so a `run` that follows uses it.
-        """
+        """`DualState.refresh` on the store: re-read the cost copies and arcs, then every backward value."""
         import numpy as np
 
-        self.schedule = None
-        sched = self.open(state)
-        fw, bw, costs = self.fw, self.bw, sched.costs
+        i32 = np.int32
+        bdds = state.bdds
+        self.costs = np.fromiter(chain.from_iterable(state.duals), np.float64, len(self.rank))
+        shift = np.repeat(self.base.astype(i32), np.diff(np.append(self.base, len(self.fw))))
+        lo = np.fromiter(chain.from_iterable(b.lo for b in bdds), i32, len(shift))
+        lo += shift
+        hi = np.fromiter(chain.from_iterable(b.hi for b in bdds), i32, len(shift))
+        hi += shift
+        for w in chain(self.waves[True], self.waves[False]):  # the false terminal is the sink
+            w.lo, w.hi = lo[w.nodes], hi[w.nodes]
+        self._backward(self.bw)
+        state.energies[:] = self.bw[self.roots].tolist()
+        self.fw[self.roots[self.roots != self.base + FALSE]] = 0.0
+
+    def _backward(self, bw):
+        """Every backward value of `bw` afresh from the cost copies, bottom-up in every diagram."""
+        import numpy as np
+
         bw[self.base + FALSE] = INF
         bw[self.base + TRUE] = 0.0
-        for w in sched.waves[False]:  # bottom-up in every diagram
+        for w in self.waves[False]:
             a = bw[w.lo]
-            b = _spread(costs[w.slots], w.columns) + bw[w.hi]
+            b = _spread(self.costs[w.slots], w.columns) + bw[w.hi]
             bw[w.nodes] = np.where(a <= b, a, b)
-        state.energies[:] = bw[self.roots].tolist()
-        fw[self.roots[self.roots != self.base + FALSE]] = 0.0
-        self.fresh = False
+        return bw
 
     def sweep(self, state, forward):
         """One pass, one vectorised coordinate step per wave; False once it proves infeasibility.
@@ -651,29 +676,17 @@ class _ArrayStore:
         """
         import numpy as np
 
-        sched = self.open(state)
-        fw, bw, costs = self.fw, self.bw, sched.costs
+        fw, bw, costs = self.fw, self.bw, self.costs
         saved = costs.copy()
         proof = None
         with np.errstate(all="ignore"):  # inf - inf is the nan of an empty diagram, as in the lists
-            for w in sched.waves[forward]:
+            for w in self.waves[forward]:
                 f = fw[w.nodes]
                 a = bw[w.lo]
                 h = bw[w.hi]
                 c = costs[w.slots]
                 n = len(c)
-                m0 = f + a
-                m1 = f + _spread(c, w.columns)
-                m1 += h
-                for start, count in w.columns[1:]:  # fold node k of the first `count` slots into node 0
-                    np.minimum(m0[:count], m0[start : start + count], out=m0[:count])
-                    np.minimum(m1[:count], m1[start : start + count], out=m1[:count])
-                d = np.empty(n + 1)
-                np.subtract(m1[:n], m0[:n], out=d[:n])
-                d[n] = 0.0  # the pad of `groups`
-                total = np.zeros(len(w.count))
-                for column in w.groups:  # each variable's diffs in slot order, from 0.0
-                    total += d[column]
+                d, total = _diffs(w, f, a, h, c)
                 share = (total / w.count)[w.slot_var]
                 new = c - d[:n]
                 if w.member is None:
@@ -704,72 +717,67 @@ class _ArrayStore:
                     b = _spread(new, w.columns) + h
                     bw[w.nodes] = np.where(a <= b, a, b)
         if proof is not None:
-            undo = sched.rank >= proof if forward else sched.rank <= proof
+            undo = self.rank >= proof if forward else self.rank <= proof
             costs[undo] = saved[undo]
             state.infeasible = True
+        elif forward:
+            state.energies[:] = fw[self.base + TRUE].tolist()
         else:
-            self.fresh = forward
-            if forward:
-                state.energies[:] = fw[self.base + TRUE].tolist()
-            else:
-                state.energies[:] = bw[self.roots].tolist()
+            state.energies[:] = bw[self.roots].tolist()
         if not self.held:
-            self.close(state)
+            self.write_back(state)
         return proof is None
 
     def margins(self, state):
-        """Each variable's sum of m1 - m0 over its diagrams, as `primal.compute_scores` adds them.
+        """`DualState.margins` on the store: one read-only forward wave pass.
 
-        One numpy array, the variables in the order of their first slot, as
-        `state.slots` lists them.  Requires a feasible state.  The direction
-        `fresh` names is current with the cost copies and is read as it is;
-        the other one is swept afresh into a temporary array, so `fw` and
-        `bw` stay as the passes left them.  A slot's pair comes from
-        `min_marginals`' float operations, and each variable's diffs are
-        added in slot order from 0.0, so the margins equal `compute_scores`'
-        per-diagram sums to the bit.
+        Backward values are computed afresh into a temporary array as
+        `refresh` computes them, and forward values are scattered afresh
+        into another, wave by wave while each wave's pairs are read as a
+        pass reads them; so `fw` and `bw` stay as the passes left them.  A
+        slot's pair comes from `min_marginals`' float operations, and each
+        variable's diffs are folded from 0.0 in slot order, so the margins
+        equal the per-diagram sums to the bit.
         """
         import numpy as np
 
-        sched = self.open(state)
-        costs = sched.costs
-        fw, bw = self.fw, self.bw
-        if self.fresh:  # a forward pass came last: backward values afresh, as `refresh` computes them
-            bw = np.full(len(bw), INF)
-            bw[self.base + TRUE] = 0.0
-            for w in sched.waves[False]:
-                a = bw[w.lo]
-                b = _spread(costs[w.slots], w.columns) + bw[w.hi]
-                bw[w.nodes] = np.where(a <= b, a, b)
-        else:  # forward values afresh, scattered wave by wave while the pairs are read
-            fw = np.full(len(fw), INF)
-            fw[self.roots[self.roots != self.base + FALSE]] = 0.0
-        diff = np.empty(len(costs))
-        for w in sched.waves[True]:
-            f = fw[w.nodes]
-            m0 = f + bw[w.lo]
-            fc = f + _spread(costs[w.slots], w.columns)
-            m1 = fc + bw[w.hi]
-            if not self.fresh:
+        bw = self._backward(np.full(len(self.bw), INF))
+        fw = np.full(len(self.fw), INF)
+        fw[self.roots[self.roots != self.base + FALSE]] = 0.0
+        out = np.empty(len(state.active))
+        with np.errstate(all="ignore"):  # inf + -inf: forced both ways, nan as on the lists
+            for w in self.waves[True]:
+                f = fw[w.nodes]
+                c = self.costs[w.slots]
+                out[w.rank] = _diffs(w, f, bw[w.lo], bw[w.hi], c)[1]
                 np.minimum.at(fw, w.lo, f)
-                np.minimum.at(fw, w.hi, fc)
-            for start, count in w.columns[1:]:
-                np.minimum(m0[:count], m0[start : start + count], out=m0[:count])
-                np.minimum(m1[:count], m1[start : start + count], out=m1[:count])
-            n = len(w.slots)
-            diff[w.slots] = m1[:n] - m0[:n]
-        del fw, bw  # frees the temporary array before the fold allocates
-        # each variable's slots, in slot order: fold them column by column from 0.0
-        by_var = np.argsort(self.var, kind="stable")
-        var = self.var[by_var]
-        starts = np.flatnonzero(np.append(True, var[1:] != var[:-1]))
-        counts = np.diff(np.append(starts, len(var)))
-        total = np.zeros(len(starts))
-        with np.errstate(invalid="ignore"):  # inf + -inf: forced both ways, nan as in `compute_scores`
-            for k in range(int(counts.max(initial=0))):
-                has = counts > k
-                total[has] += diff[by_var[starts[has] + k]]
-        return total[np.argsort(by_var[starts])]
+                np.minimum.at(fw, w.hi, f + _spread(c, w.columns))
+        return dict(zip(state.active, out.tolist()))
+
+
+def _diffs(w, f, a, h, c):
+    """Wave `w`'s diffs m1 - m0 per slot, padded with a 0.0, and each variable's total.
+
+    `f` holds the wave's forward node values, `a`/`h` the backward values
+    of their 0- and 1-children, and `c` the cost copies per slot.  Each
+    total adds the variable's diffs in slot order from 0.0.
+    """
+    import numpy as np
+
+    n = len(c)
+    m0 = f + a
+    m1 = f + _spread(c, w.columns)
+    m1 += h
+    for start, count in w.columns[1:]:  # fold node k of the first `count` slots into node 0
+        np.minimum(m0[:count], m0[start : start + count], out=m0[:count])
+        np.minimum(m1[:count], m1[start : start + count], out=m1[:count])
+    d = np.empty(n + 1)
+    np.subtract(m1[:n], m0[:n], out=d[:n])
+    d[n] = 0.0  # the pad of `groups`
+    total = np.zeros(len(w.count))
+    for column in w.groups:
+        total += d[column]
+    return d, total
 
 
 def _spread(values, columns):
@@ -816,26 +824,14 @@ def _wave_numbers(var, has, step, num_vars, limit):
 
 
 class _Wave:
-    """The tables of one wave in one direction; see `_Schedule`."""
+    """The tables of one wave in one direction of an `_ArrayStore`.
 
-    __slots__ = (
-        "slots", "nodes", "lo", "hi", "columns", "below",
-        "groups", "slot_var", "count", "member", "rank",
-    )
-
-
-class _Schedule:
-    """The cost copies and per-direction wave tables of an `_ArrayStore`.
-
-    `costs` is flat in slot order (diagram by diagram, level by level), and
-    `rank` gives each slot's variable's place in `active`.  `waves[forward]`
-    lists the waves in pass order.  Within a wave:
     - `slots` come widest level first.  `nodes` holds node k of every slot
       wider than k, for k = 0, 1, ...: node 0 of the i-th slot sits at i, and
       each column k is the block `(start, count)` of `columns` over the first
-      `count` slots.  `lo`/`hi` are the nodes' children (the false terminal
-      being the sink), and `below` holds the nodes a forward step resets
-      (the level below, or the true terminal).
+      `count` slots.  `lo`/`hi` are the nodes' children as of the last
+      `refresh` (the false terminal being the sink), and `below` holds the
+      nodes a forward step resets (the level below, or the true terminal).
     - `groups[k, v]` is the place of variable v's k-th slot (in slot
       order), padded with the place of a trailing 0.0; `slot_var` is the
       inverse.  `count` is the number of members per variable, `member` the
@@ -843,49 +839,13 @@ class _Schedule:
       place in `active`.
     """
 
-    __slots__ = ("costs", "rank", "waves")
-
-    def __init__(self, state, store):
-        import numpy as np
-
-        i32 = np.int32
-        bdds, var = state.bdds, store.var
-        total = len(var)
-        base = store.base.astype(i32)
-        levels = np.fromiter(map(len, (b.support for b in bdds)), np.int64, len(bdds))
-        diag = np.repeat(np.arange(len(bdds), dtype=i32), levels)
-        width = np.fromiter(map(len, chain.from_iterable(b.level_nodes for b in bdds)), i32, total)
-        start = np.cumsum(width) - width
-        nodes = np.fromiter(
-            chain.from_iterable(chain.from_iterable(b.level_nodes for b in bdds)), i32, int(width.sum())
-        )
-        nodes += np.repeat(base[diag], width)
-        shift = np.repeat(base, np.diff(np.append(store.base, len(store.fw))))
-        lo = np.fromiter(chain.from_iterable(b.lo for b in bdds), i32, len(shift))
-        lo += shift
-        hi = np.fromiter(chain.from_iterable(b.hi for b in bdds), i32, len(shift))
-        hi += shift
-        del shift
-        heads = np.concatenate((nodes, base + TRUE))  # what a slot's `below` draws from
-        rank_of = np.zeros_like(store.wave[True])  # one entry per variable
-        rank_of[state.active] = np.arange(len(state.active), dtype=i32)
-        self.rank = rank = rank_of[var]
-        del rank_of
-        self.costs = np.fromiter(chain.from_iterable(state.duals), np.float64, total)
-        self.waves = {}
-        for forward, ahead in ((True, ~store.last), (False, ~store.first)):
-            number = store.wave[forward][var]
-            order = np.lexsort((-width, number)).astype(i32)  # stable: slot order within a width
-            bounds = np.searchsorted(number[order], np.arange(int(number.max(initial=-1)) + 2)).tolist()
-            del number
-            self.waves[forward] = [
-                _wave(order[a:b], width, start, nodes, lo, hi, rank, ahead, state.averaging == SRMP,
-                      store.last, diag, heads if forward else None)
-                for a, b in zip(bounds, bounds[1:])
-            ]
+    __slots__ = (
+        "slots", "nodes", "lo", "hi", "columns", "below",
+        "groups", "slot_var", "count", "member", "rank",
+    )
 
 
-def _wave(sl, width, start, nodes, lo, hi, rank, ahead, srmp, last, diag, heads):
+def _wave(sl, width, start, nodes, rank, ahead, srmp, last, diag, heads):
     """The `_Wave` of the slots `sl`, widest level first; `heads` only for a forward wave."""
     import numpy as np
 
@@ -896,16 +856,13 @@ def _wave(sl, width, start, nodes, lo, hi, rank, ahead, srmp, last, diag, heads)
     # node k of every slot wider than k; the slots wider than k are a prefix
     # (column 0 may miss slots, and even be empty: an empty diagram's levels)
     counts = np.bincount(width[sl], minlength=2)[::-1].cumsum()[::-1][1:].tolist()
-    wn = nodes[np.concatenate([start[sl[:c]] + k for k, c in enumerate(counts)])]
+    w.nodes = nodes[np.concatenate([start[sl[:c]] + k for k, c in enumerate(counts)])]
     w.columns = list(zip(np.cumsum([0] + counts).tolist(), counts))
-    w.nodes, w.lo, w.hi = wn, lo[wn], hi[wn]
     # variables: the places of each one's slots, in slot order
     r = rank[sl]
     pos = np.lexsort((sl, r)).astype(i32)
     r = r[pos]
-    fresh = np.ones(n, bool)
-    fresh[1:] = r[1:] != r[:-1]
-    vstart = np.flatnonzero(fresh)
+    vstart = np.flatnonzero(np.append(True, r[1:] != r[:-1]))
     vcount = np.diff(np.append(vstart, n))
     vid = np.repeat(np.arange(len(vstart), dtype=i32), vcount)
     w.groups = np.full((int(vcount.max()), len(vstart)), n, i32)
@@ -937,7 +894,7 @@ def cost_scale(state: DualState) -> float:
     The stopping rule divides bound changes by max(scale, |lb|), so it is
     relative for small objectives too and unchanged when some cost is >= 1.
     """
-    totals = {}  # each variable's copies summed in diagram order, as sum() would
+    totals = {}  # each variable's copies added left to right in diagram order
     for bdd, costs in zip(state.bdds, state.duals):
         for var, c in zip(bdd.support, costs):
             totals[var] = totals.get(var, 0) + c
@@ -953,27 +910,18 @@ def run(state: DualState, max_passes=DEFAULT_MAX_PASSES, tolerance=DEFAULT_TOLER
     the cost scale (see `cost_scale`), below which the run stops -- zero
     disables the check and runs to the pass limit.
 
-    On the array store one schedule serves every pass of the run.  A run
-    that ends feasible reads the rounding margins off it before it is
-    freed (`_ArrayStore.margins`) and keeps them in `state.margins`, where
-    `primal.compute_scores` takes them instead of sweeping each diagram;
-    the next pass or `refresh` drops them.  When the run returns, the cost
-    copies are back in `state.duals` and the schedule is freed.
+    On the array store the passes of one run keep the cost copies in the
+    store; they are back in `state.duals` when the run returns.
     """
     store = state.store
     if store is None:
         return _run(state, max_passes, tolerance)
     store.held = True
     try:
-        report = _run(state, max_passes, tolerance)
-        if not state.infeasible:
-            state.margins = store.margins(state)
-        return report
+        return _run(state, max_passes, tolerance)
     finally:
         store.held = False
-        store.close(state)
-        if state._slots is None:  # the rounding search reads it next
-            state._slots = _slot_map(state.bdds)
+        store.write_back(state)
 
 
 def _run(state, max_passes, tolerance):

@@ -16,9 +16,9 @@ Budgets cap the number of branch attempts; exhausting the tree without a
 budget stop is a proof of infeasibility.
 
 Margins always come from the dual's min-sum kernels over the raw cost
-copies, whether or not the dual ascent was smoothed: the sums a `dual.run`
-on the array store kept in `state.margins`, else one `dual.min_marginals`
-sweep per diagram.
+copies, whether or not the dual ascent was smoothed: `DualState.margins`
+reads them on either message store.  Each variable's covering diagrams
+come from the decomposition (`state.covering`).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 from .bdd import TRUE, Trail
-from .dual import min_marginals
 
 INF = math.inf
 
@@ -76,29 +75,20 @@ class PrimalResult:
 def compute_scores(state, strategy=NEG_MARGIN) -> PrimalScores:
     """Score every covered variable from its min-sum margins.
 
-    The margins are `state.margins` when the dual kept them (a `dual.run`
-    on the array store that ended feasible, until the next pass or
-    `refresh`); otherwise one fresh `min_marginals` sweep per diagram
-    gives them, equal to the bit.  neg_mm ranks by -margin (strong
-    1-preferences first), abs_mm by |margin| (most decided first),
-    reduction_aligned by margin signed with the diagrams' solution-count
-    imbalance (most contentious first); path counts are taken per diagram,
-    and only for that strategy.
+    The margins are `state.margins()`, read afresh from the current cost
+    copies (after fixing diagrams, `refresh` the state first).  neg_mm
+    ranks by -margin (strong 1-preferences first), abs_mm by |margin|
+    (most decided first), reduction_aligned by margin signed with the
+    diagrams' solution-count imbalance (most contentious first); path
+    counts are taken per diagram, and only for that strategy.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    sweep = state.margins is None
-    margins = {} if sweep else dict(zip(state.slots, state.margins.tolist()))
-    counts = {} if strategy == COUNT_ALIGNED else None
-    if sweep or counts is not None:
-        for j, bdd in enumerate(state.bdds):
-            if bdd.root < 2:
-                continue
-            if sweep:
-                for var, (m0, m1) in zip(bdd.support, min_marginals(bdd, state.duals[j])):
-                    # IEEE subtraction: +inf where the diagram forces 0, -inf where it forces 1
-                    margins[var] = margins.get(var, 0.0) + (m1 - m0)
-            if counts is not None:
+    margins = state.margins()
+    if strategy == COUNT_ALIGNED:
+        counts = {}
+        for bdd in state.bdds:
+            if bdd.root >= 2:
                 for var, (n0, n1) in zip(bdd.support, _path_counts(bdd)):
                     counts[var] = counts.get(var, 0) + (n1 - n0)
 
@@ -158,14 +148,15 @@ def rollback_all(bdds, mark):
     bdds[0].trail.rollback(mark)
 
 
-def restriction_propagation(bdds, slots, assignment, var, value, newly):
+def restriction_propagation(bdds, covering, assignment, var, value, newly):
     """Fix var=value everywhere it appears, then chase forced literals.
 
     Returns False as soon as some diagram empties or a forced literal
     contradicts an existing assignment; the caller rolls back.  On success
     `assignment` has gained the variable and everything it implied, all
     appended to `newly` for the caller's undo list.  Every touched diagram
-    must have an open checkpoint on its trail.
+    must have an open checkpoint on its trail.  `covering[v]` lists the
+    diagrams covering variable v, as `DualState.covering` does.
     """
     queue = [(var, value)]
     qi = 0
@@ -179,7 +170,7 @@ def restriction_propagation(bdds, slots, assignment, var, value, newly):
             continue
         assignment[v] = b
         newly.append(v)
-        for j, _lev in slots.get(v, ()):
+        for j in covering[v]:
             bdd = bdds[j]
             if not bdd.fix(v, b):
                 return False
@@ -202,7 +193,7 @@ def primal_search(state, preassigned=None, strategy=NEG_MARGIN, budget=None) -> 
     their entry state and returned to their own trails.
     """
     bdds = state.bdds
-    slots = state.slots
+    covering = state.covering
     scores = compute_scores(state, strategy)
     assignment = dict(preassigned or {})
     order = scores.order
@@ -229,7 +220,7 @@ def primal_search(state, preassigned=None, strategy=NEG_MARGIN, budget=None) -> 
         attempts += 1
         mark = checkpoint_all(bdds)
         newly = []
-        if restriction_propagation(bdds, slots, assignment, var, value, newly):
+        if restriction_propagation(bdds, covering, assignment, var, value, newly):
             frames.append((idx, flipped, mark, newly))
             max_depth = max(max_depth, len(frames))
             flipped = False

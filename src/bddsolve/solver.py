@@ -43,6 +43,11 @@ class SolveOptions:
             raise ValueError(f"primal_budget must be nonnegative, got {self.primal_budget}")
         if not self.tolerance >= 0:  # NaN fails too
             raise ValueError(f"tolerance must be nonnegative, got {self.tolerance!r}")
+        _dual.check_modes(self.smoothing, self.averaging)
+        if self.strategy not in _primal.STRATEGIES:
+            raise ValueError(f"unknown strategy {self.strategy!r}")
+        if self.order not in ("input", "cuthill_mckee"):
+            raise ValueError(f"unknown ordering strategy {self.order!r}")
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Diagram queries that only the tests use: undo records, levels, and path enumeration."""
+"""Diagram queries that only the tests use: undo records, levels, slots, and path enumeration."""
 
 from bddsolve.bdd import FALSE, TRUE, BddError
 
@@ -20,6 +20,15 @@ def journal(bdd):
 
 def level_of(bdd, var):
     return bdd.support.index(var)
+
+
+def slot_map(bdds):
+    """Per variable its `(diagram, level)` pairs, diagrams in order."""
+    slots = {}
+    for j, b in enumerate(bdds):
+        for lev, var in enumerate(b.support):
+            slots.setdefault(var, []).append((j, lev))
+    return slots
 
 
 def solutions(bdd, cap=DEFAULT_ENUMERATION_CAP):

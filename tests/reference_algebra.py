@@ -37,6 +37,7 @@ import numpy as np
 
 from bddsolve import dual
 from bddsolve.bdd import FALSE, TRUE, Bdd
+from bdd_queries import level_of, slot_map
 
 INF = math.inf
 
@@ -357,13 +358,12 @@ def level_kernels(state):
     return marg, scatter, bstep, readout
 
 
-def _slot_update(state, var, forward, marg):
-    """One coordinate step over slots, messages untouched; returns its kind.
+def _slot_update(state, slots, forward, marg):
+    """One coordinate step over one variable's `slots`, messages untouched; returns its kind.
 
     "average", "forced" or "infeasible" (latched on the state).  Members are
     derived from the diagrams' level counts, not from `state.sweeps`.
     """
-    slots = state.slots[var]
     bdds, fw, bw, duals = state.bdds, state.fw, state.bw, state.duals
     diffs = []
     for j, lev in slots:
@@ -411,13 +411,14 @@ def slot_pass(state, forward, kinds=None):
         return INF
     marg, scatter, bstep, readout = level_kernels(state)
     bdds, fw, bw, duals = state.bdds, state.fw, state.bw, state.duals
+    slots = slot_map(bdds)
     for var in state.active if forward else reversed(state.active):
-        kind = _slot_update(state, var, forward, marg)
+        kind = _slot_update(state, slots[var], forward, marg)
         if kinds is not None:
             kinds[kind] += 1
         if state.infeasible:
             return INF
-        for j, lev in state.slots[var]:
+        for j, lev in slots[var]:
             if not forward:
                 bstep(bdds[j], bw[j], lev, duals[j][lev])
             elif lev < bdds[j].num_levels - 1:
@@ -468,10 +469,10 @@ def watch_updates(monkeypatch, observer):
 
     def watched(state, var, forward=True):
         marg = level_kernels(state)[0]
-        items = [
-            (j, lev, *marg(state.bdds[j], state.fw[j], state.bw[j], lev, state.duals[j][lev]))
-            for j, lev in state.slots.get(var, ())
-        ]
+        items = []
+        for j in state.covering[var]:
+            lev = level_of(state.bdds[j], var)
+            items.append((j, lev, *marg(state.bdds[j], state.fw[j], state.bw[j], lev, state.duals[j][lev])))
         observer.marginals(var, items)
         diffs = update(state, var, forward)
         if state.infeasible:

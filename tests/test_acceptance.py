@@ -37,7 +37,7 @@ from bddsolve.model import (
 )
 from bddsolve.primal import _path_counts, primal_search
 from bddsolve.testkit import brute_force_solve, mrf_instance, random_ilp
-from bdd_queries import journal, solutions
+from bdd_queries import journal, slot_map, solutions
 from reference_algebra import (
     COUNTING,
     LOG_PARTITION,
@@ -360,7 +360,7 @@ def test_c06_incremental_marginals_match_scratch(monkeypatch):
 
 
 def _check_split_invariant(state, instance):
-    for var, slots in state.slots.items():
+    for var, slots in slot_map(state.bdds).items():
         total = math.fsum(state.duals[j][lev] for j, lev in slots)
         assert abs(total - float(instance.objective[var])) <= 1e-9
 

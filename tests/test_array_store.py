@@ -4,7 +4,7 @@ A state takes the array store when it is min-sum, has at least
 `ARRAY_MIN_NODES` diagram nodes and at least `ARRAY_MIN_WAVE_NODES` nodes
 per wave.  The tests force either path by patching those constants, and
 require every result to be equal to the bit: pass bounds, cost copies,
-energies, the rounding margins a run keeps, reports and search outcomes.
+energies, rounding margins, reports and search outcomes.
 """
 
 import math
@@ -12,10 +12,11 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
-from bddsolve import dual, primal
+from bddsolve import dual
 from bddsolve.bdd import Trail, build_bdd
 from bddsolve.dual import SRMP, UNIFORM, backward_pass, forward_pass, init_duals, mma_update, run
 from bddsolve.model import ILPInstance, LinearConstraint, Relation, decompose, order_variables, write_lp
@@ -28,6 +29,7 @@ from bddsolve.testkit import (
     random_ilp,
     tomography_instance,
 )
+from bdd_queries import slot_map
 
 GENERATORS = (
     lambda s: random_ilp(9, 5, s),
@@ -156,7 +158,6 @@ def test_public_functions_equal_the_list_kernels(monkeypatch):
         want, got = run(lists, passes, 0.0), run(array, passes, 0.0)
         assert (got.termination, got.passes, bounds(got)) == (want.termination, want.passes, bounds(want))
         same()
-    assert array.store.schedule is None  # freed once the run returned
     for strategy in ("neg_mm", "abs_mm", "reduction_aligned"):
         want, got = compute_scores(lists, strategy), compute_scores(array, strategy)
         assert (repr(got.margins), got.preference, got.order) == (repr(want.margins), want.preference, want.order)
@@ -168,8 +169,8 @@ def test_public_functions_equal_the_list_kernels(monkeypatch):
 
 
 def test_refresh_reads_restricted_diagrams(monkeypatch):
-    # the schedule copies the arcs when it is built, so after fixing or rolling
-    # back diagrams `refresh` brings the passes up to date, as on the lists
+    # the store reads the arcs at `refresh`, so after fixing or rolling back
+    # diagrams `refresh` brings the passes up to date, as on the lists
     problem = mrf_instance(3, 3, 2, seed=2)
     states = [build_state(monkeypatch, problem, array) for array in (False, True)]
     for state in states:
@@ -180,7 +181,7 @@ def test_refresh_reads_restricted_diagrams(monkeypatch):
         assignment = {}
         for var in range(0, problem.num_vars, 4):
             if var not in assignment:
-                restriction_propagation(state.bdds, state.slots, assignment, var, 1, [])
+                restriction_propagation(state.bdds, state.covering, assignment, var, 1, [])
     rounds = []
     for restricted in (True, False):
         for state in states:
@@ -195,18 +196,19 @@ def test_refresh_reads_restricted_diagrams(monkeypatch):
     assert rounds[0] != rounds[1]  # the restriction moved the bounds
 
 
-def kept(state):
-    """The margins a run on the array store kept, by variable."""
-    return dict(zip(state.slots, state.margins.tolist()))
-
-
 def swept(state):
-    """`compute_scores`' margins from one `min_marginals` sweep per diagram, whatever the state keeps."""
-    held, state.margins = state.margins, None
-    try:
-        return compute_scores(state).margins
-    finally:
-        state.margins = held
+    """Each covered variable's margin in `active` order: its m1 - m0 over one
+    `min_marginals` sweep per diagram, added in diagram order from 0.0."""
+    pairs = [dual.min_marginals(bdd, costs) for bdd, costs in zip(state.bdds, state.duals)]
+    slots = slot_map(state.bdds)
+    margins = {}
+    for var in state.active:
+        total = 0.0
+        for j, lev in slots[var]:
+            m0, m1 = pairs[j][lev]
+            total += m1 - m0
+        margins[var] = total
+    return margins
 
 
 def margin_kinds(margins):
@@ -214,10 +216,10 @@ def margin_kinds(margins):
 
 
 @pytest.mark.parametrize("averaging", [UNIFORM, SRMP])
-def test_run_keeps_the_per_diagram_margins(averaging, monkeypatch):
+def test_margins_equal_the_per_diagram_sums(averaging, monkeypatch):
     # after 0 passes the refreshed backward values are current, after 7 the
-    # forward ones, after 8 the backward ones; a proof (some instances here)
-    # keeps no margins
+    # forward ones, after 8 the backward ones; some instances here are proven
+    # infeasible, and have no margins
     kinds = Counter()
     for make in GENERATORS:
         for seed in range(6):
@@ -227,14 +229,13 @@ def test_run_keeps_the_per_diagram_margins(averaging, monkeypatch):
                 array = build_state(monkeypatch, problem, True, averaging)
                 run(lists, passes, 0.0)
                 run(array, passes, 0.0)
-                assert lists.margins is None
-                assert array.store.schedule is None
+                assert array.infeasible == lists.infeasible
                 if array.infeasible:
-                    assert array.margins is None
                     kinds["proof"] += 1
                     continue
-                assert repr(kept(array)) == repr(swept(array)) == repr(swept(lists))
-                kinds.update(margin_kinds(kept(array)))
+                got = array.margins()
+                assert repr(got) == repr(swept(array)) == repr(lists.margins()) == repr(swept(lists))
+                kinds.update(margin_kinds(got))
                 for strategy in ("neg_mm", "abs_mm", "reduction_aligned"):
                     want, got = compute_scores(lists, strategy), compute_scores(array, strategy)
                     assert (repr(got.margins), got.preference, got.order) == (
@@ -244,13 +245,22 @@ def test_run_keeps_the_per_diagram_margins(averaging, monkeypatch):
     assert kinds["finite"] > 3000 and kinds["inf"] >= 40 and kinds["nan"] >= 1 and kinds["proof"] >= 5
 
 
-def test_passes_and_refresh_drop_the_margins(monkeypatch):
-    state = build_state(monkeypatch, mrf_instance(3, 3, 2, seed=4), True)
-    for step in (state.refresh, lambda: forward_pass(state), lambda: backward_pass(state)):
-        run(state, 3, 0.0)
-        assert state.margins is not None
-        step()
-        assert state.margins is None
+def test_margins_follow_passes_and_refresh(monkeypatch):
+    # margins are read afresh from the cost copies whichever step came last,
+    # and reading them leaves the store's messages as the passes left them
+    problem = mrf_instance(3, 3, 2, seed=4)
+    lists, array = (build_state(monkeypatch, problem, a) for a in (False, True))
+    run(lists, 3, 0.0)
+    run(array, 3, 0.0)
+    seen = []
+    for step in (lambda s: s.refresh(), forward_pass, backward_pass, forward_pass):
+        assert repr(step(array)) == repr(step(lists))
+        messages = repr((array.store.fw.tolist(), array.store.bw.tolist(), array.energies))
+        got = array.margins()
+        assert repr(got) == repr(swept(array)) == repr(lists.margins())
+        assert repr((array.store.fw.tolist(), array.store.bw.tolist(), array.energies)) == messages
+        seen.append(got)
+    assert seen[0] != seen[1]  # the pass moved the cost copies, and the margins with them
 
 
 def test_margins_follow_fixes_refresh_and_rollback(monkeypatch):
@@ -260,21 +270,20 @@ def test_margins_follow_fixes_refresh_and_rollback(monkeypatch):
         run(state, 4, 0.0)
         Trail().attach(state.bdds)
     lists, array = states
+    unrestricted = array.margins()
     marks = [checkpoint_all(state.bdds) for state in states]
     for state in states:
         assignment = {}
         for var in (0, 8):
-            assert restriction_propagation(state.bdds, state.slots, assignment, var, 1, [])
-    unrestricted = kept(array)
+            assert restriction_propagation(state.bdds, state.covering, assignment, var, 1, [])
     seen = []
     for restricted in (True, False):
         for state in states:
             state.refresh()
-            assert state.margins is None
             run(state, 5, 0.0)
         assert not array.infeasible
-        assert repr(kept(array)) == repr(swept(array)) == repr(swept(lists))
-        seen.append(kept(array))
+        assert repr(array.margins()) == repr(swept(array)) == repr(swept(lists)) == repr(lists.margins())
+        seen.append(array.margins())
         if restricted:
             assert margin_kinds(seen[-1])["inf"] >= 2  # the fixed variables at least
             for state, mark in zip(states, marks):
@@ -283,28 +292,54 @@ def test_margins_follow_fixes_refresh_and_rollback(monkeypatch):
     assert margin_kinds(seen[1]) == margin_kinds(unrestricted)
 
 
-def test_scoring_after_run_builds_no_schedule(monkeypatch):
+def test_refresh_builds_no_wave_tables(monkeypatch):
+    # every wave table but the arcs depends only on levels and supports, so
+    # the store builds them once, with the state; a refresh after a fix or a
+    # rollback re-reads the cost copies and arcs into the same tables
     built = []
+    wave = dual._wave
 
-    class Counted(dual._Schedule):
-        def __init__(self, state, store):
-            built.append(1)
-            super().__init__(state, store)
+    def counted(*args):
+        built.append(1)
+        return wave(*args)
 
-    monkeypatch.setattr(dual, "_Schedule", Counted)
+    monkeypatch.setattr(dual, "_wave", counted)
+    state = build_state(monkeypatch, mrf_instance(4, 4, 2, seed=3), True)
+    waves = list(chain(state.store.waves[True], state.store.waves[False]))
+    assert len(built) == len(waves)
+    tables = [(w.slots, w.nodes, w.groups) for w in waves]
+
+    def arcs():
+        return [(w.lo.tolist(), w.hi.tolist()) for w in waves]
+
+    unrestricted = arcs()
+    run(state, 6, 0.0)
+    Trail().attach(state.bdds)
+    mark = checkpoint_all(state.bdds)
+    assert restriction_propagation(state.bdds, state.covering, {}, 0, 1, [])
+    state.refresh()
+    assert arcs() != unrestricted
+    run(state, 2, 0.0)
+    state.margins()
+    rollback_all(state.bdds, mark)
+    state.refresh()
+    assert arcs() == unrestricted
+    assert len(built) == len(waves)
+    assert list(chain(state.store.waves[True], state.store.waves[False])) == waves
+    assert all(x is y for old, w in zip(tables, waves) for x, y in zip(old, (w.slots, w.nodes, w.groups)))
+
+
+def test_scoring_sweeps_no_diagram(monkeypatch):
     state = build_state(monkeypatch, mrf_instance(4, 4, 2, seed=3), True)
     run(state, 6, 0.0)
-    assert len(built) == 1  # refresh's, which the run used
-    assert state.store.schedule is None
 
     def refuse(*args):
         raise AssertionError("scored by sweeping diagrams")
 
-    monkeypatch.setattr(primal, "min_marginals", refuse)
+    monkeypatch.setattr(dual, "min_marginals", refuse)
     for strategy in ("neg_mm", "abs_mm", "reduction_aligned"):
         compute_scores(state, strategy)
     assert primal_search(state, budget=100).status == "solved"
-    assert len(built) == 1 and state.store.schedule is None
 
 
 def test_list_totals_fold_left_like_the_store(monkeypatch):

@@ -461,22 +461,22 @@ def test_shape_siblings_stay_isolated_under_fixes_and_rollback(seed):
     for inst in (mrf_instance(3, 3, 2, seed), tomography_instance(8, 3, seed)):
         positions = decompose(inst).positions
         bdds = [build_bdd(c, positions, shapes=shapes) for c in inst.constraints]
-        slots = {}
+        covering = {}
         for j, (c, b) in enumerate(zip(inst.constraints, bdds)):
             fresh[id(b)] = exact(build_bdd(c, positions))
-            for lev, var in enumerate(b.support):
-                slots.setdefault(var, []).append((j, lev))
-        groups.append((bdds, slots))
+            for var in b.support:
+                covering.setdefault(var, []).append(j)
+        groups.append((bdds, covering))
     everything = [b for bdds, _ in groups for b in bdds]
     trail = Trail()
     trail.attach(everything)
     token = trail.checkpoint()
     rng = random.Random(seed)
-    for bdds, slots in groups:
+    for bdds, covering in groups:
         assignment = {}
-        for var in rng.sample(sorted(slots), 3):
+        for var in rng.sample(sorted(covering), 3):
             if var not in assignment:
-                if not restriction_propagation(bdds, slots, assignment, var, rng.randint(0, 1), []):
+                if not restriction_propagation(bdds, covering, assignment, var, rng.randint(0, 1), []):
                     break
     touched = {id(owner) for owner, _ in trail_records(trail)}
     siblings = {}

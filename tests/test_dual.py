@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from bddsolve import dual
 from bddsolve.bdd import TRUE, Trail, build_bdd
 from bddsolve.dual import (
     SRMP,
@@ -27,6 +28,7 @@ from bddsolve.testkit import (
     random_ilp,
     tomography_instance,
 )
+from bdd_queries import slot_map
 from reference_algebra import (
     predicted_increase,
     scratch_dual_value,
@@ -107,11 +109,24 @@ def test_init_splits_objective_equally():
     problem = random_ilp(8, 5, seed=42)
     state, dec = build_state(problem)
     for i in range(problem.num_vars):
-        slots = state.slots.get(i, [])
+        slots = slot_map(state.bdds).get(i, [])
         assert len(slots) == len(dec.var_subproblems[i])
         if slots:
             total = sum(state.duals[j][lev] for j, lev in slots)
             assert total == pytest.approx(float(problem.objective[i]))
+
+
+def test_bound_folds_left_from_zero(monkeypatch):
+    # `sum` compensates float sums from Python 3.12 on; the bound adds the
+    # energies left to right from 0.0, so it reads the same on every version
+    monkeypatch.setattr(dual, "sum", math.fsum, raising=False)
+    state, _ = build_state(mrf_instance(1, 3, 2, seed=0))
+    state.energies[:] = [1e16, 1.0, -1e16] + [0.5] * (len(state.energies) - 3)
+    total = 0.0
+    for e in state.energies:
+        total += e
+    assert math.fsum(state.energies) != total
+    assert state.dual_value() == total
 
 
 def test_initial_bound_matches_scratch():
@@ -406,7 +421,7 @@ def test_passes_follow_diagrams_restricted_after_the_state_was_built(smoothing):
         mark = checkpoint_all(state.bdds)
         assignment, newly = {}, []
         for var in range(0, problem.num_vars, 3):
-            assert restriction_propagation(state.bdds, state.slots, assignment, var, best[var], newly)
+            assert restriction_propagation(state.bdds, state.covering, assignment, var, best[var], newly)
         restricted = scratch_dual_value(state)
         moved += restricted > before + 1e-6
         for label in ("restricted", "restored"):

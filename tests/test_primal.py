@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from bddsolve import primal
+from bddsolve import dual, primal
 from bddsolve.bdd import BddError, Trail, build_bdd
 from bddsolve.dual import init_duals, run
 from bddsolve.model import ILPInstance, LinearConstraint, Relation, decompose, presolve_free
@@ -189,7 +189,7 @@ def test_scores_match_the_reference_sweeps(monkeypatch, strategy):
     def reference_counts(bdd):
         return marginal_sweep(bdd, MessageStore(bdd, COUNTING), [0] * bdd.num_levels, COUNTING)
 
-    monkeypatch.setattr(primal, "min_marginals", reference_min_marginals)
+    monkeypatch.setattr(dual, "min_marginals", reference_min_marginals)
     monkeypatch.setattr(primal, "_path_counts", reference_counts)
     for state, got in zip(states, fast):
         want = compute_scores(state, strategy)

@@ -271,6 +271,21 @@ def test_smoothing_at_the_objective_cap_is_sound():
             solve_instance(mrf_instance(1, 3, 2, 0), SolveOptions(smoothing=smoothing))
 
 
+@pytest.mark.parametrize("field, match", [
+    ("strategy", "unknown strategy"),
+    ("averaging", "unknown averaging mode"),
+    ("order", "unknown ordering strategy"),
+])
+def test_unknown_modes_are_rejected_up_front(field, match):
+    # before any diagram is built: the dual could prove infeasibility and
+    # return before the rounding search ever read the strategy
+    with pytest.raises(ValueError, match=match):
+        SolveOptions(**{field: "typo"})
+    for smoothing in (math.nan, -1.0, math.inf):
+        with pytest.raises(ValueError, match="smoothing"):
+            SolveOptions(smoothing=smoothing)
+
+
 def test_tiny_costs_stop_at_the_same_pass():
     # a stopping rule that is absolute below |lb| = 1 stops the scaled run
     # after 2 passes, and rounding then finds -73 instead of -88
