@@ -16,8 +16,9 @@ for arcs into the nodes just removed.
 
 Every mutation is an arc redirect, written as an undo record to a
 `Trail`: three flat entries, the diagram, `node * 2 + bit` and the old
-child.  A lone diagram gets a trail of its own at its first checkpoint;
-the rounding search attaches all diagrams to one shared trail, so a
+child.  A diagram owns no undo state: whoever restricts it first attaches
+it to a trail and opens a checkpoint there, and `fix` refuses to run
+otherwise.  The rounding search attaches all diagrams to one trail, so a
 checkpoint is a single mark on it and a rollback undoes only the records
 written since that mark, whichever diagrams they belong to.  Restoration
 is bit-exact.
@@ -65,11 +66,9 @@ class Trail:
         self._last_token = 0
 
     def attach(self, bdds):
-        """Record the mutations of `bdds` here; returns their previous trails."""
-        previous = [b.trail for b in bdds]
+        """Record the mutations of `bdds` here from now on."""
         for b in bdds:
             b.trail = self
-        return previous
 
     def checkpoint(self):
         """Mark the trail; rolling back restores the current exact state."""
@@ -131,7 +130,7 @@ class Bdd:
         self.hi = hi
         self.level_nodes = level_nodes
         self.indeg = indeg
-        self.trail = None  # made by the first checkpoint unless attached to a shared one
+        self.trail = None  # set by `Trail.attach`; `fix` needs one
 
     # -- queries ------------------------------------------------------------
 
@@ -184,35 +183,23 @@ class Bdd:
 
     # -- mutation -----------------------------------------------------------
 
-    def checkpoint(self):
-        """Mark the trail; on a shared trail this covers every diagram on it."""
-        if self.trail is None:
-            self.trail = Trail()
-        return self.trail.checkpoint()
-
-    def rollback(self, token):
-        """Undo every mutation on the trail after `token`."""
-        if self.trail is None:
-            raise BddError(f"unknown checkpoint {token!r}")
-        self.trail.rollback(token)
-
     def fix(self, var, value):
         """Restrict to assignments with var == value; False means emptied.
 
-        Requires an open checkpoint on the diagram's trail so the restriction
-        can be undone.  Every change redirects an arc to the false terminal,
-        and a node is removed exactly when both its arcs end there.  Arcs for
-        the discarded value go first; nodes left with no incoming arc are
-        removed by `_remove_unreachable`, cascading down.  A node that just
-        lost an arc and has both on the false terminal is removed too, and
-        removals then go up one level at a time: each step scans the level
+        Requires an open checkpoint on the trail the caller attached, so the
+        restriction can be undone.  Every change redirects an arc to the false
+        terminal, and a node is removed exactly when both its arcs end there.
+        Arcs for the discarded value go first; nodes left with no incoming arc
+        are removed by `_remove_unreachable`, cascading down.  A node that
+        just lost an arc and has both on the false terminal is removed too,
+        and removals then go up one level at a time: each step scans the level
         above for arcs into nodes just removed (no live node points at a node
         removed earlier), redirects them, and goes on while that removes a
         node, until the root goes.  Levels are narrow, so the scans stand in
         for parent lists, which diagrams do not keep.
         """
         if self.trail is None or not self.trail.marks:
-            raise BddError("fix requires an open checkpoint")
+            raise BddError("fix requires an open checkpoint on an attached trail")
         if self.root == FALSE:
             return False
         try:
@@ -304,71 +291,6 @@ class Bdd:
                     lines.append(f"  n{v} -> {names[self.hi[v]]};")
         lines.append("}")
         return "\n".join(lines) + "\n"
-
-    def check_invariants(self, reduced=False):
-        """Raise unless the live graph is a well-formed leveled diagram.
-
-        `reduced` additionally requires no two live same-level nodes to share
-        both children (guaranteed for fresh builds, not after fixation).
-        """
-        if self.root in (TRUE, FALSE):
-            return
-        k = self.num_levels
-        lo, hi = self.lo, self.hi
-        node_level = [-1] * len(lo)
-        for lev in range(k):
-            for v in self.level_nodes[lev]:
-                if node_level[v] != -1:
-                    raise BddError("node filed under two levels")
-                node_level[v] = lev
-        if self.is_empty():
-            return
-        live_levels = [self.live_nodes(lev) for lev in range(k)]
-        live = {v for nodes in live_levels for v in nodes}
-        if self.root not in live or node_level[self.root] != 0:
-            raise BddError("root is not a live level-0 node")
-        # arcs stay inside the next level or hit a terminal; true-arcs only from the last level
-        reach = {self.root}
-        for lev in range(k):
-            for v in live_levels[lev]:
-                for child in (lo[v], hi[v]):
-                    if child == FALSE:
-                        continue
-                    if child == TRUE:
-                        if lev != k - 1:
-                            raise BddError("true terminal reached before the last level")
-                    else:
-                        if child not in live:
-                            raise BddError("live node points at a removed node")
-                        if node_level[child] != lev + 1:
-                            raise BddError("arc skips a level")
-                        if v in reach:
-                            reach.add(child)
-        if reach != live:
-            raise BddError("live nodes unreachable from the root")
-        # every live node can still reach the true terminal
-        can = {TRUE}
-        for lev in range(k - 1, -1, -1):
-            for v in live_levels[lev]:
-                if lo[v] in can or hi[v] in can:
-                    can.add(v)
-        if live - can:
-            raise BddError("live node cut off from the true terminal")
-        # incoming-arc counters agree with the arcs of every node, removed ones included
-        counts = [0] * len(lo)
-        for v in range(2, len(lo)):
-            counts[lo[v]] += 1
-            counts[hi[v]] += 1
-        if counts != self.indeg:
-            raise BddError("incoming-arc counter out of sync")
-        if reduced:
-            for nodes in live_levels:
-                pairs = set()
-                for v in nodes:
-                    key = (lo[v], hi[v])
-                    if key in pairs:
-                        raise BddError("two same-level nodes share both children")
-                    pairs.add(key)
 
 
 def _sentinel(constraint_name, support, satisfiable):

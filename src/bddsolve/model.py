@@ -681,6 +681,9 @@ def presolve_free(instance: ILPInstance, decomposition: Decomposition):
     return fixes, contribution
 
 
+ORDERS = ("input", "cuthill_mckee")
+
+
 def order_variables(instance: ILPInstance, strategy="input"):
     """Return a variable permutation: `input` order or Cuthill-McKee.
 
@@ -689,11 +692,11 @@ def order_variables(instance: ILPInstance, strategy="input"):
     component at the lowest-degree variable; ties break by ascending degree
     then ascending input index.
     """
+    if strategy not in ORDERS:
+        raise ModelError(f"unknown ordering strategy {strategy!r}")
     n = instance.num_vars
     if strategy == "input":
         return list(range(n))
-    if strategy != "cuthill_mckee":
-        raise ModelError(f"unknown ordering strategy {strategy!r}")
     adjacency = [set() for _ in range(n)]
     for con in instance.constraints:
         sup = con.support()

@@ -188,9 +188,9 @@ def primal_search(state, preassigned=None, strategy=NEG_MARGIN, budget=None) -> 
 
     `preassigned` values (e.g. variables no diagram covers) are adopted
     as-is.  `budget` caps branch attempts (None = unlimited; an exhausted
-    budget reports "budget", never "infeasible").  The diagrams share one
-    fresh trail during the search; on every exit path they are restored to
-    their entry state and returned to their own trails.
+    budget reports "budget", never "infeasible").  The search attaches the
+    diagrams to one fresh trail; on every exit path they are restored to
+    their entry state and left attached to it, with the trail empty.
     """
     bdds = state.bdds
     covering = state.covering
@@ -198,7 +198,7 @@ def primal_search(state, preassigned=None, strategy=NEG_MARGIN, budget=None) -> 
     assignment = dict(preassigned or {})
     order = scores.order
     attempts = conflicts = backtracks = max_depth = 0
-    own_trails = Trail().attach(bdds)
+    Trail().attach(bdds)
 
     frames = []  # (order index, flipped, mark, newly)
     idx = 0
@@ -249,6 +249,4 @@ def primal_search(state, preassigned=None, strategy=NEG_MARGIN, budget=None) -> 
     result = dict(assignment) if status == SOLVED else None
     if frames:  # one rollback to the oldest checkpoint undoes everything
         rollback_all(bdds, frames[0][2])
-    for bdd, own in zip(bdds, own_trails):
-        bdd.trail = own
     return PrimalResult(status, result, attempts, conflicts, backtracks, max_depth)

@@ -18,7 +18,7 @@ from . import dual as _dual
 from . import primal as _primal
 from .bdd import DEFAULT_STATE_BUDGET, build_bdd
 from .dual import init_duals
-from .model import ILPInstance, decompose, order_variables, presolve_free
+from .model import ORDERS, ILPInstance, decompose, order_variables, presolve_free
 
 SOLVED = "solved"
 INFEASIBLE = "infeasible"
@@ -39,6 +39,8 @@ class SolveOptions:
     def __post_init__(self):
         if self.max_passes < 0:
             raise ValueError(f"max_passes must be nonnegative, got {self.max_passes}")
+        if self.state_budget < 1:
+            raise ValueError(f"state_budget must be positive, got {self.state_budget}")
         if self.primal_budget is not None and self.primal_budget < 0:
             raise ValueError(f"primal_budget must be nonnegative, got {self.primal_budget}")
         if not self.tolerance >= 0:  # NaN fails too
@@ -46,7 +48,7 @@ class SolveOptions:
         _dual.check_modes(self.smoothing, self.averaging)
         if self.strategy not in _primal.STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.order not in ("input", "cuthill_mckee"):
+        if self.order not in ORDERS:
             raise ValueError(f"unknown ordering strategy {self.order!r}")
 
 

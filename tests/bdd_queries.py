@@ -1,6 +1,7 @@
-"""Diagram queries that only the tests use: undo records, levels, slots, and path enumeration."""
+"""Diagram queries that only the tests use: undo records and fresh trails, levels, slots,
+path enumeration, and the structural invariant check."""
 
-from bddsolve.bdd import FALSE, TRUE, BddError
+from bddsolve.bdd import FALSE, TRUE, BddError, Trail
 
 DEFAULT_ENUMERATION_CAP = 25
 
@@ -9,6 +10,13 @@ def trail_records(trail):
     """`(diagram, (node, bit, old child))` per undo record of `trail`, oldest first."""
     flat = trail.records
     return [(flat[k], (flat[k + 1] >> 1, flat[k + 1] & 1, flat[k + 2])) for k in range(0, len(flat), 3)]
+
+
+def fresh_trail(*bdds):
+    """Attach `bdds` to a new trail and return it; `fix` then needs a checkpoint on it."""
+    trail = Trail()
+    trail.attach(bdds)
+    return trail
 
 
 def journal(bdd):
@@ -53,3 +61,69 @@ def solutions(bdd, cap=DEFAULT_ENUMERATION_CAP):
             else:
                 stack.append((child, path))
     return out
+
+
+def check_invariants(bdd, reduced=False):
+    """Raise unless the live graph is a well-formed leveled diagram.
+
+    `reduced` additionally requires no two live same-level nodes to share
+    both children (guaranteed for fresh builds, not after fixation).
+    """
+    if bdd.root in (TRUE, FALSE):
+        return
+    k = bdd.num_levels
+    lo, hi = bdd.lo, bdd.hi
+    node_level = [-1] * len(lo)
+    for lev in range(k):
+        for v in bdd.level_nodes[lev]:
+            if node_level[v] != -1:
+                raise BddError("node filed under two levels")
+            node_level[v] = lev
+    if bdd.is_empty():
+        return
+    live_levels = [bdd.live_nodes(lev) for lev in range(k)]
+    live = {v for nodes in live_levels for v in nodes}
+    if bdd.root not in live or node_level[bdd.root] != 0:
+        raise BddError("root is not a live level-0 node")
+    # arcs stay inside the next level or hit a terminal; true-arcs only from the last level
+    reach = {bdd.root}
+    for lev in range(k):
+        for v in live_levels[lev]:
+            for child in (lo[v], hi[v]):
+                if child == FALSE:
+                    continue
+                if child == TRUE:
+                    if lev != k - 1:
+                        raise BddError("true terminal reached before the last level")
+                else:
+                    if child not in live:
+                        raise BddError("live node points at a removed node")
+                    if node_level[child] != lev + 1:
+                        raise BddError("arc skips a level")
+                    if v in reach:
+                        reach.add(child)
+    if reach != live:
+        raise BddError("live nodes unreachable from the root")
+    # every live node can still reach the true terminal
+    can = {TRUE}
+    for lev in range(k - 1, -1, -1):
+        for v in live_levels[lev]:
+            if lo[v] in can or hi[v] in can:
+                can.add(v)
+    if live - can:
+        raise BddError("live node cut off from the true terminal")
+    # incoming-arc counters agree with the arcs of every node, removed ones included
+    counts = [0] * len(lo)
+    for v in range(2, len(lo)):
+        counts[lo[v]] += 1
+        counts[hi[v]] += 1
+    if counts != bdd.indeg:
+        raise BddError("incoming-arc counter out of sync")
+    if reduced:
+        for nodes in live_levels:
+            pairs = set()
+            for v in nodes:
+                key = (lo[v], hi[v])
+                if key in pairs:
+                    raise BddError("two same-level nodes share both children")
+                pairs.add(key)

@@ -37,7 +37,7 @@ from bddsolve.model import (
 )
 from bddsolve.primal import _path_counts, primal_search
 from bddsolve.testkit import brute_force_solve, mrf_instance, random_ilp
-from bdd_queries import journal, slot_map, solutions
+from bdd_queries import fresh_trail, journal, slot_map, solutions
 from reference_algebra import (
     COUNTING,
     LOG_PARTITION,
@@ -140,11 +140,12 @@ def test_c02_unit_sum_diagram_shape_and_fixing():
         assert diagram.support == (1, 3, 7)
         assert diagram.node_count() == 5
         assert solutions(diagram) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
-        token = diagram.checkpoint()
+        trail = fresh_trail(diagram)
+        token = trail.checkpoint()
         assert diagram.fix(3, 1)
         assert diagram.node_count() == 3
         assert solutions(diagram) == {(0, 1, 0)}
-        diagram.rollback(token)
+        trail.rollback(token)
         assert diagram.node_count() == 5
 
 

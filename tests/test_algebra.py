@@ -7,7 +7,7 @@ from bddsolve.bdd import FALSE, build_bdd
 from bddsolve.dual import min_marginals
 from bddsolve.model import LinearConstraint, Relation
 from bddsolve.primal import _path_counts
-from bdd_queries import solutions
+from bdd_queries import fresh_trail, solutions
 from reference_algebra import (
     COUNTING,
     LOG_PARTITION,
@@ -230,7 +230,8 @@ def test_sweeps_track_fixation_and_rollback():
         if b.root < 2 or b.num_levels < 2:
             continue
         thetas = [rng.uniform(-4, 4) for _ in range(b.num_levels)]
-        token = b.checkpoint()
+        trail = fresh_trail(b)
+        token = trail.checkpoint()
         for var in rng.sample(b.support, b.num_levels):
             if not b.fix(var, rng.randint(0, 1)):
                 break
@@ -242,7 +243,7 @@ def test_sweeps_track_fixation_and_rollback():
             assert repr(min_marginals(b, thetas)) == repr(got)
             counts = marginal_sweep(b, MessageStore(b, COUNTING), [0] * b.num_levels, COUNTING)
             assert _path_counts(b) == counts
-        b.rollback(token)
+        trail.rollback(token)
         store = MessageStore(b, MIN_MARGINAL)
         got = marginal_sweep(b, store, thetas, MIN_MARGINAL)
         assert got == [pytest.approx(w) for w in brute_min_marginals(b, thetas)]

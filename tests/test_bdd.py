@@ -13,7 +13,7 @@ from bddsolve.testkit import (
     random_ilp,
     tomography_instance,
 )
-from bdd_queries import journal, level_of, solutions, trail_records
+from bdd_queries import check_invariants, fresh_trail, journal, level_of, solutions, trail_records
 
 
 def row(terms, relation, rhs, name="r"):
@@ -74,14 +74,14 @@ def test_pick_one_of_three():
     assert b.support == (0, 1, 2)
     assert b.node_count() == 5
     assert solutions(b) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
-    b.check_invariants(reduced=True)
+    check_invariants(b, reduced=True)
 
 
 def test_check_invariants_rejects_misleveled_nodes():
     # levels [[2], [3, 4], [5, 6]]; node levels come from level_nodes alone
     def corrupted(change):
         b = build_bdd(row([(0, 1), (1, 1), (2, 1)], Relation.EQ, 1))
-        b.check_invariants(reduced=True)
+        check_invariants(b, reduced=True)
         change(b)
         return b
 
@@ -93,7 +93,7 @@ def test_check_invariants_rejects_misleveled_nodes():
     ]
     for change, needle in cases:
         with pytest.raises(BddError, match=needle):
-            corrupted(change).check_invariants()
+            check_invariants(corrupted(change))
 
 
 def test_force_both_zero():
@@ -170,41 +170,59 @@ def test_random_rows_match_brute_force_and_are_minimal():
             assert b.is_empty()
             continue
         assert solutions(b, cap=10) == expect
-        b.check_invariants(reduced=True)
+        check_invariants(b, reduced=True)
         assert b.node_count() == minimal_node_count(expect, len(b.support))
 
 
 # -- fixation and rollback ----------------------------------------------------
 
 
+def test_fix_without_a_trail_raises():
+    # a diagram owns no undo state: a fix needs a trail its caller attached
+    b = build_bdd(row([(0, 1), (1, 1)], Relation.LE, 1))
+    before = exact(b)
+    assert b.trail is None
+    with pytest.raises(BddError, match="attached trail"):
+        b.fix(0, 1)
+    assert b.trail is None and exact(b) == before
+
+
 def test_fix_requires_checkpoint():
     b = build_bdd(row([(0, 1), (1, 1)], Relation.LE, 1))
+    trail = fresh_trail(b)
     with pytest.raises(BddError):
         b.fix(0, 1)
+    token = trail.checkpoint()
+    assert b.fix(0, 1)
+    trail.rollback(token)
+    with pytest.raises(BddError):
+        b.fix(0, 1)  # the rollback closed the only checkpoint
+    assert trail.records == []
 
 
 def test_fix_unknown_variable():
     b = build_bdd(row([(0, 1)], Relation.LE, 1))
-    b.checkpoint()
+    fresh_trail(b).checkpoint()
     with pytest.raises(BddError):
         b.fix(3, 1)
 
 
 def test_fix_narrows_pick_one_of_three():
     b = build_bdd(row([(0, 1), (1, 1), (2, 1)], Relation.EQ, 1))
-    token = b.checkpoint()
+    trail = fresh_trail(b)
+    token = trail.checkpoint()
     assert b.fix(1, 1)
     assert b.node_count() == 3
     assert solutions(b) == {(0, 1, 0)}
     assert sorted(b.forced_literals()) == [(0, 0), (1, 1), (2, 0)]
-    b.check_invariants()
-    b.rollback(token)
+    check_invariants(b)
+    trail.rollback(token)
     assert solutions(b) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
 
 
 def test_conflicting_fixes_empty_the_diagram():
     b = build_bdd(row([(0, 1), (1, 1), (2, 1)], Relation.EQ, 1))
-    b.checkpoint()
+    fresh_trail(b).checkpoint()
     assert b.fix(0, 1)
     assert not b.fix(1, 1)
     assert b.is_empty()
@@ -218,38 +236,41 @@ def test_rollback_restores_exact_state():
         if b.is_empty() or b.root == TRUE:
             continue
         before = snapshot(b)
-        token = b.checkpoint()
+        trail = fresh_trail(b)
+        token = trail.checkpoint()
         for var in rng.sample(b.support, rng.randint(1, len(b.support))):
             if not b.fix(var, rng.randint(0, 1)):
                 break
-        b.rollback(token)
+        trail.rollback(token)
         assert snapshot(b) == before
 
 
 def test_nested_checkpoints():
     b = build_bdd(row([(i, 1) for i in range(4)], Relation.EQ, 2))
-    t1 = b.checkpoint()
+    trail = fresh_trail(b)
+    t1 = trail.checkpoint()
     b.fix(0, 0)
     mid = snapshot(b)
-    t2 = b.checkpoint()
+    t2 = trail.checkpoint()
     b.fix(1, 1)
     assert solutions(b) == {(0, 1, 1, 0), (0, 1, 0, 1)}
-    b.rollback(t2)
+    trail.rollback(t2)
     assert snapshot(b) == mid
-    b.rollback(t1)
+    trail.rollback(t1)
     assert solutions(b) == {s for s in itertools.product((0, 1), repeat=4) if sum(s) == 2}
     with pytest.raises(BddError):
-        b.rollback(t2)  # invalidated by rolling back its parent
+        trail.rollback(t2)  # invalidated by rolling back its parent
 
 
 def test_rollback_to_outer_checkpoint_skips_inner():
     b = build_bdd(row([(i, 1) for i in range(4)], Relation.EQ, 2))
     before = snapshot(b)
-    t1 = b.checkpoint()
+    trail = fresh_trail(b)
+    t1 = trail.checkpoint()
     b.fix(0, 0)
-    b.checkpoint()
+    trail.checkpoint()
     b.fix(1, 1)
-    b.rollback(t1)
+    trail.rollback(t1)
     assert snapshot(b) == before
 
 
@@ -273,7 +294,8 @@ def test_fix_sequences_match_filtered_brute_force():
         wide += max(map(len, b.level_nodes)) > 8
         node_level = {v: lev for lev, nodes in enumerate(b.level_nodes) for v in nodes}
         remaining = brute_solutions(c, b.support)
-        token = b.checkpoint()
+        trail = fresh_trail(b)
+        token = trail.checkpoint()
         order = list(b.support)
         rng.shuffle(order)
         for var in order[: rng.randint(1, len(order))]:
@@ -289,13 +311,13 @@ def test_fix_sequences_match_filtered_brute_force():
             removed = [v for v in live if b.lo[v] == FALSE and b.hi[v] == FALSE]
             upward += len({node_level[v] for v in removed if node_level[v] < lev}) >= 2
             assert solutions(b, cap=10) == remaining
-            b.check_invariants()
+            check_invariants(b)
             forced = b.forced_literals()
             assert (var, val) in forced
             for fvar, fval in forced:
                 flev = level_of(b, fvar)
                 assert all(s[flev] == fval for s in remaining)
-        b.rollback(token)
+        trail.rollback(token)
         assert solutions(b, cap=10) == brute_solutions(c, b.support)
     assert wide >= 40
     assert upward > 50  # fixes that removed nodes on two or more levels above their own
@@ -305,7 +327,7 @@ def test_forced_literals_cascade():
     # picking the lone 2-coefficient forces the other two off
     c = row([(0, 1), (1, 2), (2, 1)], Relation.LE, 2)
     b = build_bdd(c)
-    b.checkpoint()
+    fresh_trail(b).checkpoint()
     assert b.fix(1, 1)
     assert sorted(b.forced_literals()) == [(0, 0), (1, 1), (2, 0)]
 
@@ -314,7 +336,7 @@ def test_journal_stays_small():
     k = 12
     b = build_bdd(row([(i, 1) for i in range(k)], Relation.EQ, 1))
     initial = b.node_count()
-    b.checkpoint()
+    fresh_trail(b).checkpoint()
     for i in range(k - 1):
         assert b.fix(i, 0)
     assert solutions(b) == {tuple(1 if i == k - 1 else 0 for i in range(k))}
@@ -334,7 +356,7 @@ def test_one_checkpoint_restores_several_diagrams():
     idle = build_bdd(row([(0, 1), (5, 1)], Relation.GE, 1, name="idle"))
     bdds = [pick, cap, idle]
     trail = Trail()
-    assert trail.attach(bdds) == [None, None, None]  # no undo state before a checkpoint
+    assert trail.attach(bdds) is None
     assert all(b.trail is trail for b in bdds)
     before = [exact(b) for b in bdds]
     token = trail.checkpoint()
@@ -349,20 +371,21 @@ def test_one_checkpoint_restores_several_diagrams():
 
 
 def test_rollback_through_any_diagram_undoes_the_whole_trail():
+    # checkpoint through the first diagram's trail, roll back through the last's
     bdds = [build_bdd(row([(i, 1), (i + 1, 1)], Relation.EQ, 1, name=f"r{i}")) for i in range(3)]
     Trail().attach(bdds)
     before = [exact(b) for b in bdds]
-    token = bdds[0].checkpoint()
+    token = bdds[0].trail.checkpoint()
     for b, var in zip(bdds, (0, 1, 2)):
         assert b.fix(var, 1)
-    bdds[2].rollback(token)
+    bdds[2].trail.rollback(token)
     assert [exact(b) for b in bdds] == before
 
 
 def test_stale_trail_mark_raises():
     b = build_bdd(row([(i, 1) for i in range(3)], Relation.EQ, 1))
-    first = b.checkpoint()
-    trail = b.trail
+    trail = fresh_trail(b)
+    first = trail.checkpoint()
     b.fix(0, 1)
     trail.rollback(first)
     second = trail.checkpoint()  # same depth, new token
@@ -487,11 +510,11 @@ def test_shape_siblings_stay_isolated_under_fixes_and_rollback(seed):
         {id(b) in touched for b in group} == {True, False} for group in siblings.values()
     )
     for b in everything:
-        b.check_invariants()
+        check_invariants(b)
         if id(b) not in touched:
             assert exact(b) == fresh[id(b)]
     trail.rollback(token)
     assert trail.records == []
     for b in everything:
         assert exact(b) == fresh[id(b)]
-        b.check_invariants(reduced=True)
+        check_invariants(b, reduced=True)

@@ -6,9 +6,9 @@ import sys
 
 import pytest
 
-from bddsolve.cli import _build_parser, entry, main
+from bddsolve.cli import _ORDER_NAMES, _build_parser, entry, main
 from bddsolve.dual import DEFAULT_MAX_PASSES, DEFAULT_TOLERANCE
-from bddsolve.model import parse_lp, write_lp
+from bddsolve.model import ORDERS, parse_lp, write_lp
 from bddsolve.testkit import mrf_instance, random_ilp
 
 SMALL = """\
@@ -165,6 +165,10 @@ def test_max_passes_default_matches_the_library():
     args = _build_parser().parse_args(["solve", "x.lp"])
     assert args.max_passes == DEFAULT_MAX_PASSES
     assert args.tolerance == DEFAULT_TOLERANCE
+
+
+def test_order_flag_names_every_library_order():
+    assert sorted(_ORDER_NAMES.values()) == sorted(ORDERS)
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

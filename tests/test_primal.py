@@ -293,11 +293,14 @@ def test_checkpoint_all_adds_one_mark_and_no_per_diagram_state():
     [(67, None, "solved"), (67, 5, "budget"), (13, None, "infeasible")],
 )
 def test_search_leaves_the_shared_trail_empty(monkeypatch, seed, budget, status):
+    # the search attaches one fresh trail, leaves every diagram on it, and
+    # empties it on every exit, restoring the arcs and counters bit for bit
     problem = random_ilp(5, 3, seed=seed)
     state, _ = build_state(problem, passes=0)
     bdds = state.bdds
-    own = [b.trail for b in bdds]
-    before = snapshot_all(bdds)
+    earlier = Trail()
+    earlier.attach(bdds)
+    before = [(list(b.lo), list(b.hi), list(b.indeg)) for b in bdds]
     seen = []
     real = primal.checkpoint_all
 
@@ -310,11 +313,10 @@ def test_search_leaves_the_shared_trail_empty(monkeypatch, seed, budget, status)
     assert result.status == status
     assert result.backtracks > 0  # each path unwinds nested frames
     shared = seen[0]
-    assert all(t is shared for t in seen)
-    assert all(shared is not t for t in own)
+    assert shared is not earlier and all(t is shared for t in seen)
+    assert all(b.trail is shared for b in bdds)
     assert shared.records == [] and shared.marks == []
-    assert all(b.trail is t for b, t in zip(bdds, own))
-    assert snapshot_all(bdds) == before
+    assert [(b.lo, b.hi, b.indeg) for b in bdds] == before
 
 
 def test_unknown_strategy_rejected():

@@ -271,6 +271,14 @@ def test_smoothing_at_the_objective_cap_is_sound():
             solve_instance(mrf_instance(1, 3, 2, 0), SolveOptions(smoothing=smoothing))
 
 
+def test_nonpositive_state_budget_is_rejected_up_front():
+    # before any diagram is built, not as a budget error at the first row
+    for budget in (0, -5):
+        with pytest.raises(ValueError, match="state_budget must be positive"):
+            SolveOptions(state_budget=budget)
+    assert SolveOptions(state_budget=1).state_budget == 1
+
+
 @pytest.mark.parametrize("field, match", [
     ("strategy", "unknown strategy"),
     ("averaging", "unknown averaging mode"),
