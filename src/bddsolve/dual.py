@@ -29,11 +29,15 @@ agree -> the finite diffs are dumped on the forcing diagrams (their optimum
 can absorb shifts for free on the side they force); they disagree, or one
 is empty -> the instance is proven infeasible and the bound becomes +inf.
 
-A coordinate step is one `mma_update` call: it reads the marginals at
-every covering level, shifts the copies, and advances the messages at
-those levels (forward: the values of the level below, the true terminal's
-below the last level; backward: the level's own), with the kernel
-arithmetic written inline over level records the `DualState` builds once.
+A coordinate step reads the marginals at every covering level, shifts the
+copies, and advances the messages at those levels (forward: the values of
+the level below, the true terminal's below the last level; backward: the
+level's own), with the kernel arithmetic written inline over level records
+the `DualState` builds once.  The state also builds, once, each
+direction's step schedule: the steps' entries in pass order.  A pass runs
+one kernel per algebra, `_min_steps` or `_soft_steps`, over its whole
+schedule, with no call per step; `mma_update` is the same kernel run on a
+one-step schedule, so each algebra has exactly one kernel body.
 A whole diagram is swept by `_bsweep` (backward, either algebra) for
 `refresh` and `min_marginals`, and by the min-sum `_marg_min` and
 `_scatter_min` for the forward half of `min_marginals`, a fresh sweep over
@@ -143,12 +147,13 @@ class DualState:
     the decomposition's `var_subproblems`, kept by reference.
 
     On the array store (`store` set, see the module notes) `fw`/`bw` are
-    None and `sweeps` is empty; the store keeps the messages, and between
-    calls of `refresh`, `forward_pass`, `backward_pass` and `run` the cost
-    copies are back in `duals`.  The store reads `duals` and the diagrams'
-    arcs only at `refresh`.  So after direct surgery on `duals`, or fixing
-    diagrams, call `refresh` before the next pass or `margins`, as the
-    list store needs anyway for its backward values.
+    None and `sweeps` and `schedules` are empty; the store keeps the
+    messages, and between calls of `refresh`, `forward_pass`,
+    `backward_pass` and `run` the cost copies are back in `duals`.  The
+    store reads `duals` and the diagrams' arcs only at `refresh`.  So after
+    direct surgery on `duals`, or fixing diagrams, call `refresh` before
+    the next pass or `margins`, as the list store needs anyway for its
+    backward values.
 
     `sweeps[forward][var]` is `(records, members, count)` for a step in
     that direction, fixed once.  `records` holds one level record per
@@ -158,7 +163,8 @@ class DualState:
     it, and both directions share it.  `members` flags per record whether
     the diagram shares the step's averaged total (uniform: every one;
     srmp: those with a level still ahead, or every one if none has), and
-    `count` is the number of members.
+    `count` is the number of members.  `schedules[forward]` lists those
+    entries in pass order: `active` going forward, reversed going back.
     """
 
     def __init__(self, bdds, decomposition, duals, smoothing, averaging):
@@ -177,6 +183,7 @@ class DualState:
         if self.store is not None:
             self.fw = self.bw = None
             self.sweeps = {True: {}, False: {}}
+            self.schedules = {True: [], False: []}
             return
         self.fw = [[INF] * len(b.lo) for b in bdds]
         self.bw = [[INF] * len(b.lo) for b in bdds]
@@ -201,6 +208,10 @@ class DualState:
             recs = tuple(records[var])
             self.sweeps[True][var] = entry(recs, tuple([lev < last[j] for j, lev in pairs]))
             self.sweeps[False][var] = entry(recs, tuple([lev > 0 for _, lev in pairs]))
+        self.schedules = {
+            True: [self.sweeps[True][var] for var in self.active],
+            False: [self.sweeps[False][var] for var in reversed(self.active)],
+        }
 
     def dual_value(self):
         """Current sum of per-diagram optima (raw: no offset, no free vars), folded from 0.0."""
@@ -382,21 +393,32 @@ def mma_update(state: DualState, var, forward=True):
     in slot order (see the module notes for infinities and nan).  A finite
     sum is averaged over the members `state.sweeps` holds for this variable
     and direction.  An update that proves infeasibility latches it and
-    leaves the messages as they were.
+    leaves the messages as they were.  It is the pass kernel run on a
+    one-step schedule.
     """
     entry = state.sweeps[forward].get(var)
     if entry is None:
         if state.store is not None:
             raise ValueError("mma_update steps the list kernels; this state's messages are in its array store")
         raise ValueError(f"variable {var} is not covered by any diagram")
-    records, members, count = entry
-    smin = state.smin
+    steps = _min_steps if state.smin is None else _soft_steps
+    return steps(state, (entry,), forward)
+
+
+def _min_steps(state, schedule, forward):
+    """Run the min-sum steps of `schedule` in order; returns the diffs of the last one run.
+
+    Each entry is a `(records, members, count)` of `state.sweeps`.  Stops
+    at the first step that proves infeasibility, latching it.
+    """
+    isfinite, inf = math.isfinite, INF  # locals: this loop is the list store's whole pass
     diffs = []
-    total = 0.0  # folded left in slot order, as the array store sums its columns
-    if smin is None:
+    for records, members, count in schedule:
+        diffs = []
+        total = 0.0  # folded left in slot order, as the array store sums its columns
         for fwj, bwj, costs, lev, nodes, _, lo, hi in records:
             cost = costs[lev]
-            m0 = m1 = INF
+            m0 = m1 = inf
             for v in nodes:
                 base = fwj[v]
                 a = base + bwj[lo[v]]
@@ -408,39 +430,25 @@ def mma_update(state: DualState, var, forward=True):
             d = m1 - m0
             diffs.append(d)
             total += d
-    else:
-        for fwj, bwj, costs, lev, nodes, _, lo, hi in records:
-            cost = costs[lev]
-            m0 = m1 = INF
-            for v in nodes:
-                base = fwj[v]
-                m0 = smin(m0, base + bwj[lo[v]])
-                m1 = smin(m1, base + cost + bwj[hi[v]])
-            d = m1 - m0
-            diffs.append(d)
-            total += d
-
-    shifts = diffs
-    if math.isfinite(total):
-        share = total / count
-    else:
-        forcing = _forcing(diffs)
-        if forcing is None:
-            state.infeasible = True
-            return diffs
-        shifts, members, share = forcing
-
-    # Each diagram's copy becomes (copy - shift) + share for members and
-    # copy - shift otherwise; the message step then reads the new copy.
-    if forward:
-        for (fwj, _, costs, lev, nodes, below, lo, hi), d, member in zip(records, shifts, members):
-            cost = costs[lev] - d
-            if member:
-                cost += share
-            costs[lev] = cost
-            for v in below:
-                fwj[v] = INF
-            if smin is None:
+        shifts = diffs
+        if isfinite(total):
+            share = total / count
+        else:
+            forcing = _forcing(diffs)
+            if forcing is None:
+                state.infeasible = True
+                return diffs
+            shifts, members, share = forcing
+        # Each diagram's copy becomes (copy - shift) + share for members and
+        # copy - shift otherwise; the message step then reads the new copy.
+        if forward:
+            for (fwj, _, costs, lev, nodes, below, lo, hi), d, member in zip(records, shifts, members):
+                cost = costs[lev] - d
+                if member:
+                    cost += share
+                costs[lev] = cost
+                for v in below:
+                    fwj[v] = inf
                 for v in nodes:
                     base = fwj[v]
                     c = lo[v]
@@ -451,7 +459,53 @@ def mma_update(state: DualState, var, forward=True):
                         b = base + cost
                         if b < fwj[c]:
                             fwj[c] = b
-            else:
+        else:
+            for (_, bwj, costs, lev, nodes, _, lo, hi), d, member in zip(records, shifts, members):
+                cost = costs[lev] - d
+                if member:
+                    cost += share
+                costs[lev] = cost
+                for v in nodes:
+                    a = bwj[lo[v]]
+                    b = cost + bwj[hi[v]]
+                    bwj[v] = a if a <= b else b
+    return diffs
+
+
+def _soft_steps(state, schedule, forward):
+    """`_min_steps` with every minimum a soft minimum at the state's temperature."""
+    smin, isfinite, inf = state.smin, math.isfinite, INF
+    diffs = []
+    for records, members, count in schedule:
+        diffs = []
+        total = 0.0
+        for fwj, bwj, costs, lev, nodes, _, lo, hi in records:
+            cost = costs[lev]
+            m0 = m1 = inf
+            for v in nodes:
+                base = fwj[v]
+                m0 = smin(m0, base + bwj[lo[v]])
+                m1 = smin(m1, base + cost + bwj[hi[v]])
+            d = m1 - m0
+            diffs.append(d)
+            total += d
+        shifts = diffs
+        if isfinite(total):
+            share = total / count
+        else:
+            forcing = _forcing(diffs)
+            if forcing is None:
+                state.infeasible = True
+                return diffs
+            shifts, members, share = forcing
+        if forward:
+            for (fwj, _, costs, lev, nodes, below, lo, hi), d, member in zip(records, shifts, members):
+                cost = costs[lev] - d
+                if member:
+                    cost += share
+                costs[lev] = cost
+                for v in below:
+                    fwj[v] = inf
                 for v in nodes:
                     base = fwj[v]
                     c = lo[v]
@@ -460,18 +514,12 @@ def mma_update(state: DualState, var, forward=True):
                     c = hi[v]
                     if c:
                         fwj[c] = smin(fwj[c], base + cost)
-    else:
-        for (_, bwj, costs, lev, nodes, _, lo, hi), d, member in zip(records, shifts, members):
-            cost = costs[lev] - d
-            if member:
-                cost += share
-            costs[lev] = cost
-            if smin is None:
-                for v in nodes:
-                    a = bwj[lo[v]]
-                    b = cost + bwj[hi[v]]
-                    bwj[v] = a if a <= b else b
-            else:
+        else:
+            for (_, bwj, costs, lev, nodes, _, lo, hi), d, member in zip(records, shifts, members):
+                cost = costs[lev] - d
+                if member:
+                    cost += share
+                costs[lev] = cost
                 for v in nodes:
                     bwj[v] = smin(bwj[lo[v]], cost + bwj[hi[v]])
     return diffs
@@ -518,11 +566,10 @@ def _pass(state: DualState, forward):
         if not state.store.sweep(state, forward):
             return INF
     else:
-        update = mma_update
-        for var in state.active if forward else reversed(state.active):
-            update(state, var, forward)
-            if state.infeasible:
-                return INF
+        steps = _min_steps if state.smin is None else _soft_steps
+        steps(state, state.schedules[forward], forward)
+        if state.infeasible:
+            return INF
         if forward:
             state.energies[:] = [fwj[TRUE] for fwj in state.fw]
         else:

@@ -80,17 +80,13 @@ def compute_scores(state, strategy=NEG_MARGIN) -> PrimalScores:
     ranks by -margin (strong 1-preferences first), abs_mm by |margin|
     (most decided first), reduction_aligned by margin signed with the
     diagrams' solution-count imbalance (most contentious first); path
-    counts are taken per diagram, and only for that strategy.
+    counts are taken only for that strategy (see `_count_imbalance`).
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     margins = state.margins()
     if strategy == COUNT_ALIGNED:
-        counts = {}
-        for bdd in state.bdds:
-            if bdd.root >= 2:
-                for var, (n0, n1) in zip(bdd.support, _path_counts(bdd)):
-                    counts[var] = counts.get(var, 0) + (n1 - n0)
+        counts = _count_imbalance(state.bdds)
 
     preference = {}
     score = {}
@@ -107,6 +103,27 @@ def compute_scores(state, strategy=NEG_MARGIN) -> PrimalScores:
             score[var] = 0.0 if r == 0 else (m if r > 0 else -m)
     order = sorted(margins, key=lambda v: (-score[v], v))
     return PrimalScores(margins, preference, order)
+
+
+def _count_imbalance(bdds):
+    """`{var: n1 - n0}`, summed in diagram order over the non-empty diagrams covering var.
+
+    n0/n1 are a diagram's accepted paths with var at 0/1 (`_path_counts`).
+    Those depend only on the root and the arcs, so diagrams sharing one
+    `level_nodes` (rows of one shape, see `bdd.build_bdd`) with equal root
+    and arcs are swept once: on grid 3 sweeps serve 9,600 rows.
+    """
+    counts = {}
+    swept = {}
+    for bdd in bdds:
+        if bdd.root >= 2:
+            key = (id(bdd.level_nodes), bdd.root, tuple(bdd.lo), tuple(bdd.hi))
+            pairs = swept.get(key)
+            if pairs is None:
+                pairs = swept[key] = _path_counts(bdd)
+            for var, (n0, n1) in zip(bdd.support, pairs):
+                counts[var] = counts.get(var, 0) + (n1 - n0)
+    return counts
 
 
 def _path_counts(bdd):

@@ -23,8 +23,9 @@ scratch; `marginals_of_set` reads the same marginals off an enumerated
 assignment set (`testkit.enumerate_feasible`); `slot_pass` runs a dual
 pass with one kernel call per covering level, the loop the solver's fused
 coordinate step must match to the bit; `predicted_increase` is the
-closed-form bound gain of one hard-min update, and `watch_updates` shows
-every update of a pass to a checker.
+closed-form bound gain of one hard-min update; `update_pass` runs a pass
+as one `dual.mma_update` call per variable, and `watch_updates` routes the
+passes through it to show every update to a checker.
 """
 
 from __future__ import annotations
@@ -455,33 +456,56 @@ def predicted_increase(diffs):
     return min(0.0, total) - sum(min(0.0, d) for d in diffs)
 
 
-def watch_updates(monkeypatch, observer):
-    """Route every `dual.mma_update` the passes make through `observer`.
+def update_pass(state, forward, observer=None):
+    """A list-store pass as the explicit `dual.mma_update` sequence; returns the raw bound.
 
-    Before an update `observer.marginals(var, items)` gets the
+    One call per variable of `state.active`, in that order going forward
+    and in reverse going back, then the optimum read where the pass left it
+    current, as `dual.forward_pass`/`backward_pass` read it; they run the
+    same steps as one loop over the state's step schedule, so the results
+    must agree to the bit.  With an `observer` each step is shown to it as
+    `watch_updates` describes.
+    """
+    if state.infeasible:
+        return INF
+    for var in state.active if forward else reversed(state.active):
+        if observer is not None:
+            marg = level_kernels(state)[0]
+            items = []
+            for j in state.covering[var]:
+                lev = level_of(state.bdds[j], var)
+                items.append((j, lev, *marg(state.bdds[j], state.fw[j], state.bw[j], lev, state.duals[j][lev])))
+            observer.marginals(var, items)
+        diffs = dual.mma_update(state, var, forward)
+        if observer is not None:
+            if state.infeasible:
+                predicted = INF
+            elif state.smoothing > 0:
+                predicted = None
+            else:
+                predicted = predicted_increase(diffs)
+            observer.updated(var, diffs, predicted)
+        if state.infeasible:
+            return INF
+    if forward:
+        state.energies[:] = [fwj[TRUE] for fwj in state.fw]
+    else:
+        state.energies[:] = [bwj[bdd.root] for bwj, bdd in zip(state.bw, state.bdds)]
+    total = state.dual_value()
+    if total == INF:
+        state.infeasible = True
+    return total
+
+
+def watch_updates(monkeypatch, observer):
+    """Run every list-store pass as `update_pass`, showing each step to `observer`.
+
+    Before a step `observer.marginals(var, items)` gets the
     `(j, lev, m0, m1)` the update is about to read, from the state's cached
     messages (`level_kernels`); after it `observer.updated(var, diffs, predicted)` gets the returned
     diffs and the predicted bound gain: +inf when the update proved
     infeasibility, None when smoothing (no closed form is claimed),
-    `predicted_increase(diffs)` otherwise.
+    `predicted_increase(diffs)` otherwise.  `run`, `forward_pass` and
+    `backward_pass` all pass through `dual._pass`, which this replaces.
     """
-    update = dual.mma_update
-
-    def watched(state, var, forward=True):
-        marg = level_kernels(state)[0]
-        items = []
-        for j in state.covering[var]:
-            lev = level_of(state.bdds[j], var)
-            items.append((j, lev, *marg(state.bdds[j], state.fw[j], state.bw[j], lev, state.duals[j][lev])))
-        observer.marginals(var, items)
-        diffs = update(state, var, forward)
-        if state.infeasible:
-            predicted = INF
-        elif state.smoothing > 0:
-            predicted = None
-        else:
-            predicted = predicted_increase(diffs)
-        observer.updated(var, diffs, predicted)
-        return diffs
-
-    monkeypatch.setattr(dual, "mma_update", watched)
+    monkeypatch.setattr(dual, "_pass", lambda state, forward: update_pass(state, forward, observer))

@@ -35,6 +35,7 @@ from reference_algebra import (
     scratch_energy,
     scratch_marginals,
     slot_pass,
+    update_pass,
     watch_updates,
 )
 
@@ -176,6 +177,59 @@ def test_every_update_is_validated_by_fresh_sweeps(averaging, smoothing, monkeyp
     assert seen_infinite > 0  # equality rows must have exercised forced variables
 
 
+def _messages(state):
+    return repr((state.fw, state.bw, state.duals, state.energies, state.infeasible))
+
+
+# x1 + x2 = 2 forces x1 to 1 and x1 + x3 <= 0 forces it to 0; each row alone
+# is feasible, so only the step on x1, after the one on x0, proves it empty
+PROVEN_MIDWAY = inst(
+    ["x0", "x1", "x2", "x3"],
+    [-1, 1, 1, 1],
+    [
+        ((((0, 1), (1, 1))), Relation.LE, 1),
+        ((((1, 1), (2, 1))), Relation.EQ, 2),
+        ((((1, 1), (3, 1))), Relation.LE, 0),
+    ],
+)
+
+
+@pytest.mark.parametrize("averaging", [UNIFORM, SRMP])
+@pytest.mark.parametrize("smoothing", [0.0, 0.35])
+def test_passes_equal_the_update_sequence(averaging, smoothing):
+    # a pass runs the state's step schedule in one loop; stepping each
+    # variable by `mma_update` in `active` order, or its reverse, must give
+    # the same messages, copies, energies and bound to the bit
+    rng = random.Random(1317)
+    problems = [random_ilp(rng.randint(3, 7), rng.randint(2, 5), seed=rng.randint(0, 10**6)) for _ in range(6)]
+    problems += [make(s) for s in range(2) for make in GENERATORS] + [PROVEN_MIDWAY]
+    proofs = 0
+    for problem in problems:
+        pair = [build_state(problem, smoothing, averaging)[0] for _ in range(2)]
+        if pair[0].infeasible:
+            continue
+        for _ in range(3):
+            for a_pass, forward in ((forward_pass, True), (backward_pass, False)):
+                got = a_pass(pair[0])
+                want = update_pass(pair[1], forward)
+                assert repr(got) == repr(want)
+                assert _messages(pair[0]) == _messages(pair[1])
+            if pair[0].infeasible:
+                proofs += 1
+                break
+    assert proofs
+
+
+def test_a_pass_proves_infeasibility_midway(monkeypatch):
+    state, _ = build_state(PROVEN_MIDWAY)
+    assert not state.infeasible and state.active[:2] == [0, 1]
+    checker = Checker(state)
+    watch_updates(monkeypatch, checker)
+    assert forward_pass(state) == INF
+    assert state.infeasible
+    assert checker.updates == 2
+
+
 def test_forced_value_update_moves_cost_to_forcing_row(monkeypatch):
     # r0 forces x0 = 1, so the finite diff from r1 lands on r0's copy
     problem = inst(
@@ -191,6 +245,7 @@ def test_forced_value_update_moves_cost_to_forcing_row(monkeypatch):
     watch_updates(monkeypatch, checker)
     forward_pass(state)
     assert not state.infeasible
+    assert checker.updates > 0
     assert checker.infinite_diffs > 0
 
 
@@ -208,6 +263,7 @@ def test_forced_zero_update(monkeypatch):
     watch_updates(monkeypatch, checker)
     forward_pass(state)
     backward_pass(state)
+    assert checker.updates > 0
     assert checker.infinite_diffs > 0
     assert not state.infeasible
 

@@ -199,6 +199,35 @@ def test_scores_match_the_reference_sweeps(monkeypatch, strategy):
     assert sum(len(got.margins) for got in fast) >= 100
 
 
+def test_count_imbalance_equals_the_per_diagram_counts():
+    # rows of one shape share `level_nodes`; diagrams with equal arcs are
+    # swept once, and a fixed diagram of a shape gets its own sweep
+    problem = mrf_instance(3, 3, 3, seed=4)
+    dec = decompose(problem, None)
+    shapes = {}
+    bdds = [build_bdd(c, dec.positions, shapes=shapes) for c in problem.constraints]
+
+    def per_diagram():
+        counts = {}
+        for bdd in bdds:
+            if bdd.root >= 2:
+                for var, (n0, n1) in zip(bdd.support, primal._path_counts(bdd)):
+                    counts[var] = counts.get(var, 0) + (n1 - n0)
+        return counts
+
+    assert len({id(b.level_nodes) for b in bdds}) < len(bdds)
+    assert primal._count_imbalance(bdds) == per_diagram()
+    trail = Trail()
+    trail.attach(bdds)
+    trail.checkpoint()
+    rng = random.Random(5)
+    for bdd in rng.sample(bdds, len(bdds) // 3):
+        bdd.fix(rng.choice(bdd.support), rng.randint(0, 1))
+    variants = {(id(b.level_nodes), tuple(b.lo), tuple(b.hi)) for b in bdds}
+    assert len(variants) > len({id(b.level_nodes) for b in bdds})  # a shape now has unequal arcs
+    assert primal._count_imbalance(bdds) == per_diagram()
+
+
 def test_search_is_deterministic():
     problem = mrf_instance(1, 4, 3, seed=21)
     state1, _ = build_state(problem)
