@@ -265,6 +265,7 @@ def test_c04_update_increase_matches_closed_form(monkeypatch):
             with monkeypatch.context() as patch:
                 watch_updates(patch, checker)
                 run(state, max_passes=6, tolerance=0.0)
+            assert checker.updates > 0
             updates += checker.updates
             matched += checker.matched
         assert updates >= 1000, f"only {updates} updates exercised"
@@ -353,6 +354,7 @@ def test_c06_incremental_marginals_match_scratch(monkeypatch):
                 with monkeypatch.context() as patch:
                     watch_updates(patch, checker)
                     run(state, max_passes=5, tolerance=0.0)
+                assert checker.compared > 0
                 compared += checker.compared
         assert compared >= 2000, f"only {compared} marginal pairs compared"
 
