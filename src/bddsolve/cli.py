@@ -28,6 +28,19 @@ _ORDER_NAMES = {"input": "input", "cuthill-mckee": "cuthill_mckee"}
 _PRIMAL_ORDER_NAMES = {"neg-mm": "neg_mm", "abs-mm": "abs_mm", "reduction": "reduction_aligned"}
 
 
+def _at_least(least):
+    """An argparse type: an integer no smaller than `least`; the error names the flag."""
+
+    def parse(text):
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its "invalid int value" message
+    return parse
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="bddsolve",
@@ -69,27 +82,27 @@ def _build_parser():
         p.add_argument("--seed", type=int, default=0)
 
     g = kinds.add_parser("random_ilp", help="random small 0-1 program")
-    g.add_argument("--vars", type=int, default=8)
-    g.add_argument("--cons", type=int, default=5)
+    g.add_argument("--vars", type=_at_least(1), default=8)
+    g.add_argument("--cons", type=_at_least(0), default=5)
     add_output(g)
 
     g = kinds.add_parser("mrf", help="chain labelling model")
-    g.add_argument("--nodes", type=int, default=3)
-    g.add_argument("--labels", type=int, default=2)
+    g.add_argument("--nodes", type=_at_least(1), default=3)
+    g.add_argument("--labels", type=_at_least(1), default=2)
     add_output(g)
 
     g = kinds.add_parser("matching", help="quadratic assignment on a bipartite graph")
-    g.add_argument("--size", type=int, default=3)
+    g.add_argument("--size", type=_at_least(1), default=3)
     add_output(g)
 
     g = kinds.add_parser("tracking", help="detection linking with flow conservation")
-    g.add_argument("--detections", type=int, default=5)
+    g.add_argument("--detections", type=_at_least(1), default=5)
     add_output(g)
 
     g = kinds.add_parser("tomography", help="chain labelling with projection equalities")
-    g.add_argument("--length", type=int, default=6)
-    g.add_argument("--labels", type=int, default=3)
-    g.add_argument("--projections", type=int, default=None)
+    g.add_argument("--length", type=_at_least(2), default=6)  # a projection window spans 2 or more
+    g.add_argument("--labels", type=_at_least(1), default=3)
+    g.add_argument("--projections", type=_at_least(0), default=None)
     add_output(g)
 
     return parser
@@ -127,6 +140,7 @@ def _report_payload(report: RunReport, var_names):
         "primal_conflicts": report.primal_conflicts,
         "primal_backtracks": report.primal_backtracks,
         "primal_max_depth": report.primal_max_depth,
+        "primal_propagated": report.primal_propagated,
         "build_time_ms": round(report.build_time_ms, 3),
         "dual_time_ms": round(report.dual_time_ms, 3),
         "primal_time_ms": round(report.primal_time_ms, 3),

@@ -32,17 +32,22 @@ is empty -> the instance is proven infeasible and the bound becomes +inf.
 A coordinate step reads the marginals at every covering level, shifts the
 copies, and advances the messages at those levels (forward: the values of
 the level below, the true terminal's below the last level; backward: the
-level's own), with the kernel arithmetic written inline over level records
-the `DualState` builds once.  The state also builds, once, each
-direction's step schedule: the steps' entries in pass order.  A pass runs
-one kernel per algebra, `_min_steps` or `_soft_steps`, over its whole
-schedule, with no call per step; `mma_update` is the same kernel run on a
-one-step schedule, so each algebra has exactly one kernel body.
-A whole diagram is swept by `_bsweep` (backward, either algebra) for
-`refresh` and `min_marginals`, and by the min-sum `_marg_min` and
-`_scatter_min` for the forward half of `min_marginals`, a fresh sweep over
-one diagram, which is where `DualState.margins` reads the rounding margins
-on the list store.  A `DualState` picks its algebra once, from its smoothing.
+level's own), with the kernel arithmetic written inline over level records.
+`refresh` builds the records from the arcs as they are then, together
+with each direction's step schedule: the steps' records in pass order.
+A record holds its level's first node and that node's children inline,
+and the level's other nodes as `(node, lo, hi)` triples, so no kernel
+looks an arc up.  The first node seeds the level's two minima, and after
+a forward step resets the level below it writes its children without a
+compare but where its two arcs meet.  A pass runs one kernel per algebra,
+`_min_steps` or `_soft_steps`, over its whole schedule, with no call per
+step; `mma_update` is the same kernel run on a one-step schedule, so each
+algebra has exactly one kernel body.  `refresh` sweeps each diagram
+backward by `_bsweep` (either algebra), which also returns its level
+records.  `min_marginals` is a fresh min-sum sweep over one diagram's
+arcs, both ways, and is where `DualState.margins` reads the rounding
+margins on the list store.  A `DualState` picks its algebra once, from
+its smoothing.
 The generic reference sweeps the kernels are tested against live with the
 tests.
 
@@ -70,13 +75,14 @@ of infeasibility leaves the copies as the sequential pass would, by
 undoing the steps of the variables from the first proving one on.  numpy
 is imported only on the array path.
 
-The array store builds its wave tables once, with the state; they depend
-only on the diagrams' levels and supports.  `refresh` re-reads what a fix
-or a rollback can change: the cost copies and the arcs.  The rounding
-margins, each variable's sum of m1 - m0 over its diagrams, are computed
-on demand by `DualState.margins`: on the array store by one read-only wave
-pass into temporary forward and backward arrays, on lists by one
-`min_marginals` sweep per diagram.
+Both stores build what depends only on the diagrams' levels and supports
+once, with the state, and read the cost copies and the arcs only at
+`refresh`: the array store its wave tables, the list store its member
+flags and counts.  After a fix or a rollback, `refresh` brings the passes
+up to date on either store.  The rounding margins, each variable's sum of
+m1 - m0 over its diagrams, are computed on demand by `DualState.margins`:
+on the array store by one read-only wave pass into temporary forward and
+backward arrays, on lists by one `min_marginals` sweep per diagram.
 """
 
 from __future__ import annotations
@@ -102,7 +108,8 @@ DEFAULT_TOLERANCE = 1e-6
 # 49,680, on this evidence from bench/run.py (seed 0, 2-core VM):
 # - grid on the store: bound_s 0.79 -> 0.24 s, peak_rss_mb 53.8 -> 59.6 MB;
 # - qap on the store: bound_s 1.49 -> 0.28 s, but peak_rss_mb 24.4 -> 39.4 MB,
-#   importing numpy alone costing some 11-13 MB;
+#   importing numpy alone costing some 10 MB (peak RSS 17.6 -> 27.8 MB after
+#   importing bddsolve.solver, Python 3.11, numpy 2.4, x86-64 Linux);
 # - batch-small (at most a few hundred nodes per instance) on the store:
 #   bound_s 0.67 -> 2.72 s, numpy's per-call cost swamping tiny waves.  Even
 #   checking the waves of each instance, to keep them on lists, cost +19%
@@ -146,25 +153,30 @@ class DualState:
     `covering[var]` lists the diagrams covering the variable, ascending:
     the decomposition's `var_subproblems`, kept by reference.
 
-    On the array store (`store` set, see the module notes) `fw`/`bw` are
-    None and `sweeps` and `schedules` are empty; the store keeps the
+    Either store reads `duals` into its tables and the diagrams' arcs only
+    at `refresh`.  So after direct surgery on `duals`, or fixing or
+    rolling back diagrams, call `refresh` before the next pass or
+    `margins`.  On the array store (`store` set, see the module notes)
+    `fw`/`bw` are None and `schedules` are empty; the store keeps the
     messages, and between calls of `refresh`, `forward_pass`,
-    `backward_pass` and `run` the cost copies are back in `duals`.  The
-    store reads `duals` and the diagrams' arcs only at `refresh`.  So after
-    direct surgery on `duals`, or fixing diagrams, call `refresh` before
-    the next pass or `margins`, as the list store needs anyway for its
-    backward values.
+    `backward_pass` and `run` the cost copies are back in `duals`.
 
-    `sweeps[forward][var]` is `(records, members, count)` for a step in
-    that direction, fixed once.  `records` holds one level record per
-    covering diagram, `(fw[j], bw[j], duals[j], lev, level nodes, nodes
-    below, lo, hi)`, where the nodes below the last level are `(TRUE,)`; a
-    record refers to the live lists, so fixation and rollback show through
-    it, and both directions share it.  `members` flags per record whether
-    the diagram shares the step's averaged total (uniform: every one;
-    srmp: those with a level still ahead, or every one if none has), and
-    `count` is the number of members.  `schedules[forward]` lists those
-    entries in pass order: `active` going forward, reversed going back.
+    On the list store, `members[forward][var]` is `(flags, count)` for a
+    step in that direction: per covering diagram whether it shares the
+    step's averaged total (uniform: every one; srmp: those with a level
+    still ahead, or every one if none has), and the number of members.
+    These depend only on levels and supports and are built here.
+    `refresh` builds the level records from the arcs as they are then,
+    one per diagram level: `(fw[j], bw[j], duals[j], lev, v, lo, hi, rest,
+    below)`, where v is the level's first node and lo, hi its children,
+    `rest` holds the level's other nodes as `(node, lo, hi)` triples, and
+    `below` the nodes a forward step resets (the level below, or `(TRUE,)`
+    below the last level).  Equal `rest` tuples are one object, so
+    unrestricted rows of one shape share them.  An empty diagram's levels
+    hold the false terminal as their first node, which reads +inf both
+    ways.  `records[var]` holds the variable's level records, diagrams in
+    order, and `schedules[forward]` each step's `(records, flags, count)`
+    in pass order: `active` going forward, reversed going back.
     """
 
     def __init__(self, bdds, decomposition, duals, smoothing, averaging):
@@ -180,38 +192,35 @@ class DualState:
         self.store = None
         if self.smin is None and sum(len(b.lo) - 2 for b in bdds) >= ARRAY_MIN_NODES:
             self.store = _ArrayStore.build(bdds, self.active, averaging)
+        self.records = {}
+        self.schedules = {True: [], False: []}
         if self.store is not None:
             self.fw = self.bw = None
-            self.sweeps = {True: {}, False: {}}
-            self.schedules = {True: [], False: []}
             return
         self.fw = [[INF] * len(b.lo) for b in bdds]
         self.bw = [[INF] * len(b.lo) for b in bdds]
-        slots = {}  # per variable its (diagram, level) pairs, diagrams in order
-        records = {}
-        last = [len(b.support) - 1 for b in bdds]
-        for j, b in enumerate(bdds):
-            fwj, bwj, costs, lo, hi, nodes = self.fw[j], self.bw[j], duals[j], b.lo, b.hi, b.level_nodes
-            for lev, var in enumerate(b.support):
-                slots.setdefault(var, []).append((j, lev))
-                below = nodes[lev + 1] if lev < last[j] else (TRUE,)
-                records.setdefault(var, []).append((fwj, bwj, costs, lev, nodes[lev], below, lo, hi))
-        interned = {}  # equal member tuples share one object
+        covering = self.covering
+        interned = {}  # equal flag tuples share one (flags, count) pair
 
-        def entry(recs, ahead):
-            members = ahead if averaging == SRMP and True in ahead else (True,) * len(ahead)
-            members = interned.setdefault(members, members)
-            return recs, members, sum(members)
+        def members(flags):
+            if True not in flags:
+                flags = (True,) * len(flags)
+            pair = interned.get(flags)
+            if pair is None:
+                pair = interned[flags] = (flags, sum(flags))
+            return pair
 
-        self.sweeps = {True: {}, False: {}}
-        for var, pairs in slots.items():
-            recs = tuple(records[var])
-            self.sweeps[True][var] = entry(recs, tuple([lev < last[j] for j, lev in pairs]))
-            self.sweeps[False][var] = entry(recs, tuple([lev > 0 for _, lev in pairs]))
-        self.schedules = {
-            True: [self.sweeps[True][var] for var in self.active],
-            False: [self.sweeps[False][var] for var in reversed(self.active)],
-        }
+        if averaging != SRMP:
+            every = {var: members((True,) * len(covering[var])) for var in self.active}
+            self.members = {True: every, False: every}
+        else:  # a member has a level ahead of the variable's in the pass
+            self.members = {
+                forward: {
+                    var: members(tuple([var != bdds[j].support[end] for j in covering[var]]))
+                    for var in self.active
+                }
+                for forward, end in ((True, -1), (False, 0))
+            }
 
     def dual_value(self):
         """Current sum of per-diagram optima (raw: no offset, no free vars), folded from 0.0."""
@@ -234,12 +243,23 @@ class DualState:
         if self.store is not None:
             self.store.refresh(self)
         else:
+            interned = {}  # equal node-triple tuples share one object
+            records = {}  # per variable its level records, diagrams in order, as lists
             for j, bdd in enumerate(self.bdds):
-                bwj = self.bw[j]
-                _bsweep(bdd, bwj, self.duals[j], self.smin)
+                fwj, bwj = self.fw[j], self.bw[j]
+                levels = _bsweep(bdd, fwj, bwj, self.duals[j], self.smin, interned)
                 self.energies[j] = bwj[bdd.root]
                 if bdd.root != FALSE:
-                    self.fw[j][bdd.root] = 0.0
+                    fwj[bdd.root] = 0.0
+                for var, record in zip(bdd.support, levels):
+                    records.setdefault(var, []).append(record)
+            active = self.active
+            self.records = records = {var: tuple(records[var]) for var in active}
+            ahead, back = self.members[True], self.members[False]
+            self.schedules = {
+                True: [(records[var],) + ahead[var] for var in active],
+                False: [(records[var],) + back[var] for var in reversed(active)],
+            }
         if any(e == INF for e in self.energies):
             self.infeasible = True
 
@@ -297,36 +317,6 @@ def init_duals(bdds, decomposition, objective, smoothing=0.0, averaging=UNIFORM)
 # value is in cost units, +inf where no path exists.
 
 
-def _marg_min(bdd, fwj, bwj, level, cost):
-    lo, hi = bdd.lo, bdd.hi
-    m0 = m1 = INF
-    for v in bdd.level_nodes[level]:
-        base = fwj[v]
-        a = base + bwj[lo[v]]
-        if a < m0:
-            m0 = a
-        b = base + cost + bwj[hi[v]]
-        if b < m1:
-            m1 = b
-    return m0, m1
-
-
-def _scatter_min(bdd, fwj, level, cost):
-    lo, hi = bdd.lo, bdd.hi
-    for v in bdd.level_nodes[level + 1]:
-        fwj[v] = INF
-    for v in bdd.level_nodes[level]:
-        base = fwj[v]
-        c = lo[v]
-        if c >= 2 and base < fwj[c]:
-            fwj[c] = base
-        c = hi[v]
-        if c >= 2:
-            b = base + cost
-            if b < fwj[c]:
-                fwj[c] = b
-
-
 def _soft_min(alpha):
     """The soft minimum at temperature alpha > 0, in cost units."""
 
@@ -341,41 +331,91 @@ def _soft_min(alpha):
     return smin
 
 
-def _bsweep(bdd, bwj, costs, smin=None):
-    """Seed the terminals and recompute every backward value bottom-up."""
+def _bsweep(bdd, fwj, bwj, costs, smin, interned):
+    """Seed the terminals and recompute every backward value bottom-up; returns the level records.
+
+    The records, on `fwj`, `bwj` and `costs`, are taken from the arcs as
+    they are now (see `DualState`); equal `rest` tuples are shared through
+    the dict `interned`.
+    """
     bwj[FALSE] = INF
     bwj[TRUE] = 0.0
-    lo, hi, level_nodes = bdd.lo, bdd.hi, bdd.level_nodes
-    for lev in range(bdd.num_levels - 1, -1, -1):
+    lo, hi, nodes = bdd.lo, bdd.hi, bdd.level_nodes
+    intern = interned.setdefault
+    records = []
+    below = (TRUE,)
+    for lev in range(len(nodes) - 1, -1, -1):
+        level = nodes[lev]
         cost = costs[lev]
+        triples = []
         if smin is None:
-            for v in level_nodes[lev]:
-                a = bwj[lo[v]]
-                b = cost + bwj[hi[v]]
+            for v in level:
+                l = lo[v]
+                h = hi[v]
+                a = bwj[l]
+                b = cost + bwj[h]
                 bwj[v] = a if a <= b else b
+                triples.append((v, l, h))
         else:
-            for v in level_nodes[lev]:
-                bwj[v] = smin(bwj[lo[v]], cost + bwj[hi[v]])
+            for v in level:
+                l = lo[v]
+                h = hi[v]
+                bwj[v] = smin(bwj[l], cost + bwj[h])
+                triples.append((v, l, h))
+        v, l, h = triples[0] if triples else (FALSE, FALSE, FALSE)  # an empty diagram's level
+        rest = tuple(triples[1:])
+        records.append((fwj, bwj, costs, lev, v, l, h, intern(rest, rest), below))
+        below = level
+    records.reverse()
+    return records
 
 
 def min_marginals(bdd, costs):
     """Per-level (min path cost with the level's variable at 0, same at 1).
 
     `costs[lev]` is the cost of the 1-arcs at level `lev`.  One fresh
-    backward and forward sweep; a sentinel diagram has no levels to report.
+    backward and forward sweep over the arcs, with the kernels' float
+    operations but no level records (they would cost more to build than
+    one sweep saves); a sentinel diagram has no levels to report.
     """
     if bdd.root < 2:
         return []
-    bw = [INF] * len(bdd.lo)
-    _bsweep(bdd, bw, costs)
-    fw = [INF] * len(bdd.lo)
+    lo, hi, nodes = bdd.lo, bdd.hi, bdd.level_nodes
+    bw = [INF] * len(lo)
+    bw[TRUE] = 0.0
+    for lev in range(len(nodes) - 1, -1, -1):
+        cost = costs[lev]
+        for v in nodes[lev]:
+            a = bw[lo[v]]
+            b = cost + bw[hi[v]]
+            bw[v] = a if a <= b else b
+    fw = [INF] * len(lo)
     fw[bdd.root] = 0.0
-    last = bdd.num_levels - 1
     out = []
-    for lev in range(bdd.num_levels):
-        out.append(_marg_min(bdd, fw, bw, lev, costs[lev]))
-        if lev < last:
-            _scatter_min(bdd, fw, lev, costs[lev])
+    for lev, cost in enumerate(costs):
+        m0 = m1 = INF
+        for v in nodes[lev]:
+            base = fw[v]
+            a = base + bw[lo[v]]
+            if a < m0:
+                m0 = a
+            b = base + cost + bw[hi[v]]
+            if b < m1:
+                m1 = b
+        out.append((m0, m1))
+        if lev + 1 < len(nodes):
+            for v in nodes[lev + 1]:
+                fw[v] = INF
+            for v in nodes[lev]:
+                base = fw[v]
+                c = lo[v]
+                if c and base < fw[c]:
+                    fw[c] = base
+                c = hi[v]
+                if c:
+                    b = base + cost
+                    if b < fw[c]:
+                        fw[c] = b
     return out
 
 
@@ -391,16 +431,17 @@ def mma_update(state: DualState, var, forward=True):
     the level below each covering level (the true terminal's below a last
     level); backward, bw of the covering levels.  Returns the diffs m1 - m0
     in slot order (see the module notes for infinities and nan).  A finite
-    sum is averaged over the members `state.sweeps` holds for this variable
-    and direction.  An update that proves infeasibility latches it and
+    sum is averaged over the members `state.members` holds for this
+    variable and direction.  An update that proves infeasibility latches it and
     leaves the messages as they were.  It is the pass kernel run on a
     one-step schedule.
     """
-    entry = state.sweeps[forward].get(var)
-    if entry is None:
-        if state.store is not None:
-            raise ValueError("mma_update steps the list kernels; this state's messages are in its array store")
+    if state.store is not None:
+        raise ValueError("mma_update steps the list kernels; this state's messages are in its array store")
+    records = state.records.get(var)
+    if records is None:
         raise ValueError(f"variable {var} is not covered by any diagram")
+    entry = (records,) + state.members[forward][var]
     steps = _min_steps if state.smin is None else _soft_steps
     return steps(state, (entry,), forward)
 
@@ -408,23 +449,29 @@ def mma_update(state: DualState, var, forward=True):
 def _min_steps(state, schedule, forward):
     """Run the min-sum steps of `schedule` in order; returns the diffs of the last one run.
 
-    Each entry is a `(records, members, count)` of `state.sweeps`.  Stops
-    at the first step that proves infeasibility, latching it.
+    Each entry is a step's `(records, members, count)` (see `DualState`).  Stops
+    at the first step that proves infeasibility, latching it.  A level's
+    first node seeds its marginal pair, and its forward writes need no
+    compare but where both its arcs meet: the nodes below were just reset
+    to +inf.  That is exact because no node value, cost copy or marginal
+    is ever nan or -inf.
     """
     isfinite, inf = math.isfinite, INF  # locals: this loop is the list store's whole pass
     diffs = []
     for records, members, count in schedule:
         diffs = []
         total = 0.0  # folded left in slot order, as the array store sums its columns
-        for fwj, bwj, costs, lev, nodes, _, lo, hi in records:
+        for fwj, bwj, costs, lev, v, l, h, rest, _ in records:
             cost = costs[lev]
-            m0 = m1 = inf
-            for v in nodes:
+            base = fwj[v]
+            m0 = base + bwj[l]
+            m1 = base + cost + bwj[h]
+            for v, l, h in rest:
                 base = fwj[v]
-                a = base + bwj[lo[v]]
+                a = base + bwj[l]
                 if a < m0:
                     m0 = a
-                b = base + cost + bwj[hi[v]]
+                b = base + cost + bwj[h]
                 if b < m1:
                     m1 = b
             d = m1 - m0
@@ -442,50 +489,63 @@ def _min_steps(state, schedule, forward):
         # Each diagram's copy becomes (copy - shift) + share for members and
         # copy - shift otherwise; the message step then reads the new copy.
         if forward:
-            for (fwj, _, costs, lev, nodes, below, lo, hi), d, member in zip(records, shifts, members):
+            for (fwj, _, costs, lev, v, l, h, rest, below), d, member in zip(records, shifts, members):
                 cost = costs[lev] - d
                 if member:
                     cost += share
                 costs[lev] = cost
-                for v in below:
-                    fwj[v] = inf
-                for v in nodes:
+                for c in below:
+                    fwj[c] = inf
+                base = fwj[v]
+                if l:
+                    fwj[l] = base
+                if h:
+                    b = base + cost
+                    fwj[h] = b if h != l or b < base else base
+                for v, l, h in rest:
                     base = fwj[v]
-                    c = lo[v]
-                    if c and base < fwj[c]:
-                        fwj[c] = base
-                    c = hi[v]
-                    if c:
+                    if l and base < fwj[l]:
+                        fwj[l] = base
+                    if h:
                         b = base + cost
-                        if b < fwj[c]:
-                            fwj[c] = b
+                        if b < fwj[h]:
+                            fwj[h] = b
         else:
-            for (_, bwj, costs, lev, nodes, _, lo, hi), d, member in zip(records, shifts, members):
+            for (_, bwj, costs, lev, v, l, h, rest, _), d, member in zip(records, shifts, members):
                 cost = costs[lev] - d
                 if member:
                     cost += share
                 costs[lev] = cost
-                for v in nodes:
-                    a = bwj[lo[v]]
-                    b = cost + bwj[hi[v]]
+                a = bwj[l]
+                b = cost + bwj[h]
+                bwj[v] = a if a <= b else b
+                for v, l, h in rest:
+                    a = bwj[l]
+                    b = cost + bwj[h]
                     bwj[v] = a if a <= b else b
     return diffs
 
 
 def _soft_steps(state, schedule, forward):
-    """`_min_steps` with every minimum a soft minimum at the state's temperature."""
+    """`_min_steps` with every minimum a soft minimum at the state's temperature.
+
+    The soft minimum of +inf and x is x to the bit, so the first node's
+    values seed and write as in `_min_steps`.
+    """
     smin, isfinite, inf = state.smin, math.isfinite, INF
     diffs = []
     for records, members, count in schedule:
         diffs = []
         total = 0.0
-        for fwj, bwj, costs, lev, nodes, _, lo, hi in records:
+        for fwj, bwj, costs, lev, v, l, h, rest, _ in records:
             cost = costs[lev]
-            m0 = m1 = inf
-            for v in nodes:
+            base = fwj[v]
+            m0 = base + bwj[l]
+            m1 = base + cost + bwj[h]
+            for v, l, h in rest:
                 base = fwj[v]
-                m0 = smin(m0, base + bwj[lo[v]])
-                m1 = smin(m1, base + cost + bwj[hi[v]])
+                m0 = smin(m0, base + bwj[l])
+                m1 = smin(m1, base + cost + bwj[h])
             d = m1 - m0
             diffs.append(d)
             total += d
@@ -499,29 +559,33 @@ def _soft_steps(state, schedule, forward):
                 return diffs
             shifts, members, share = forcing
         if forward:
-            for (fwj, _, costs, lev, nodes, below, lo, hi), d, member in zip(records, shifts, members):
+            for (fwj, _, costs, lev, v, l, h, rest, below), d, member in zip(records, shifts, members):
                 cost = costs[lev] - d
                 if member:
                     cost += share
                 costs[lev] = cost
-                for v in below:
-                    fwj[v] = inf
-                for v in nodes:
+                for c in below:
+                    fwj[c] = inf
+                base = fwj[v]
+                if l:
+                    fwj[l] = base
+                if h:
+                    fwj[h] = base + cost if h != l else smin(base, base + cost)
+                for v, l, h in rest:
                     base = fwj[v]
-                    c = lo[v]
-                    if c:
-                        fwj[c] = smin(fwj[c], base)
-                    c = hi[v]
-                    if c:
-                        fwj[c] = smin(fwj[c], base + cost)
+                    if l:
+                        fwj[l] = smin(fwj[l], base)
+                    if h:
+                        fwj[h] = smin(fwj[h], base + cost)
         else:
-            for (_, bwj, costs, lev, nodes, _, lo, hi), d, member in zip(records, shifts, members):
+            for (_, bwj, costs, lev, v, l, h, rest, _), d, member in zip(records, shifts, members):
                 cost = costs[lev] - d
                 if member:
                     cost += share
                 costs[lev] = cost
-                for v in nodes:
-                    bwj[v] = smin(bwj[lo[v]], cost + bwj[hi[v]])
+                bwj[v] = smin(bwj[l], cost + bwj[h])
+                for v, l, h in rest:
+                    bwj[v] = smin(bwj[l], cost + bwj[h])
     return diffs
 
 

@@ -585,7 +585,11 @@ def _format_terms(parts):
 
 
 def write_lp(instance: ILPInstance) -> str:
-    """Serialize to LP text; parsing the output reproduces the instance."""
+    """Serialize to LP text; parsing the output reproduces the instance.
+
+    Raises ModelError for a row with no terms: the format has no way to
+    write one, and `parse_lp` rejects it.
+    """
     lines = ["Minimize"]
     parts = []
     for i, c in enumerate(instance.objective):
@@ -601,6 +605,8 @@ def write_lp(instance: ILPInstance) -> str:
     if instance.constraints:
         lines.append("Subject To")
         for con in instance.constraints:
+            if not con.terms:
+                raise ModelError(f"constraint {con.name!r} has no terms, which the LP format cannot express")
             parts = []
             for i, a in con.terms:
                 mag_str = "" if abs(a) == 1 else f"{abs(a)} "

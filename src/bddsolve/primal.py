@@ -60,8 +60,10 @@ class PrimalResult:
     """Search outcome and effort.
 
     attempts counts branch tries, conflicts the tries that failed,
-    backtracks the frames popped while climbing, and max_depth the peak
-    number of open frames.
+    backtracks the frames popped while climbing, max_depth the peak
+    number of open frames, and propagated the literals assigned by
+    propagation rather than by a decision, summed over every attempt,
+    undone ones included.
     """
 
     status: str  # "solved" | "budget" | "infeasible"
@@ -70,6 +72,7 @@ class PrimalResult:
     conflicts: int = 0
     backtracks: int = 0
     max_depth: int = 0
+    propagated: int = 0
 
 
 def compute_scores(state, strategy=NEG_MARGIN) -> PrimalScores:
@@ -214,7 +217,7 @@ def primal_search(state, preassigned=None, strategy=NEG_MARGIN, budget=None) -> 
     scores = compute_scores(state, strategy)
     assignment = dict(preassigned or {})
     order = scores.order
-    attempts = conflicts = backtracks = max_depth = 0
+    attempts = conflicts = backtracks = max_depth = propagated = 0
     Trail().attach(bdds)
 
     frames = []  # (order index, flipped, mark, newly)
@@ -237,7 +240,9 @@ def primal_search(state, preassigned=None, strategy=NEG_MARGIN, budget=None) -> 
         attempts += 1
         mark = checkpoint_all(bdds)
         newly = []
-        if restriction_propagation(bdds, covering, assignment, var, value, newly):
+        ok = restriction_propagation(bdds, covering, assignment, var, value, newly)
+        propagated += len(newly) - 1  # all but the decision itself
+        if ok:
             frames.append((idx, flipped, mark, newly))
             max_depth = max(max_depth, len(frames))
             flipped = False
@@ -266,4 +271,4 @@ def primal_search(state, preassigned=None, strategy=NEG_MARGIN, budget=None) -> 
     result = dict(assignment) if status == SOLVED else None
     if frames:  # one rollback to the oldest checkpoint undoes everything
         rollback_all(bdds, frames[0][2])
-    return PrimalResult(status, result, attempts, conflicts, backtracks, max_depth)
+    return PrimalResult(status, result, attempts, conflicts, backtracks, max_depth, propagated)

@@ -71,6 +71,7 @@ class RunReport:
     primal_conflicts: int = 0
     primal_backtracks: int = 0
     primal_max_depth: int = 0
+    primal_propagated: int = 0
     trace: list = field(default_factory=list)
 
     @property
@@ -193,5 +194,6 @@ def solve_instance(instance: ILPInstance, options: SolveOptions = None) -> RunRe
         primal_conflicts=result.conflicts,
         primal_backtracks=result.backtracks,
         primal_max_depth=result.max_depth,
+        primal_propagated=result.propagated,
         trace=trace,
     )

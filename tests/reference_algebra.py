@@ -303,15 +303,15 @@ def marginals_of_set(assignments, values, alpha=0.0):
 def level_kernels(state):
     """`(marg, scatter, bstep, readout)` for one diagram, in the state's algebra.
 
-    Arguments as in `dual._marg_min` and `dual._scatter_min`, which are the
-    min-sum `marg` and `scatter`; soft-min builds twins on the state's
-    `smin`.  `bstep(bdd, bwj, level, cost)` recomputes one level's backward
-    values and `readout(bdd, fwj, cost)` is the optimum read off the last
-    level's forward values, whose 1-arcs cost `cost`; both fold with the
-    state's `smin`, or with a min keeping the earlier value on ties.
+    `marg(bdd, fwj, bwj, level, cost)` is the level's marginal pair and
+    `scatter(bdd, fwj, level, cost)` recomputes the forward values of the
+    level below from the level's own, whose 1-arcs cost `cost`.
+    `bstep(bdd, bwj, level, cost)` recomputes one level's backward values
+    and `readout(bdd, fwj, cost)` is the optimum read off the last level's
+    forward values.  All fold with the state's `smin`, or for min-sum with a
+    min keeping the earlier value on ties, node by node in level order.
     """
     if state.smin is None:
-        marg, scatter = dual._marg_min, dual._scatter_min
 
         def smin(a, b):
             return a if a <= b else b
@@ -319,27 +319,27 @@ def level_kernels(state):
     else:
         smin = state.smin
 
-        def marg(bdd, fwj, bwj, level, cost):
-            lo, hi = bdd.lo, bdd.hi
-            m0 = m1 = INF
-            for v in bdd.level_nodes[level]:
-                base = fwj[v]
-                m0 = smin(m0, base + bwj[lo[v]])
-                m1 = smin(m1, base + cost + bwj[hi[v]])
-            return m0, m1
+    def marg(bdd, fwj, bwj, level, cost):
+        lo, hi = bdd.lo, bdd.hi
+        m0 = m1 = INF
+        for v in bdd.level_nodes[level]:
+            base = fwj[v]
+            m0 = smin(m0, base + bwj[lo[v]])
+            m1 = smin(m1, base + cost + bwj[hi[v]])
+        return m0, m1
 
-        def scatter(bdd, fwj, level, cost):
-            lo, hi = bdd.lo, bdd.hi
-            for v in bdd.level_nodes[level + 1]:
-                fwj[v] = INF
-            for v in bdd.level_nodes[level]:
-                base = fwj[v]
-                c = lo[v]
-                if c >= 2:
-                    fwj[c] = smin(fwj[c], base)
-                c = hi[v]
-                if c >= 2:
-                    fwj[c] = smin(fwj[c], base + cost)
+    def scatter(bdd, fwj, level, cost):
+        lo, hi = bdd.lo, bdd.hi
+        for v in bdd.level_nodes[level + 1]:
+            fwj[v] = INF
+        for v in bdd.level_nodes[level]:
+            base = fwj[v]
+            c = lo[v]
+            if c >= 2:
+                fwj[c] = smin(fwj[c], base)
+            c = hi[v]
+            if c >= 2:
+                fwj[c] = smin(fwj[c], base + cost)
 
     def bstep(bdd, bwj, level, cost):
         lo, hi = bdd.lo, bdd.hi
@@ -363,7 +363,7 @@ def _slot_update(state, slots, forward, marg):
     """One coordinate step over one variable's `slots`, messages untouched; returns its kind.
 
     "average", "forced" or "infeasible" (latched on the state).  Members are
-    derived from the diagrams' level counts, not from `state.sweeps`.
+    derived from the diagrams' level counts, not from `state.members`.
     """
     bdds, fw, bw, duals = state.bdds, state.fw, state.bw, state.duals
     diffs = []

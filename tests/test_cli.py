@@ -137,6 +137,15 @@ def test_json_carries_search_counters(tmp_path, capsys):
     assert counters == [4, 3, 1, 1]
 
 
+def test_json_carries_the_propagated_count(tmp_path, capsys):
+    path = tmp_path / "simplex.lp"
+    path.write_text(SIMPLEX)
+    assert main(["solve", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    # one decision on x1 forces x2 and x3 to 0
+    assert (payload["primal_attempts"], payload["primal_propagated"]) == (1, 2)
+
+
 @pytest.mark.parametrize("smoothing", ["inf", "nan", "1e308", "-1"])
 def test_unusable_smoothing_exits_1(tmp_path, capsys, smoothing):
     # inf once proved this feasible instance infeasible; 1e308 overflowed the diffs
@@ -264,6 +273,43 @@ def test_generate_kinds(capsys):
         instance = parse_lp(out)
         if shape is not None:
             assert (instance.num_vars, len(instance.constraints)) == shape
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("random_ilp", "--vars", "0"), "--vars"),
+    (("random_ilp", "--vars", "-1"), "--vars"),
+    (("random_ilp", "--cons", "-1"), "--cons"),
+    (("mrf", "--labels", "0"), "--labels"),
+    (("mrf", "--nodes", "-2"), "--nodes"),
+    (("matching", "--size", "0"), "--size"),
+    (("tracking", "--detections", "-1"), "--detections"),
+    (("tomography", "--length", "0"), "--length"),
+    (("tomography", "--length", "1"), "--length"),
+    (("tomography", "--labels", "0"), "--labels"),
+    (("tomography", "--projections", "-1"), "--projections"),
+])
+def test_generate_rejects_sizes_out_of_range(argv, flag, capsys):
+    assert main(["generate", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: must be at least" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ("random_ilp", "--vars", "1"),
+    ("random_ilp", "--vars", "2", "--cons", "0"),
+    ("mrf", "--nodes", "1", "--labels", "1"),
+    ("matching", "--size", "1"),
+    ("tracking", "--detections", "1"),
+    ("tomography", "--length", "2", "--labels", "1"),
+    ("tomography", "--length", "2", "--labels", "2", "--projections", "0"),
+])
+def test_generate_writes_what_solve_reads_at_the_smallest_sizes(argv, capsys, monkeypatch):
+    for seed in range(3):
+        assert main(["generate", *argv, "--seed", str(seed)]) == 0
+        monkeypatch.setattr(sys, "stdin", io.StringIO(capsys.readouterr().out))
+        assert main(["solve", "-"]) in (0, 2, 3)
+        assert json.loads(capsys.readouterr().out)["status"] in ("solved", "infeasible", "dual_only")
 
 
 def test_entry_exits_with_the_command_status(monkeypatch, capsys):

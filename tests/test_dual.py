@@ -454,9 +454,10 @@ def test_fused_passes_match_the_per_level_loop(averaging, smoothing):
 
 @pytest.mark.parametrize("smoothing", [0.0, 0.3])
 def test_passes_follow_diagrams_restricted_after_the_state_was_built(smoothing):
-    # the level records refer to each diagram's live arcs, so fixation and
-    # rollback after the state was built must show in the passes; each pass
-    # leaves every optimum at the true terminal (forward) or the root (backward)
+    # `refresh` rebuilds the level records from the arcs, so fixation and
+    # rollback after the state was built must show in the passes that follow
+    # it; each pass leaves every optimum at the true terminal (forward) or the
+    # root (backward)
     def optima(state, forward):
         # (value where the pass left it, stored energy) per non-sentinel diagram
         return [
@@ -493,3 +494,83 @@ def test_passes_follow_diagrams_restricted_after_the_state_was_built(smoothing):
             if label == "restricted":
                 rollback_all(state.bdds, mark)
     assert moved >= 4
+
+
+def _restricted(problem, dec, best, bdds=None):
+    # fresh diagrams (or `bdds`) on one trail, a third of the variables fixed
+    # toward a known optimum by propagation; returns the diagrams and the mark
+    if bdds is None:
+        bdds = [build_bdd(c, dec.positions) for c in problem.constraints]
+    Trail().attach(bdds)
+    mark = checkpoint_all(bdds)
+    assignment, newly = {}, []
+    for var in range(0, problem.num_vars, 3):
+        assert restriction_propagation(bdds, dec.var_subproblems, assignment, var, best[var], newly)
+    return bdds, mark
+
+
+def _passes(state, count=4):
+    bounds = [(forward_pass if k % 2 == 0 else backward_pass)(state) for k in range(count)]
+    return repr((bounds, state.fw, state.bw, state.duals, state.energies))
+
+
+@pytest.mark.parametrize("averaging", [UNIFORM, SRMP])
+@pytest.mark.parametrize("smoothing", [0.0, 0.3])
+def test_refresh_reads_the_arcs_as_a_fresh_state_would(averaging, smoothing):
+    # the list store builds its level records from the arcs at `refresh`: a
+    # state restricted and refreshed after it was built must pass exactly as
+    # a state built on diagrams restricted the same way, and after a rollback
+    # and a refresh exactly as one built on unrestricted diagrams
+    checked = 0
+    for problem in (mrf_instance(1, 3, 2, 2), graph_matching_instance(2, 1), tomography_instance(3, 2, 0)):
+        _, best = brute_force_solve(problem)
+        state, dec = build_state(problem, smoothing, averaging)
+        assert state.store is None
+        _passes(state, 3)
+        copies = [costs[:] for costs in state.duals]
+        _, mark = _restricted(problem, dec, best, state.bdds)
+        state.refresh()
+        fresh = init_duals(_restricted(problem, dec, best)[0], dec, problem.objective, smoothing, averaging)
+        assert [b.lo for b in fresh.bdds] == [b.lo for b in state.bdds]
+        assert [b.lo for b in state.bdds] != [b.lo for b in build_state(problem)[0].bdds]
+        fresh.duals[:] = [costs[:] for costs in copies]
+        fresh.refresh()
+        assert _passes(state) == _passes(fresh)
+        copies = [costs[:] for costs in state.duals]
+        rollback_all(state.bdds, mark)
+        state.refresh()
+        fresh, _ = build_state(problem, smoothing, averaging)
+        fresh.duals[:] = copies
+        fresh.refresh()
+        assert _passes(state) == _passes(fresh)
+        checked += 1
+    assert checked == 3
+
+
+def _rests(state, j):
+    # diagram j's `rest` tuples (the node triples past each level's first node)
+    bdd = state.bdds[j]
+    return [state.records[var][state.covering[var].index(j)][7] for var in bdd.support]
+
+
+def test_rows_of_one_shape_share_their_node_triples():
+    state, _ = build_state(mrf_instance(1, 4, 3, 0))
+    rows = {}
+    for j, b in enumerate(state.bdds):
+        rows.setdefault((tuple(b.lo), tuple(b.hi)), []).append(j)
+    group = max(rows.values(), key=len)
+    assert len(group) >= 3
+    before = [_rests(state, j) for j in group]
+    wide = [lev for lev, rest in enumerate(before[0]) if rest]
+    assert wide  # levels with more than one node
+    for rests in before[1:]:
+        assert all(x is y for x, y in zip(rests, before[0]))
+    fixed = state.bdds[group[0]]
+    Trail().attach(state.bdds)
+    checkpoint_all(state.bdds)
+    assert fixed.fix(fixed.support[wide[0]], 0)
+    state.refresh()
+    after = [_rests(state, j) for j in group]
+    assert after[0] != before[0]
+    for rests, old in zip(after[1:], before[1:]):
+        assert rests == old and all(x is y for x, y in zip(rests, after[1]))

@@ -159,6 +159,13 @@ def test_write_parse_round_trip_random():
             assert all(type(i) is int and type(a) is int for i, a in row.terms)
 
 
+def test_write_rejects_a_row_with_no_terms():
+    # the format writes a row as its terms, so an empty one cannot be read back
+    inst = ILPInstance(["x"], [Fraction(1)], [LinearConstraint("r0", (), Relation.GE, 0)])
+    with pytest.raises(ModelError, match="'r0' has no terms"):
+        write_lp(inst)
+
+
 def test_write_round_trips_thirds():
     inst = ILPInstance(["x"], [Fraction(1, 3)], [])
     back = parse_lp(write_lp(inst))

@@ -273,6 +273,44 @@ def test_counters_on_a_search_that_backtracks():
     assert (result.attempts, result.conflicts, result.backtracks, result.max_depth) == (6, 2, 1, 3)
 
 
+def test_propagated_counts_the_literals_a_decision_forces():
+    # x0 + x1 = 1: deciding either variable forces the other
+    problem = inst(["x0", "x1"], [1, 2], [((((0, 1), (1, 1))), Relation.EQ, 1)])
+    state, _ = build_state(problem)
+    result = primal_search(state)
+    assert result.status == "solved" and result.assignment == {0: 1, 1: 0}
+    assert (result.attempts, result.conflicts, result.propagated) == (1, 0, 1)
+
+
+def test_propagated_sums_every_attempt_undone_ones_included(monkeypatch):
+    # each attempt assigns its decision and what propagation forces, kept or
+    # undone; without conflicts every covered variable is assigned once
+    calls = []
+    propagate = primal.restriction_propagation
+
+    def counted(bdds, covering, assignment, var, value, newly):
+        ok = propagate(bdds, covering, assignment, var, value, newly)
+        calls.append((ok, len(newly) - 1))
+        return ok
+
+    monkeypatch.setattr(primal, "restriction_propagation", counted)
+    rng = random.Random(2721)
+    undone = 0
+    for _ in range(30):
+        problem = random_ilp(rng.randint(3, 8), rng.randint(2, 5), seed=rng.randint(0, 10**6))
+        state, _ = build_state(problem, passes=2)
+        if state.infeasible:
+            continue
+        calls.clear()
+        r = primal_search(state)
+        assert len(calls) == r.attempts
+        assert r.propagated == sum(n for _, n in calls)
+        if r.status == "solved" and r.conflicts == 0:
+            assert r.attempts + r.propagated == len(state.active)
+        undone += sum(n for ok, n in calls if not ok)
+    assert undone > 0
+
+
 def test_counters_when_the_tree_is_exhausted():
     problem = random_ilp(5, 3, seed=13)
     assert brute_force_solve(problem) == (None, None)

@@ -324,6 +324,13 @@ def test_report_carries_search_counters():
     assert counters == (8, 5, 3, 3)
 
 
+def test_report_counts_propagated_literals():
+    problem = parse_lp("Minimize\n obj: x0 + 2 x1\nSubject To\n pick: x0 + x1 = 1\nBinary\n x0 x1\nEnd\n")
+    report = solve_instance(problem)
+    assert report.status == SOLVED and report.solution == [1, 0]
+    assert (report.primal_attempts, report.primal_propagated) == (1, 1)
+
+
 def test_unconstrained_instance():
     text = """\
 Minimize
