@@ -5,27 +5,30 @@ support, ordered by the global variable order.  Every root-to-true path
 visits every support level exactly once, so nodes whose two children agree
 are kept rather than skipped.
 
-A diagram keeps each node's two arcs and an incoming-arc counter, but no
-parent lists and no liveness flags: an internal node is removed exactly
-when both its arcs point at the false terminal, and no live node points at
-a removed one.  Fixing a variable redirects arcs on one level to the false
-terminal; nodes left with no incoming arc have their arcs redirected too,
-cascading down, and nodes left with both arcs on the false terminal are
-removed one level at a time going up, each step scanning the level above
-for arcs into the nodes just removed.
+A diagram keeps each node's two arcs and nothing else per node: no
+parent lists, arc counters or liveness flags.  An internal node is removed
+exactly when both its arcs point at the false terminal, and no live node
+points at a removed one; every live node is reached from the root and
+reaches the true terminal, so the diagram is empty exactly when its root
+is removed.  Fixing a variable redirects arcs on one level to the false
+terminal.  Nodes no arc reaches any more have their arcs redirected too,
+one level at a time going down, each step scanning the level above them
+for arcs still reaching them; nodes left with both arcs on the false
+terminal are removed one level at a time going up, each step scanning the
+level above for arcs into the nodes just removed.
 
 Every mutation is an arc redirect, written as an undo record to a
-`Trail`: three flat entries, the diagram, `node * 2 + bit` and the old
-child.  A diagram owns no undo state: whoever restricts it first attaches
-it to a trail and opens a checkpoint there, and `fix` refuses to run
-otherwise.  The rounding search attaches all diagrams to one trail, so a
-checkpoint is a single mark on it and a rollback undoes only the records
-written since that mark, whichever diagrams they belong to.  Restoration
-is bit-exact.
+`Trail`: three flat entries, the arc list (a diagram's `lo` or `hi`, never
+reassigned), the node and the old child.  A diagram owns no undo state:
+whoever restricts it first attaches it to a trail and opens a checkpoint
+there, and `fix` refuses to run otherwise.  The rounding search attaches
+all diagrams to one trail, so a checkpoint is a single mark on it and a
+rollback undoes only the records written since that mark, whichever
+diagrams they belong to.  Restoration is bit-exact.
 
 Within one instance, rows of one shape (see `build_bdd`) may share a
 single `level_nodes` structure.  Nothing ever mutates it: fixing and
-rollback change only each diagram's own arcs and incoming-arc counters.
+rollback change only each diagram's own arcs.
 """
 
 from __future__ import annotations
@@ -51,17 +54,17 @@ class BddBuildError(BddError):
 class Trail:
     """Undo records of every diagram attached to it, oldest first.
 
-    One record is three flat entries of `records`: the diagram, `node * 2 +
-    bit` and the child the arc pointed at before.  A checkpoint marks the
-    current length of `records` under a token that is never reused; rolling
-    back to it pops the records written since, restoring each diagram's arcs
-    and arc counters, and closes every checkpoint opened after it.
+    One record is three flat entries of `records`: the arc list (`lo` or
+    `hi` of a diagram), the node and the child the arc pointed at before.
+    A checkpoint marks the current length of `records` under a token that
+    is never reused; rolling back to it pops the records written since,
+    restoring each arc, and closes every checkpoint opened after it.
     """
 
     __slots__ = ("records", "marks", "_last_token")
 
     def __init__(self):
-        self.records = []  # diagram, node * 2 + bit, old child per redirect, oldest first
+        self.records = []  # arc list, node, old child per redirect, oldest first
         self.marks = []  # (token, length of records), oldest first
         self._last_token = 0
 
@@ -91,14 +94,8 @@ class Trail:
         pop = records.pop
         while len(records) > keep:
             old = pop()
-            arc = pop()
-            bdd = pop()
-            arr = bdd.hi if arc & 1 else bdd.lo
-            u = arc >> 1
-            indeg = bdd.indeg
-            indeg[arr[u]] -= 1
-            arr[u] = old
-            indeg[old] += 1
+            v = pop()
+            pop()[v] = old
 
 
 class Bdd:
@@ -106,8 +103,8 @@ class Bdd:
 
     Node ids are integers; 0 and 1 are the false/true terminals, internal
     nodes start at 2 and are numbered level by level in creation order, so
-    two builds of the same row are identical.  `lo`, `hi` and `indeg` belong
-    to this diagram alone; `level_nodes` is read-only and may be shared with
+    two builds of the same row are identical.  `lo` and `hi` belong to this
+    diagram alone; `level_nodes` is read-only and may be shared with
     diagrams of the same shape in one instance.
     """
 
@@ -118,18 +115,16 @@ class Bdd:
         "lo",
         "hi",
         "level_nodes",
-        "indeg",
         "trail",
     )
 
-    def __init__(self, constraint_name, support, root, lo, hi, level_nodes, indeg):
+    def __init__(self, constraint_name, support, root, lo, hi, level_nodes):
         self.constraint_name = constraint_name
         self.support = tuple(support)
         self.root = root
         self.lo = lo
         self.hi = hi
         self.level_nodes = level_nodes
-        self.indeg = indeg
         self.trail = None  # set by `Trail.attach`; `fix` needs one
 
     # -- queries ------------------------------------------------------------
@@ -139,11 +134,10 @@ class Bdd:
         return len(self.support)
 
     def is_empty(self):
-        if self.root == FALSE:
-            return True
-        if self.root == TRUE:
-            return False
-        return self.indeg[TRUE] == 0
+        root = self.root
+        if root < 2:
+            return root == FALSE
+        return self.lo[root] == FALSE and self.hi[root] == FALSE
 
     def node_count(self):
         """Live internal nodes."""
@@ -189,14 +183,16 @@ class Bdd:
         Requires an open checkpoint on the trail the caller attached, so the
         restriction can be undone.  Every change redirects an arc to the false
         terminal, and a node is removed exactly when both its arcs end there.
-        Arcs for the discarded value go first; nodes left with no incoming arc
-        are removed by `_remove_unreachable`, cascading down.  A node that
-        just lost an arc and has both on the false terminal is removed too,
-        and removals then go up one level at a time: each step scans the level
-        above for arcs into nodes just removed (no live node points at a node
-        removed earlier), redirects them, and goes on while that removes a
-        node, until the root goes.  Levels are narrow, so the scans stand in
-        for parent lists, which diagrams do not keep.
+        Arcs for the discarded value go first.  Removals then go down: a
+        child that lost an arc is removed when no arc of the level above
+        still reaches it, and its own children are checked the same way one
+        level further down.  Then they go up: a node that just lost an arc
+        and has both on the false terminal is removed, and each step scans
+        the level above for arcs into nodes just removed (no live node points
+        at a node removed earlier), redirects them, and goes on while that
+        removes a node, until the root goes.  Each step scans one level once,
+        so the scans stand in for parent lists and arc counters, which
+        diagrams do not keep.
         """
         if self.trail is None or not self.trail.marks:
             raise BddError("fix requires an open checkpoint on an attached trail")
@@ -206,70 +202,60 @@ class Bdd:
             lev = self.support.index(var)
         except ValueError:
             raise BddError(f"variable {var} not in support") from None
-        lo, hi, indeg, journal = self.lo, self.hi, self.indeg, self.trail.records
-        arr = lo if value else hi
-        bit = 0 if value else 1
+        lo, hi, level_nodes, journal = self.lo, self.hi, self.level_nodes, self.trail.records
+        arr, other = (lo, hi) if value else (hi, lo)
+        nodes = level_nodes[lev]
+        lost = []  # internal children that lost an arc, one level below `nodes`
         removed = False
-        for v in self.level_nodes[lev]:
+        for v in nodes:
             target = arr[v]
             if target != FALSE:
-                journal += (self, v * 2 + bit, target)
+                journal += (arr, v, target)
                 arr[v] = FALSE
-                indeg[FALSE] += 1
-                indeg[target] -= 1
                 if target >= 2:
-                    if indeg[target] == 0:
-                        self._remove_unreachable(target)
-                elif indeg[TRUE] == 0:  # the last arc into the true terminal
-                    return False
-                if lo[v] == FALSE and hi[v] == FALSE:
+                    lost.append(target)
+                if other[v] == FALSE:
                     removed = True
-        while removed:
-            if lev == 0:
-                return False  # the root went
+        if lost:
+            # one set per level keeps the descent linear in the widths scanned
+            reached = set(map(other.__getitem__, nodes))  # the only arcs left on `nodes`
+            below = lev + 1
+            while True:
+                children, lost = lost, []
+                for c in children:
+                    if c not in reached:
+                        for arcs in (lo, hi):
+                            child = arcs[c]
+                            if child != FALSE:
+                                journal += (arcs, c, child)
+                                arcs[c] = FALSE
+                                if child >= 2:
+                                    lost.append(child)
+                if not lost:
+                    break
+                nodes = level_nodes[below]
+                below += 1
+                reached = set(map(lo.__getitem__, nodes))
+                reached.update(map(hi.__getitem__, nodes))
+        while removed and lev:
             lev -= 1
             removed = False
-            for u in self.level_nodes[lev]:
-                lost = False
+            for u in level_nodes[lev]:
+                cut = False
                 child = lo[u]
                 if child >= 2 and lo[child] == FALSE and hi[child] == FALSE:
-                    journal += (self, u * 2, child)
+                    journal += (lo, u, child)
                     lo[u] = FALSE
-                    indeg[FALSE] += 1
-                    indeg[child] -= 1
-                    lost = True
+                    cut = True
                 child = hi[u]
                 if child >= 2 and lo[child] == FALSE and hi[child] == FALSE:
-                    journal += (self, u * 2 + 1, child)
+                    journal += (hi, u, child)
                     hi[u] = FALSE
-                    indeg[FALSE] += 1
-                    indeg[child] -= 1
-                    lost = True
-                if lost and lo[u] == FALSE and hi[u] == FALSE:
+                    cut = True
+                if cut and lo[u] == FALSE and hi[u] == FALSE:
                     removed = True
-        return indeg[TRUE] > 0
-
-    def _remove_unreachable(self, start):
-        """Remove nodes with no incoming arc, cascading toward the terminals.
-
-        A node is removed by redirecting both its arcs to the false terminal,
-        with ordinary arc records; a child that loses its last incoming arc
-        goes next.
-        """
-        lo, hi, indeg, journal = self.lo, self.hi, self.indeg, self.trail.records
-        arcs = ((0, lo), (1, hi))
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for bit, arr in arcs:
-                child = arr[v]
-                if child != FALSE:
-                    journal += (self, v * 2 + bit, child)
-                    arr[v] = FALSE
-                    indeg[FALSE] += 1
-                    indeg[child] -= 1
-                    if child >= 2 and indeg[child] == 0:
-                        stack.append(child)
+        root = self.root
+        return lo[root] != FALSE or hi[root] != FALSE  # not `is_empty()`; the root is internal
 
     # -- diagnostics ----------------------------------------------------------
 
@@ -302,7 +288,6 @@ def _sentinel(constraint_name, support, satisfiable):
         [FALSE, FALSE],
         [FALSE, FALSE],
         [[] for _ in range(k)],
-        [0, 0],
     )
 
 
@@ -323,7 +308,7 @@ def build_bdd(
     side and `state_budget`.  The first row of a shape is compiled once and
     kept there as a template no returned diagram aliases; every row of that
     shape then gets the template's `level_nodes`, shared and never mutated,
-    with its own copies of the arcs and counters that `fix` changes.  The
+    with its own copies of the arcs that `fix` changes.  The
     result equals a fresh build field by field.
     """
     if positions is None:
@@ -353,7 +338,6 @@ def build_bdd(
         template.lo[:],
         template.hi[:],
         template.level_nodes,
-        template.indeg[:],
     )
 
 
@@ -478,10 +462,4 @@ def _compile(name, support, coeffs, relation, rhs, state_budget):
             lo[v] = l if l < 2 else below[l]
             hi[v] = h if h < 2 else below[h]
 
-    indeg = [0] * total
-    for lev in range(k):
-        for v in level_nodes[lev]:
-            indeg[lo[v]] += 1
-            indeg[hi[v]] += 1
-
-    return Bdd(name, support, 2, lo, hi, level_nodes, indeg)
+    return Bdd(name, support, 2, lo, hi, level_nodes)

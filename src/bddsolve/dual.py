@@ -151,7 +151,10 @@ class DualState:
     constraint set empty.  The algebra is chosen once, here: `smin` is None
     for min-sum, else the soft minimum at temperature `smoothing`.
     `covering[var]` lists the diagrams covering the variable, ascending:
-    the decomposition's `var_subproblems`, kept by reference.
+    the decomposition's `var_subproblems`, kept by reference.  The
+    constructor rejects unknown modes (`check_modes`) and diagrams whose
+    supports disagree with the decomposition, and ends with a `refresh`,
+    so a new state is ready for a pass.
 
     Either store reads `duals` into its tables and the diagrams' arcs only
     at `refresh`.  So after direct surgery on `duals`, or fixing or
@@ -180,6 +183,12 @@ class DualState:
     """
 
     def __init__(self, bdds, decomposition, duals, smoothing, averaging):
+        check_modes(smoothing, averaging)
+        if len(bdds) != len(decomposition.subproblem_vars):
+            raise ValueError(f"{len(bdds)} diagrams for {len(decomposition.subproblem_vars)} subproblems")
+        for j, (bdd, support) in enumerate(zip(bdds, decomposition.subproblem_vars)):
+            if bdd.support != tuple(support):
+                raise ValueError(f"diagram {j} disagrees with the decomposition's support")
         self.bdds = bdds
         self.duals = duals
         self.smoothing = smoothing
@@ -196,31 +205,11 @@ class DualState:
         self.schedules = {True: [], False: []}
         if self.store is not None:
             self.fw = self.bw = None
-            return
-        self.fw = [[INF] * len(b.lo) for b in bdds]
-        self.bw = [[INF] * len(b.lo) for b in bdds]
-        covering = self.covering
-        interned = {}  # equal flag tuples share one (flags, count) pair
-
-        def members(flags):
-            if True not in flags:
-                flags = (True,) * len(flags)
-            pair = interned.get(flags)
-            if pair is None:
-                pair = interned[flags] = (flags, sum(flags))
-            return pair
-
-        if averaging != SRMP:
-            every = {var: members((True,) * len(covering[var])) for var in self.active}
-            self.members = {True: every, False: every}
-        else:  # a member has a level ahead of the variable's in the pass
-            self.members = {
-                forward: {
-                    var: members(tuple([var != bdds[j].support[end] for j in covering[var]]))
-                    for var in self.active
-                }
-                for forward, end in ((True, -1), (False, 0))
-            }
+        else:
+            self.fw = [[INF] * len(b.lo) for b in bdds]
+            self.bw = [[INF] * len(b.lo) for b in bdds]
+            self.members = _members(bdds, self.covering, self.active, averaging)
+        self.refresh()
 
     def dual_value(self):
         """Current sum of per-diagram optima (raw: no offset, no free vars), folded from 0.0."""
@@ -234,10 +223,10 @@ class DualState:
     def refresh(self):
         """Recompute every backward value and energy; reseed forward roots.
 
-        Needed once after construction and after any direct surgery on
-        `duals`; passes keep the arrays current on their own.  A diagram
-        whose root is the true terminal has no levels, so its seeded
-        forward value stays its optimum.  On the array store this also
+        Runs at the end of construction; needed again after any direct
+        surgery on `duals`; passes keep the arrays current on their own.
+        A diagram whose root is the true terminal has no levels, so its
+        seeded forward value stays its optimum.  On the array store this also
         re-reads `duals` and the diagrams' arcs.
         """
         if self.store is not None:
@@ -284,6 +273,28 @@ class DualState:
         return {var: sums[var] for var in self.active if var in sums}
 
 
+def _members(bdds, covering, active, averaging):
+    """`members[forward][var]` of the list store (see `DualState`)."""
+    interned = {}  # equal flag tuples share one (flags, count) pair
+
+    def members(flags):
+        if True not in flags:
+            flags = (True,) * len(flags)
+        pair = interned.get(flags)
+        if pair is None:
+            pair = interned[flags] = (flags, sum(flags))
+        return pair
+
+    if averaging != SRMP:
+        every = {var: members((True,) * len(covering[var])) for var in active}
+        return {True: every, False: every}
+    # a member has a level ahead of the variable's in the pass
+    return {
+        forward: {var: members(tuple([var != bdds[j].support[end] for j in covering[var]])) for var in active}
+        for forward, end in ((True, -1), (False, 0))
+    }
+
+
 def check_modes(smoothing, averaging):
     """Raise ValueError unless `averaging` is known and `smoothing` lies in [0, 2^60]."""
     if averaging not in (UNIFORM, SRMP):
@@ -296,19 +307,12 @@ def init_duals(bdds, decomposition, objective, smoothing=0.0, averaging=UNIFORM)
     """Split each covered variable's cost equally over its diagrams.
 
     The diagrams must agree level-for-level with the decomposition's
-    supports (both sort by the global order).  Ends with a `refresh`, so
-    the state is immediately ready for a forward pass.
+    supports (both sort by the global order); `DualState` checks that and
+    the modes, and refreshes, so the state is ready for a forward pass.
     """
-    check_modes(smoothing, averaging)
     share = {i: float(objective[i]) / len(js) for i, js in enumerate(decomposition.var_subproblems) if js}
-    duals = []
-    for j, bdd in enumerate(bdds):
-        if tuple(bdd.support) != tuple(decomposition.subproblem_vars[j]):
-            raise ValueError(f"diagram {j} disagrees with the decomposition's support")
-        duals.append([share[i] for i in bdd.support])
-    state = DualState(list(bdds), decomposition, duals, smoothing, averaging)
-    state.refresh()
-    return state
+    duals = [[share[i] for i in support] for support in decomposition.subproblem_vars]
+    return DualState(list(bdds), decomposition, duals, smoothing, averaging)
 
 
 # -- message kernels ---------------------------------------------------------------

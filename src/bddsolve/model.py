@@ -96,11 +96,8 @@ class ILPInstance:
 
     @property
     def name_to_index(self) -> dict:
-        cached = getattr(self, "_name_to_index", None)
-        if cached is None or len(cached) != len(self.var_names):
-            cached = {nm: i for i, nm in enumerate(self.var_names)}
-            object.__setattr__(self, "_name_to_index", cached)
-        return cached
+        """`{name: index}` built from `var_names` as they are now, on each access."""
+        return {nm: i for i, nm in enumerate(self.var_names)}
 
     def validate(self):
         """Raise ModelError naming the first fault, in the order checked below.

@@ -6,10 +6,22 @@ from bddsolve.bdd import FALSE, TRUE, BddError, Trail
 DEFAULT_ENUMERATION_CAP = 25
 
 
-def trail_records(trail):
-    """`(diagram, (node, bit, old child))` per undo record of `trail`, oldest first."""
+def trail_records(trail, bdds):
+    """`(diagram, (node, bit, old child))` per undo record of `trail`, oldest first.
+
+    A record names only the arc list it changed; `bdds` must include every
+    diagram that owns one of them.
+    """
+    owner = {}
+    for b in bdds:
+        owner[id(b.lo)] = (b, 0)
+        owner[id(b.hi)] = (b, 1)
     flat = trail.records
-    return [(flat[k], (flat[k + 1] >> 1, flat[k + 1] & 1, flat[k + 2])) for k in range(0, len(flat), 3)]
+    out = []
+    for k in range(0, len(flat), 3):
+        bdd, bit = owner[id(flat[k])]
+        out.append((bdd, (flat[k + 1], bit, flat[k + 2])))
+    return out
 
 
 def fresh_trail(*bdds):
@@ -23,7 +35,13 @@ def journal(bdd):
     """This diagram's undo entries on its trail, oldest first."""
     if bdd.trail is None:
         return []
-    return [entry for owner, entry in trail_records(bdd.trail) if owner is bdd]
+    flat = bdd.trail.records
+    return [
+        (flat[k + 1], bit, flat[k + 2])
+        for k in range(0, len(flat), 3)
+        for bit, arcs in ((0, bdd.lo), (1, bdd.hi))
+        if flat[k] is arcs
+    ]
 
 
 def level_of(bdd, var):
@@ -79,9 +97,12 @@ def check_invariants(bdd, reduced=False):
             if node_level[v] != -1:
                 raise BddError("node filed under two levels")
             node_level[v] = lev
-    if bdd.is_empty():
-        return
     live_levels = [bdd.live_nodes(lev) for lev in range(k)]
+    if bdd.is_empty():
+        # the root is removed only once every path is gone
+        if any(live_levels):
+            raise BddError("live node in an emptied diagram")
+        return
     live = {v for nodes in live_levels for v in nodes}
     if bdd.root not in live or node_level[bdd.root] != 0:
         raise BddError("root is not a live level-0 node")
@@ -112,13 +133,6 @@ def check_invariants(bdd, reduced=False):
                 can.add(v)
     if live - can:
         raise BddError("live node cut off from the true terminal")
-    # incoming-arc counters agree with the arcs of every node, removed ones included
-    counts = [0] * len(lo)
-    for v in range(2, len(lo)):
-        counts[lo[v]] += 1
-        counts[hi[v]] += 1
-    if counts != bdd.indeg:
-        raise BddError("incoming-arc counter out of sync")
     if reduced:
         for nodes in live_levels:
             pairs = set()

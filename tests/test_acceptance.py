@@ -109,8 +109,7 @@ def _state_for(instance, smoothing=0.0, averaging=UNIFORM):
 
 
 def _snapshot(bdd):
-    return (list(bdd.lo), list(bdd.hi), list(bdd.indeg), bdd.root,
-            len(journal(bdd)))
+    return (list(bdd.lo), list(bdd.hi), bdd.root, len(journal(bdd)))
 
 
 # -- 1: row diagrams encode exactly the satisfying set ------------------------

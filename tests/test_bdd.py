@@ -53,7 +53,7 @@ def minimal_node_count(solutions, k):
 
 
 def snapshot(bdd):
-    return (list(bdd.lo), list(bdd.hi), list(bdd.indeg), bdd.root, len(journal(bdd)))
+    return (list(bdd.lo), list(bdd.hi), bdd.root, len(journal(bdd)))
 
 
 def random_row(rng, max_vars=8):
@@ -283,11 +283,20 @@ def wide_row(rng):
     return row(terms, relation, rng.randint(mid - 8, mid + 8))
 
 
+def knapsack_row(rng):
+    """An 8- to 14-variable mixed-sign `<=` row with large coefficients: many wide levels."""
+    n = rng.randint(8, 14)
+    terms = tuple((i, rng.choice([1, -1]) * rng.randint(100, 10**5)) for i in range(n))
+    low = sum(min(0, a) for _, a in terms)
+    high = sum(max(0, a) for _, a in terms)
+    return row(terms, Relation.LE, rng.randint(low + (high - low) // 4, high - (high - low) // 4))
+
+
 def test_fix_sequences_match_filtered_brute_force():
     rng = random.Random(7003)
-    wide = upward = 0
-    for k in range(180):
-        c = random_row(rng) if k < 120 else wide_row(rng)
+    wide = upward = downward = emptied = 0
+    for k in range(220):
+        c = random_row(rng) if k < 120 else wide_row(rng) if k < 180 else knapsack_row(rng)
         b = build_bdd(c)
         if b.is_empty() or b.root == TRUE:
             continue
@@ -306,11 +315,20 @@ def test_fix_sequences_match_filtered_brute_force():
             remaining = {s for s in remaining if s[lev] == val}
             assert alive == bool(remaining)
             if not alive:
+                emptied += 1
+                assert b.is_empty()
+                check_invariants(b)  # an emptied diagram keeps no live node
+                # fixing an emptied diagram again changes nothing
+                again = snapshot(b)
+                assert not b.fix(rng.choice(b.support), rng.randint(0, 1))
+                assert b.is_empty() and snapshot(b) == again
                 break
             # a node is removed when both its arcs end on the false terminal
             removed = [v for v in live if b.lo[v] == FALSE and b.hi[v] == FALSE]
             upward += len({node_level[v] for v in removed if node_level[v] < lev}) >= 2
-            assert solutions(b, cap=10) == remaining
+            below = {node_level[v] for v in removed if node_level[v] > lev}
+            downward += sum(len(b.level_nodes[d]) > 8 for d in below) >= 2
+            assert solutions(b, cap=14) == remaining
             check_invariants(b)
             forced = b.forced_literals()
             assert (var, val) in forced
@@ -318,9 +336,11 @@ def test_fix_sequences_match_filtered_brute_force():
                 flev = level_of(b, fvar)
                 assert all(s[flev] == fval for s in remaining)
         trail.rollback(token)
-        assert solutions(b, cap=10) == brute_solutions(c, b.support)
-    assert wide >= 40
+        assert solutions(b, cap=14) == brute_solutions(c, b.support)
+    assert wide >= 80
     assert upward > 50  # fixes that removed nodes on two or more levels above their own
+    assert downward > 100  # fixes that removed nodes on two or more wide levels below their own
+    assert emptied > 30
 
 
 def test_forced_literals_cascade():
@@ -347,7 +367,7 @@ def test_journal_stays_small():
 
 
 def exact(bdd):
-    return (list(bdd.lo), list(bdd.hi), list(bdd.indeg), bdd.root)
+    return (list(bdd.lo), list(bdd.hi), bdd.root)
 
 
 def test_one_checkpoint_restores_several_diagrams():
@@ -363,8 +383,8 @@ def test_one_checkpoint_restores_several_diagrams():
     assert pick.fix(0, 0) and pick.fix(1, 1)
     assert cap.fix(2, 1)
     assert exact(pick) != before[0] and exact(cap) != before[1]
-    assert {id(owner) for owner, _ in trail_records(trail)} == {id(pick), id(cap)}
-    assert len(journal(pick)) + len(journal(cap)) == len(trail_records(trail)) and journal(idle) == []
+    assert {id(owner) for owner, _ in trail_records(trail, bdds)} == {id(pick), id(cap)}
+    assert len(journal(pick)) + len(journal(cap)) == len(trail_records(trail, bdds)) and journal(idle) == []
     trail.rollback(token)
     assert [exact(b) for b in bdds] == before
     assert trail.records == [] and trail.marks == []
@@ -413,7 +433,7 @@ def test_to_dot_shape():
 
 
 def fields(bdd):
-    return (bdd.constraint_name, bdd.support, bdd.root, bdd.lo, bdd.hi, bdd.level_nodes, bdd.indeg)
+    return (bdd.constraint_name, bdd.support, bdd.root, bdd.lo, bdd.hi, bdd.level_nodes)
 
 
 def shape_kinds(seed):
@@ -453,9 +473,9 @@ def test_shape_cache_equals_fresh_builds(seed, order):
         cached = [build_bdd(c, positions, shapes=shapes) for c in rows]
         for c, b in zip(rows, cached):
             assert fields(b) == fields(build_bdd(c, positions))
-        # arcs and counters are never aliased, between siblings or with the template
-        mutable = [arr for b in cached for arr in (b.lo, b.hi, b.indeg)]
-        mutable += [arr for t in shapes.values() for arr in (t.lo, t.hi, t.indeg)]
+        # arcs are never aliased, between siblings or with the template
+        mutable = [arr for b in cached for arr in (b.lo, b.hi)]
+        mutable += [arr for t in shapes.values() for arr in (t.lo, t.hi)]
         assert len({id(arr) for arr in mutable}) == len(mutable)
         hits += len(cached) - len(shapes)
         assert len(shapes) < len(cached)  # every kind repeats at least the sentinel rows
@@ -501,7 +521,7 @@ def test_shape_siblings_stay_isolated_under_fixes_and_rollback(seed):
             if var not in assignment:
                 if not restriction_propagation(bdds, covering, assignment, var, rng.randint(0, 1), []):
                     break
-    touched = {id(owner) for owner, _ in trail_records(trail)}
+    touched = {id(owner) for owner, _ in trail_records(trail, everything)}
     siblings = {}
     for b in everything:
         siblings.setdefault(id(b.level_nodes), []).append(b)

@@ -117,6 +117,33 @@ def test_init_splits_objective_equally():
             assert total == pytest.approx(float(problem.objective[i]))
 
 
+def test_a_state_is_ready_when_built():
+    # a state built directly passes exactly as `init_duals`' does: the
+    # constructor refreshes, so its first pass reads seeded roots, not +inf
+    problem = mrf_instance(1, 3, 2, 0)
+    ready, dec = build_state(problem)
+    bdds = [build_bdd(c, dec.positions) for c in problem.constraints]
+    duals = [costs[:] for costs in ready.duals]
+    direct = dual.DualState(bdds, dec, duals, 0.0, UNIFORM)
+
+    def outcome(state):
+        report = run(state, 4)
+        return repr((report.termination, report.passes, [t.lower_bound for t in report.trace], state.duals))
+
+    want = outcome(ready)
+    assert "infeasible" not in want
+    assert outcome(direct) == want
+    for smoothing, averaging in ((0.0, "bogus"), (-1.0, UNIFORM)):
+        with pytest.raises(ValueError):
+            dual.DualState(bdds, dec, duals, smoothing, averaging)
+    with pytest.raises(ValueError, match="subproblems"):
+        dual.DualState(bdds[1:], dec, duals[1:], 0.0, UNIFORM)
+    swapped = bdds[-1:] + bdds[1:-1] + bdds[:1]
+    assert swapped[0].support != bdds[0].support
+    with pytest.raises(ValueError, match="diagram 0 disagrees"):
+        dual.DualState(swapped, dec, duals, 0.0, UNIFORM)
+
+
 def test_bound_folds_left_from_zero(monkeypatch):
     # `sum` compensates float sums from Python 3.12 on; the bound adds the
     # energies left to right from 0.0, so it reads the same on every version

@@ -237,6 +237,16 @@ def test_instance_keeps_its_own_objective_list():
     assert inst.objective[0] == 1
 
 
+def test_name_to_index_follows_renames_and_additions():
+    inst = ILPInstance(["a", "b"], [0, 0], [])
+    assert inst.name_to_index == {"a": 0, "b": 1}
+    inst.var_names[0] = "c"  # same length: a cache checked by length would still map "a"
+    assert inst.name_to_index == {"c": 0, "b": 1}
+    inst.var_names.append("d")
+    inst.objective.append(Fraction(0))
+    assert inst.name_to_index == {"c": 0, "b": 1, "d": 2}
+
+
 def test_check_assignment_and_objective():
     inst = parse_lp(SIMPLE)
     assert inst.check_assignment([1, 0])

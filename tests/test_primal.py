@@ -42,7 +42,7 @@ def inst(names, objective, rows):
 
 def snapshot_all(bdds):
     return [
-        (list(b.lo), list(b.hi), list(b.indeg), b.root, len(journal(b)))
+        (list(b.lo), list(b.hi), b.root, len(journal(b)))
         for b in bdds
     ]
 
@@ -361,13 +361,13 @@ def test_checkpoint_all_adds_one_mark_and_no_per_diagram_state():
 )
 def test_search_leaves_the_shared_trail_empty(monkeypatch, seed, budget, status):
     # the search attaches one fresh trail, leaves every diagram on it, and
-    # empties it on every exit, restoring the arcs and counters bit for bit
+    # empties it on every exit, restoring the arcs bit for bit
     problem = random_ilp(5, 3, seed=seed)
     state, _ = build_state(problem, passes=0)
     bdds = state.bdds
     earlier = Trail()
     earlier.attach(bdds)
-    before = [(list(b.lo), list(b.hi), list(b.indeg)) for b in bdds]
+    before = [(list(b.lo), list(b.hi)) for b in bdds]
     seen = []
     real = primal.checkpoint_all
 
@@ -383,7 +383,7 @@ def test_search_leaves_the_shared_trail_empty(monkeypatch, seed, budget, status)
     assert shared is not earlier and all(t is shared for t in seen)
     assert all(b.trail is shared for b in bdds)
     assert shared.records == [] and shared.marks == []
-    assert [(b.lo, b.hi, b.indeg) for b in bdds] == before
+    assert [(b.lo, b.hi) for b in bdds] == before
 
 
 def test_unknown_strategy_rejected():
