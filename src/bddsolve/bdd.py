@@ -3,7 +3,9 @@
 Each diagram encodes the feasible set of one integer linear row over its
 support, ordered by the global variable order.  Every root-to-true path
 visits every support level exactly once, so nodes whose two children agree
-are kept rather than skipped.
+are kept rather than skipped.  A diagram is built reduced: one bottom-up
+pass over intervals of residuals makes each node once (see `_compile`), so
+the build follows the diagram's size, not the number of partial sums.
 
 A diagram keeps each node's two arcs and nothing else per node: no
 parent lists, arc counters or liveness flags.  An internal node is removed
@@ -34,6 +36,8 @@ rollback change only each diagram's own arcs.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_right
+from math import inf
 
 from .model import LinearConstraint, Relation
 
@@ -48,7 +52,11 @@ class BddError(Exception):
 
 
 class BddBuildError(BddError):
-    """Construction exceeded the per-level state budget."""
+    """Construction exceeded the per-level state budget.
+
+    The budget caps the memo entries of each level: its nodes and the
+    residual intervals that lead only to the false terminal.
+    """
 
 
 class Trail:
@@ -102,10 +110,11 @@ class Bdd:
     """Leveled decision diagram for one constraint.
 
     Node ids are integers; 0 and 1 are the false/true terminals, internal
-    nodes start at 2 and are numbered level by level in creation order, so
-    two builds of the same row are identical.  `lo` and `hi` belong to this
-    diagram alone; `level_nodes` is read-only and may be shared with
-    diagrams of the same shape in one instance.
+    nodes start at 2 and are numbered level by level in first-reference
+    order from the root, 0-child before 1-child, so two builds of the same
+    row are identical.  `lo` and `hi` belong to this diagram alone;
+    `level_nodes` is read-only and may be shared with diagrams of the same
+    shape in one instance.
     """
 
     __slots__ = (
@@ -297,10 +306,10 @@ def build_bdd(
     """Compile one row into a reduced leveled diagram.
 
     Support is sorted by `positions` (global order ranks; identity when
-    omitted).  A dynamic program walks partial sums, collapsing residuals
-    that admit every completion or none; a bottom-up pass then merges nodes
-    with equal children and drops states that cannot reach the true terminal.
-    Unsatisfiable rows give an empty sentinel.
+    omitted).  One bottom-up pass memoises, per level, intervals of
+    residuals that admit the same completions, and makes a node only for an
+    interval that can still reach the true terminal; a top-down pass then
+    numbers the nodes.  Unsatisfiable rows give an empty sentinel.
 
     `shapes`, when given, is a dict private to one instance.  The diagram
     depends only on its row's shape: the coefficients in support order
@@ -342,88 +351,66 @@ def build_bdd(
 
 
 def _compile(name, support, coeffs, relation, rhs, state_budget):
-    """Build the diagram of a `<=` or `=` row from its coefficients in support order."""
+    """Build the diagram of a `<=` or `=` row from its coefficients in support order.
+
+    One bottom-up pass makes only reduced nodes.  Each level keeps a memo of
+    disjoint residual intervals, each mapped to a token: FALSE, TRUE or a node
+    of that level.  Residuals in one interval admit the same completions.  A
+    residual r at level t outside the memo resolves its children (t + 1, r)
+    and (t + 1, r - a) first; its interval is the 0-child's intersected with
+    the 1-child's shifted by a.  On `<=` rows that interval is r's whole
+    completion class, and on `=` rows a node's class is the single residual
+    its completions sum to, so no node is ever made twice.
+    """
     k = len(support)
     if k == 0:
         ok = (0 == rhs) if relation is Relation.EQ else (0 <= rhs)
         return _sentinel(name, support, ok)
 
-    suffix_min = [0] * (k + 1)
-    suffix_max = [0] * (k + 1)
-    for t in range(k - 1, -1, -1):
-        a = coeffs[t]
-        suffix_min[t] = suffix_min[t + 1] + (a if a < 0 else 0)
-        suffix_max[t] = suffix_max[t + 1] + (a if a > 0 else 0)
+    # per level: interval low ends, sorted, and (low, high, token) per interval;
+    # level k holds the terminals; a node's token is its index in its level + 2
+    lows = [[] for _ in range(k)]
+    memo = [[] for _ in range(k)]
+    if relation is Relation.EQ:
+        lows.append([-inf, 0, 1])
+        memo.append([(-inf, -1, FALSE), (0, 0, TRUE), (1, inf, FALSE)])
+    else:
+        lows.append([-inf, 0])
+        memo.append([(-inf, -1, FALSE), (0, inf, TRUE)])
+    reduced = [[] for _ in range(k)]  # (0-child, 1-child) tokens per node
 
-    exact = relation is Relation.EQ
-
-    def normalize(r, lev):
-        if r < suffix_min[lev]:
-            return None
-        if exact:
-            return r if r <= suffix_max[lev] else None
-        return r if r < suffix_max[lev] else suffix_max[lev]
-
-    root_state = normalize(rhs, 0)
-    if root_state is None:
-        return _sentinel(name, support, False)
-
-    # forward dynamic program over residuals; children encoded as terminal
-    # ids or next-level local index + 2
-    layer = {root_state: 0}
-    children = []
-    for lev in range(k):
+    # explicit stack, as rows can be thousands of variables long; a frame is
+    # pushed only on a memo miss, and only deeper levels change until it pops
+    stack = [(0, rhs)]
+    while stack:
+        lev, r = stack[-1]
+        below_lows = lows[lev + 1]
+        below = memo[lev + 1]
+        i = bisect_right(below_lows, r) - 1
+        if i < 0 or r > below[i][1]:
+            stack.append((lev + 1, r))
+            continue
+        zero = below[i]
         a = coeffs[lev]
-        nxt = {}
-        row = []
-        last = lev + 1 == k
-        for r in layer:
-            pair = []
-            for bit in (0, 1):
-                r2 = r - a if bit else r
-                if last:
-                    sat = (r2 == 0) if exact else (r2 >= 0)
-                    pair.append(TRUE if sat else FALSE)
-                    continue
-                rn = normalize(r2, lev + 1)
-                if rn is None:
-                    pair.append(FALSE)
-                    continue
-                local = nxt.get(rn)
-                if local is None:
-                    local = len(nxt)
-                    if local >= state_budget:
-                        raise BddBuildError(
-                            f"constraint {name!r} exceeds the per-level state budget"
-                        )
-                    nxt[rn] = local
-                pair.append(local + 2)
-            row.append((pair[0], pair[1]))
-        children.append(row)
-        layer = nxt
-
-    # bottom-up reduction: merge equal-children states, drop dead ends
-    reduced = [None] * k
-    rep_below = None
-    for lev in range(k - 1, -1, -1):
-        seen = {}
-        kept = []
-        reps = []
-        for lo_c, hi_c in children[lev]:
-            l = lo_c if lo_c < 2 else rep_below[lo_c - 2]
-            h = hi_c if hi_c < 2 else rep_below[hi_c - 2]
-            if l == FALSE and h == FALSE:
-                reps.append(FALSE)
-                continue
-            token = seen.get((l, h))
-            if token is None:
-                token = len(kept) + 2
-                seen[(l, h)] = token
-                kept.append((l, h))
-            reps.append(token)
-        reduced[lev] = kept
-        rep_below = reps
-    root_token = rep_below[0]
+        s = r - a
+        i = bisect_right(below_lows, s) - 1
+        if i < 0 or s > below[i][1]:
+            stack.append((lev + 1, s))
+            continue
+        one = below[i]
+        stack.pop()
+        if len(memo[lev]) >= state_budget:
+            raise BddBuildError(f"constraint {name!r} exceeds the per-level state budget")
+        if zero[2] == FALSE and one[2] == FALSE:
+            token = FALSE
+        else:
+            reduced[lev].append((zero[2], one[2]))
+            token = len(reduced[lev]) + 1
+        low = max(zero[0], one[0] + a)
+        i = bisect_right(lows[lev], low)
+        lows[lev].insert(i, low)
+        memo[lev].insert(i, (low, min(zero[1], one[1] + a), token))
+    root_token = memo[0][0][2]  # the root's interval is the only one on level 0
     if root_token == FALSE:
         return _sentinel(name, support, False)
 

@@ -84,8 +84,9 @@ def solutions(bdd, cap=DEFAULT_ENUMERATION_CAP):
 def check_invariants(bdd, reduced=False):
     """Raise unless the live graph is a well-formed leveled diagram.
 
-    `reduced` additionally requires no two live same-level nodes to share
-    both children (guaranteed for fresh builds, not after fixation).
+    `reduced` additionally requires what holds only for fresh builds, not
+    after fixation: no two live same-level nodes share both children, and
+    the ids follow the builder's first-reference numbering.
     """
     if bdd.root in (TRUE, FALSE):
         return
@@ -141,3 +142,23 @@ def check_invariants(bdd, reduced=False):
                 if key in pairs:
                     raise BddError("two same-level nodes share both children")
                 pairs.add(key)
+        # ids run 2, 3, ... level by level in first-reference order from the
+        # root, 0-child before 1-child, and level_nodes lists them in that order
+        expect = [bdd.root]
+        next_id = 2
+        for lev in range(k):
+            if expect != list(range(next_id, next_id + len(expect))):
+                raise BddError("nodes not numbered in first-reference order")
+            if bdd.level_nodes[lev] != expect:
+                raise BddError("level_nodes not in first-reference order")
+            next_id += len(expect)
+            seen = set()
+            nxt = []
+            for v in expect:
+                for child in (lo[v], hi[v]):
+                    if child >= 2 and child not in seen:
+                        seen.add(child)
+                        nxt.append(child)
+            expect = nxt
+        if len(lo) != next_id:
+            raise BddError("node ids do not run without gaps")

@@ -37,7 +37,7 @@ from bddsolve.model import (
 )
 from bddsolve.primal import _path_counts, primal_search
 from bddsolve.testkit import brute_force_solve, mrf_instance, random_ilp
-from bdd_queries import fresh_trail, journal, slot_map, solutions
+from bdd_queries import check_invariants, fresh_trail, journal, slot_map, solutions
 from reference_algebra import (
     COUNTING,
     LOG_PARTITION,
@@ -84,6 +84,17 @@ def _random_row(rng, name, max_support=12):
     return LinearConstraint(name, tuple(enumerate(coeffs)), relation, rhs)
 
 
+def _wide_row(rng, name):
+    """8 to 12 variables, coefficients in +-[1, 10**6], rhs near a random subset's sum."""
+    k = rng.randint(8, 12)
+    coeffs = [rng.choice((-1, 1)) * rng.randint(1, 10**6) for _ in range(k)]
+    relation = rng.choice((Relation.LE, Relation.GE, Relation.EQ))
+    rhs = sum(a for a in coeffs if rng.random() < 0.5)
+    if relation is not Relation.EQ:
+        rhs += rng.randint(-(10**6), 10**6)
+    return LinearConstraint(name, tuple(enumerate(coeffs)), relation, rhs)
+
+
 def _brute_solutions(constraint, k):
     out = set()
     for mask in range(1 << k):
@@ -127,6 +138,16 @@ def test_c01_row_diagrams_match_enumeration():
             assert solutions(diagram) == want, f"row {t} disagrees with enumeration"
             nonempty += bool(want)
         assert nonempty > 400  # the sampler must mostly produce satisfiable rows
+        # wide coefficients leave gaps between the residual intervals of a level
+        nonempty = 0
+        for t in range(100):
+            con = _wide_row(rng, f"w{t}")
+            diagram = build_bdd(con)
+            want = _brute_solutions(con, len(con.terms))
+            assert solutions(diagram) == want, f"wide row {t} disagrees with enumeration"
+            check_invariants(diagram, reduced=True)
+            nonempty += bool(want)
+        assert nonempty > 80
 
 
 # -- 2: the three-variable unit-sum diagram, before and after fixing ----------

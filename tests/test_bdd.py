@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -96,6 +97,36 @@ def test_check_invariants_rejects_misleveled_nodes():
             check_invariants(corrupted(change))
 
 
+def test_check_invariants_pins_first_reference_numbering():
+    # root 2 has 0-child 3 and 1-child 4; each change keeps the diagram's meaning
+    def swap_ids(b):
+        # nodes 3 and 4 trade ids, so the root's 0-child is now 4
+        for arcs in (b.lo, b.hi):
+            arcs[3], arcs[4] = arcs[4], arcs[3]
+            arcs[2] = {3: 4, 4: 3}[arcs[2]]
+
+    def reorder_level(b):
+        b.level_nodes[1].reverse()
+
+    def leave_a_gap(b):
+        b.lo.append(FALSE)
+        b.hi.append(FALSE)
+
+    cases = [
+        (swap_ids, "numbered in first-reference order"),
+        (reorder_level, "level_nodes not in first-reference order"),
+        (leave_a_gap, "without gaps"),
+    ]
+    for change, needle in cases:
+        b = build_bdd(row([(0, 1), (1, 1), (2, 1)], Relation.EQ, 1))
+        expect = solutions(b)
+        change(b)
+        check_invariants(b)
+        assert solutions(b) == expect
+        with pytest.raises(BddError, match=needle):
+            check_invariants(b, reduced=True)
+
+
 def test_force_both_zero():
     b = build_bdd(row([(0, 1), (1, 1)], Relation.LE, 0))
     assert b.node_count() == 2
@@ -148,10 +179,40 @@ def test_build_is_deterministic():
 
 
 def test_state_budget_enforced():
-    c = row([(0, 1), (1, 2), (2, 4), (3, 8)], Relation.LE, 7)
-    with pytest.raises(BddBuildError):
+    # levels 1, 2, 3, 2 nodes wide: level 2 needs three memo entries
+    c = row([(0, 3), (1, 5), (2, 7), (3, 11)], Relation.LE, 12)
+    assert [len(nodes) for nodes in build_bdd(c).level_nodes] == [1, 2, 3, 2]
+    with pytest.raises(BddBuildError, match="per-level state budget"):
         build_bdd(c, state_budget=2)
-    build_bdd(c)  # fine with the default
+    # the budget counts memo entries, not raw partial sums: x3 = 0 and the
+    # rest free is one node per level, though the partial sums double
+    d = build_bdd(row([(0, 1), (1, 2), (2, 4), (3, 8)], Relation.LE, 7), state_budget=2)
+    assert d.node_count() == 4
+
+
+def half_sum_knapsack(n, seed=0):
+    """sum a_i x_i <= floor(sum a_i / 2), a_i uniform in [1, 10**6]."""
+    rng = random.Random(seed)
+    coeffs = [rng.randint(1, 10**6) for _ in range(n)]
+    return row(list(enumerate(coeffs)), Relation.LE, sum(coeffs) // 2, name="k")
+
+
+def test_knapsack_row_builds_in_diagram_time():
+    # 24 distinct coefficients give about 2^24 partial sums but 8,080 nodes
+    start = time.perf_counter()
+    b = build_bdd(half_sum_knapsack(24))
+    elapsed = time.perf_counter() - start
+    assert b.node_count() == 8080
+    assert elapsed < 1.0, f"24-variable knapsack row took {elapsed:.2f}s"
+    check_invariants(b, reduced=True)
+
+
+@pytest.mark.parametrize("relation", [Relation.LE, Relation.EQ])
+def test_long_rows_build_without_recursion(relation):
+    # 2,000 levels: the build keeps its own stack; one root plus two nodes a level
+    b = build_bdd(row([(i, 1) for i in range(2000)], relation, 1))
+    assert b.node_count() == 3999
+    check_invariants(b, reduced=True)
 
 
 def test_enumeration_cap():
