@@ -41,8 +41,15 @@ def _at_least(least):
     return parse
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors lead with `bddsolve: `, as the other exit-1 errors do."""
+
+    def error(self, message):
+        self.exit(2, f"bddsolve: {message}\n{self.format_usage()}")
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bddsolve",
         description="Lagrangean decomposition solver for 0-1 integer programs.",
     )
@@ -53,7 +60,7 @@ def _build_parser():
                        help="instance in LP-style text format, or '-' for stdin")
     solve.add_argument("-i", "--input", default=None, metavar="FILE",
                        help="same as the positional FILE argument")
-    solve.add_argument("--max-passes", type=int, default=DEFAULT_MAX_PASSES, metavar="N",
+    solve.add_argument("--max-passes", type=_at_least(0), default=DEFAULT_MAX_PASSES, metavar="N",
                        help="directional sweep limit for the dual loop (default %(default)s)")
     solve.add_argument("--tol", "--tolerance", dest="tolerance", type=float,
                        default=DEFAULT_TOLERANCE, metavar="EPS",
@@ -66,7 +73,7 @@ def _build_parser():
                        help="variable scoring for the rounding search (default neg-mm)")
     solve.add_argument("--order", choices=sorted(_ORDER_NAMES), default="input",
                        help="variable elimination order (default input)")
-    solve.add_argument("--node-budget", type=int, default=None, metavar="N",
+    solve.add_argument("--node-budget", type=_at_least(0), default=None, metavar="N",
                        help="rounding-search attempt budget; default 10x variables, 0 = unlimited")
     solve.add_argument("--trace", metavar="PATH",
                        help="write one JSON line per dual sweep to PATH")

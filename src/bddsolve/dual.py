@@ -37,17 +37,19 @@ level's own), with the kernel arithmetic written inline over level records.
 with each direction's step schedule: the steps' records in pass order.
 A record holds its level's first node and that node's children inline,
 and the level's other nodes as `(node, lo, hi)` triples, so no kernel
-looks an arc up.  The first node seeds the level's two minima, and after
-a forward step resets the level below it writes its children without a
-compare but where its two arcs meet.  A pass runs one kernel per algebra,
-`_min_steps` or `_soft_steps`, over its whole schedule, with no call per
-step; `mma_update` is the same kernel run on a one-step schedule, so each
-algebra has exactly one kernel body.  `refresh` sweeps each diagram
-backward by `_bsweep` (either algebra), which also returns its level
-records.  `min_marginals` is a fresh min-sum sweep over one diagram's
-arcs, both ways, and is where `DualState.margins` reads the rounding
-margins on the list store.  A `DualState` picks its algebra once, from
-its smoothing.
+looks an arc up.  The first node seeds the level's two minima, and a
+forward step has it write its children first, without a compare but
+where its two arcs meet; so the step resets to +inf only the other nodes
+of the level below, which the record lists.  A removed first node writes
+nothing, and its level below is reset whole.  A pass runs one kernel per
+algebra, `_min_steps` or `_soft_steps`, over its whole schedule, with no
+call per step; `mma_update` is the same kernel run on a one-step
+schedule, so each algebra has exactly one kernel body.
+`refresh` sweeps each diagram backward by `_bsweep` (either algebra),
+which also returns its level records.  `min_marginals` is a fresh
+min-sum sweep over one diagram's arcs, both ways, and is where
+`DualState.margins` reads the rounding margins on the list store.  A
+`DualState` picks its algebra once, from its smoothing.
 The generic reference sweeps the kernels are tested against live with the
 tests.
 
@@ -116,11 +118,14 @@ DEFAULT_TOLERANCE = 1e-6
 #   solve_s and +45% peak_rss_mb.
 ARRAY_MIN_NODES = 1 << 15
 # ... and at least this many nodes per wave.  A wave costs some 30 numpy
-# calls whatever its size; per pass that is about 46 us, against some 740 ns
-# a node saved over the lists, so the store breaks even near 60 nodes per
-# wave.  A 3,000-node chain in Cuthill-McKee order (11,998 waves of 7 nodes)
-# passes in 555 ms on the store against 75 ms on lists; grid in that order
-# (234 waves of 212 nodes) in 19 ms against 59 ms.
+# calls whatever its size; per pass that is about 37 us, against some 400 ns
+# a node saved over the lists (grid in input order, 5 waves: 519 ns a node on
+# lists, 119 on the store), so the store breaks even near 90 nodes per wave.
+# A 3,000-node chain in Cuthill-McKee order (11,998 waves of 7 nodes) passes
+# in 460 ms on the store against 40 ms on lists; grid in that order (234
+# waves of 212 nodes) in 14 ms against 26 ms.  Measured with the list kernels
+# that loop their update half by index and trim the forward reset (best of
+# 3 x 6 passes, Python 3.11, 2-core x86-64 VM).
 ARRAY_MIN_WAVE_NODES = 1 << 7
 
 
@@ -171,15 +176,17 @@ class DualState:
     These depend only on levels and supports and are built here.
     `refresh` builds the level records from the arcs as they are then,
     one per diagram level: `(fw[j], bw[j], duals[j], lev, v, lo, hi, rest,
-    below)`, where v is the level's first node and lo, hi its children,
+    reset)`, where v is the level's first node and lo, hi its children,
     `rest` holds the level's other nodes as `(node, lo, hi)` triples, and
-    `below` the nodes a forward step resets (the level below, or `(TRUE,)`
-    below the last level).  Equal `rest` tuples are one object, so
-    unrestricted rows of one shape share them.  An empty diagram's levels
-    hold the false terminal as their first node, which reads +inf both
-    ways.  `records[var]` holds the variable's level records, diagrams in
-    order, and `schedules[forward]` each step's `(records, flags, count)`
-    in pass order: `active` going forward, reversed going back.
+    `reset` the nodes a forward step resets to +inf: the level below (or
+    `(TRUE,)` below the last level) less lo and hi, which the step writes
+    without a compare.  Equal `rest` tuples are one object, and so are
+    equal `reset` tuples, so unrestricted rows of one shape share them.
+    An empty diagram's levels hold the false terminal as their first node,
+    which reads +inf both ways.  `records[var]` holds the variable's level
+    records, diagrams in order, and `schedules[forward]` each step's
+    `(records, flags, count)` in pass order: `active` going forward,
+    reversed going back.
     """
 
     def __init__(self, bdds, decomposition, duals, smoothing, averaging):
@@ -339,8 +346,8 @@ def _bsweep(bdd, fwj, bwj, costs, smin, interned):
     """Seed the terminals and recompute every backward value bottom-up; returns the level records.
 
     The records, on `fwj`, `bwj` and `costs`, are taken from the arcs as
-    they are now (see `DualState`); equal `rest` tuples are shared through
-    the dict `interned`.
+    they are now (see `DualState`); equal `rest` and `reset` tuples are
+    shared through the dict `interned`.
     """
     bwj[FALSE] = INF
     bwj[TRUE] = 0.0
@@ -368,7 +375,8 @@ def _bsweep(bdd, fwj, bwj, costs, smin, interned):
                 triples.append((v, l, h))
         v, l, h = triples[0] if triples else (FALSE, FALSE, FALSE)  # an empty diagram's level
         rest = tuple(triples[1:])
-        records.append((fwj, bwj, costs, lev, v, l, h, intern(rest, rest), below))
+        reset = tuple([c for c in below if c != l and c != h])
+        records.append((fwj, bwj, costs, lev, v, l, h, intern(rest, rest), intern(reset, reset)))
         below = level
     records.reverse()
     return records
@@ -455,10 +463,14 @@ def _min_steps(state, schedule, forward):
 
     Each entry is a step's `(records, members, count)` (see `DualState`).  Stops
     at the first step that proves infeasibility, latching it.  A level's
-    first node seeds its marginal pair, and its forward writes need no
-    compare but where both its arcs meet: the nodes below were just reset
-    to +inf.  That is exact because no node value, cost copy or marginal
-    is ever nan or -inf.
+    first node seeds its marginal pair.  Going forward it writes its
+    children before any other node of the level does, without a compare
+    but where both its arcs meet, so the step resets to +inf only the
+    record's `reset`, the rest of the level below.  Writing x where
+    min(+inf, x) was written is exact because no node value, cost copy or
+    marginal is ever nan or -inf.  The update half reads the step's
+    shifts and member flags by a running index: zipping them with the
+    records costs about as much as the whole marginal half.
     """
     isfinite, inf = math.isfinite, INF  # locals: this loop is the list store's whole pass
     diffs = []
@@ -493,12 +505,14 @@ def _min_steps(state, schedule, forward):
         # Each diagram's copy becomes (copy - shift) + share for members and
         # copy - shift otherwise; the message step then reads the new copy.
         if forward:
-            for (fwj, _, costs, lev, v, l, h, rest, below), d, member in zip(records, shifts, members):
-                cost = costs[lev] - d
-                if member:
+            i = 0
+            for fwj, _, costs, lev, v, l, h, rest, reset in records:
+                cost = costs[lev] - shifts[i]
+                if members[i]:
                     cost += share
+                i += 1
                 costs[lev] = cost
-                for c in below:
+                for c in reset:
                     fwj[c] = inf
                 base = fwj[v]
                 if l:
@@ -515,10 +529,12 @@ def _min_steps(state, schedule, forward):
                         if b < fwj[h]:
                             fwj[h] = b
         else:
-            for (_, bwj, costs, lev, v, l, h, rest, _), d, member in zip(records, shifts, members):
-                cost = costs[lev] - d
-                if member:
+            i = 0
+            for _, bwj, costs, lev, v, l, h, rest, _ in records:
+                cost = costs[lev] - shifts[i]
+                if members[i]:
                     cost += share
+                i += 1
                 costs[lev] = cost
                 a = bwj[l]
                 b = cost + bwj[h]
@@ -534,7 +550,8 @@ def _soft_steps(state, schedule, forward):
     """`_min_steps` with every minimum a soft minimum at the state's temperature.
 
     The soft minimum of +inf and x is x to the bit, so the first node's
-    values seed and write as in `_min_steps`.
+    values seed and write as in `_min_steps`, and a forward step resets
+    the same nodes.
     """
     smin, isfinite, inf = state.smin, math.isfinite, INF
     diffs = []
@@ -563,12 +580,14 @@ def _soft_steps(state, schedule, forward):
                 return diffs
             shifts, members, share = forcing
         if forward:
-            for (fwj, _, costs, lev, v, l, h, rest, below), d, member in zip(records, shifts, members):
-                cost = costs[lev] - d
-                if member:
+            i = 0
+            for fwj, _, costs, lev, v, l, h, rest, reset in records:
+                cost = costs[lev] - shifts[i]
+                if members[i]:
                     cost += share
+                i += 1
                 costs[lev] = cost
-                for c in below:
+                for c in reset:
                     fwj[c] = inf
                 base = fwj[v]
                 if l:
@@ -582,10 +601,12 @@ def _soft_steps(state, schedule, forward):
                     if h:
                         fwj[h] = smin(fwj[h], base + cost)
         else:
-            for (_, bwj, costs, lev, v, l, h, rest, _), d, member in zip(records, shifts, members):
-                cost = costs[lev] - d
-                if member:
+            i = 0
+            for _, bwj, costs, lev, v, l, h, rest, _ in records:
+                cost = costs[lev] - shifts[i]
+                if members[i]:
                     cost += share
+                i += 1
                 costs[lev] = cost
                 bwj[v] = smin(bwj[l], cost + bwj[h])
                 for v, l, h in rest:

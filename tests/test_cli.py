@@ -170,6 +170,16 @@ def test_out_of_range_solve_options_exit_1(small_file, capsys, option, value):
     assert captured.err.startswith("bddsolve: ") and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("option, value", [("--node-budget", "-3"), ("--max-passes", "-1")])
+def test_solve_range_errors_name_the_flag(small_file, capsys, option, value):
+    assert main(["solve", small_file, option, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    first, usage = captured.err.split("\n", 1)
+    assert first == f"bddsolve: argument {option}: must be at least 0, got {value}"
+    assert usage.startswith("usage: bddsolve solve ")
+
+
 def test_max_passes_default_matches_the_library():
     args = _build_parser().parse_args(["solve", "x.lp"])
     assert args.max_passes == DEFAULT_MAX_PASSES

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from bddsolve import dual
-from bddsolve.bdd import TRUE, Trail, build_bdd
+from bddsolve.bdd import FALSE, TRUE, Trail, build_bdd
 from bddsolve.dual import (
     SRMP,
     UNIFORM,
@@ -30,6 +30,7 @@ from bddsolve.testkit import (
 )
 from bdd_queries import slot_map
 from reference_algebra import (
+    level_kernels,
     predicted_increase,
     scratch_dual_value,
     scratch_energy,
@@ -574,10 +575,19 @@ def test_refresh_reads_the_arcs_as_a_fresh_state_would(averaging, smoothing):
     assert checked == 3
 
 
+def _fields(state, j, k):
+    # field k of diagram j's level records
+    return [state.records[var][state.covering[var].index(j)][k] for var in state.bdds[j].support]
+
+
 def _rests(state, j):
     # diagram j's `rest` tuples (the node triples past each level's first node)
-    bdd = state.bdds[j]
-    return [state.records[var][state.covering[var].index(j)][7] for var in bdd.support]
+    return _fields(state, j, 7)
+
+
+def _resets(state, j):
+    # diagram j's forward resets (the nodes below each level its first node does not write)
+    return _fields(state, j, 8)
 
 
 def test_rows_of_one_shape_share_their_node_triples():
@@ -592,6 +602,10 @@ def test_rows_of_one_shape_share_their_node_triples():
     assert wide  # levels with more than one node
     for rests in before[1:]:
         assert all(x is y for x, y in zip(rests, before[0]))
+    resets = [_resets(state, j) for j in group]
+    assert any(resets[0])  # levels whose first node leaves nodes below it unwritten
+    for row in resets[1:]:
+        assert all(x is y for x, y in zip(row, resets[0]))
     fixed = state.bdds[group[0]]
     Trail().attach(state.bdds)
     checkpoint_all(state.bdds)
@@ -601,3 +615,64 @@ def test_rows_of_one_shape_share_their_node_triples():
     assert after[0] != before[0]
     for rests, old in zip(after[1:], before[1:]):
         assert rests == old and all(x is y for x, y in zip(rests, after[1]))
+    for j, old in zip(group[1:], resets[1:]):
+        row = _resets(state, j)
+        assert row == old and all(x is y for x, y in zip(row, _resets(state, group[1])))
+
+
+def _first_node_shapes(bdd, lev):
+    # the shapes of level lev's first node that decide what a forward step resets
+    nodes = bdd.level_nodes
+    v = nodes[lev][0]
+    l, h = bdd.lo[v], bdd.hi[v]
+    shapes = set()
+    if l == h == FALSE:
+        shapes.add("removed")
+    elif l == h:
+        shapes.add("arcs meet")
+    elif FALSE in (l, h):
+        shapes.add("one arc on FALSE")
+    if lev + 1 == len(nodes):
+        shapes.add("into TRUE")
+    elif len(nodes[lev]) >= 3 and not set(nodes[lev + 1]) <= {l, h}:
+        shapes.add("wide, part below")
+    return shapes
+
+
+@pytest.mark.parametrize("smoothing", [0.0, 0.3])
+def test_a_forward_step_writes_the_level_below_as_the_reference_does(smoothing):
+    # a forward step resets only the nodes below that the level's first node
+    # does not write without a compare; with the level below (or the true
+    # terminal) poisoned first, the step must leave it equal to the bit to
+    # the reference's forward step, on unrestricted and restricted diagrams
+    shapes = Counter()
+    for seed in range(8):
+        problem = random_ilp(9, 5, 700 + seed)
+        _, best = brute_force_solve(problem)
+        for restrict in (False, True) if best is not None else (False,):
+            state, dec = build_state(problem, smoothing)
+            if restrict:
+                _restricted(problem, dec, best, state.bdds)
+                state.refresh()
+            _, scatter, _, readout = level_kernels(state)
+            slots = slot_map(state.bdds)
+            for var in state.active:
+                for j, lev in slots[var]:
+                    bdd = state.bdds[j]
+                    below = bdd.level_nodes[lev + 1] if lev + 1 < bdd.num_levels else [TRUE]
+                    for c in below:
+                        state.fw[j][c] = -7.0
+                before = [fwj[:] for fwj in state.fw]
+                mma_update(state, var)
+                if state.infeasible:
+                    break
+                for j, lev in slots[var]:
+                    bdd, want, cost = state.bdds[j], before[j], state.duals[j][lev]
+                    if lev + 1 < bdd.num_levels:
+                        scatter(bdd, want, lev, cost)
+                    else:
+                        want[TRUE] = readout(bdd, want, cost)
+                    assert repr(state.fw[j]) == repr(want)
+                    shapes.update(_first_node_shapes(bdd, lev))
+    for shape in ("arcs meet", "one arc on FALSE", "removed", "wide, part below", "into TRUE"):
+        assert shapes[shape] >= 5, shape
