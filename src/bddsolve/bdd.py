@@ -114,7 +114,8 @@ class Bdd:
     order from the root, 0-child before 1-child, so two builds of the same
     row are identical.  `lo` and `hi` belong to this diagram alone;
     `level_nodes` is read-only and may be shared with diagrams of the same
-    shape in one instance.
+    shape in one instance.  `forced_as_built` tells whether the diagram as
+    built forced a literal (`forced_literals()` was not empty then).
     """
 
     __slots__ = (
@@ -124,16 +125,18 @@ class Bdd:
         "lo",
         "hi",
         "level_nodes",
+        "forced_as_built",
         "trail",
     )
 
-    def __init__(self, constraint_name, support, root, lo, hi, level_nodes):
+    def __init__(self, constraint_name, support, root, lo, hi, level_nodes, forced_as_built):
         self.constraint_name = constraint_name
         self.support = tuple(support)
         self.root = root
         self.lo = lo
         self.hi = hi
         self.level_nodes = level_nodes
+        self.forced_as_built = forced_as_built
         self.trail = None  # set by `Trail.attach`; `fix` needs one
 
     # -- queries ------------------------------------------------------------
@@ -297,19 +300,23 @@ def _sentinel(constraint_name, support, satisfiable):
         [FALSE, FALSE],
         [FALSE, FALSE],
         [[] for _ in range(k)],
+        False,
     )
 
 
 def build_bdd(
-    constraint: LinearConstraint, positions=None, state_budget=DEFAULT_STATE_BUDGET, shapes=None
+    constraint: LinearConstraint, support=None, state_budget=DEFAULT_STATE_BUDGET, shapes=None
 ) -> Bdd:
     """Compile one row into a reduced leveled diagram.
 
-    Support is sorted by `positions` (global order ranks; identity when
-    omitted).  One bottom-up pass memoises, per level, intervals of
-    residuals that admit the same completions, and makes a node only for an
-    interval that can still reach the true terminal; a top-down pass then
-    numbers the nodes.  Unsatisfiable rows give an empty sentinel.
+    `support` holds the row's variables in the global order, top level
+    first: its `Decomposition.subproblem_vars` entry, which `decompose` has
+    sorted already, so the build does not sort again.  Omitted, the levels
+    follow ascending variable index.  One bottom-up pass memoises, per
+    level, intervals of residuals that admit the same completions, and
+    makes a node only for an interval that can still reach the true
+    terminal; a top-down pass then numbers the nodes.  Unsatisfiable rows
+    give an empty sentinel.
 
     `shapes`, when given, is a dict private to one instance.  The diagram
     depends only on its row's shape: the coefficients in support order
@@ -317,16 +324,12 @@ def build_bdd(
     side and `state_budget`.  The first row of a shape is compiled once and
     kept there as a template no returned diagram aliases; every row of that
     shape then gets the template's `level_nodes`, shared and never mutated,
-    with its own copies of the arcs that `fix` changes.  The
-    result equals a fresh build field by field.
+    with its own copies of the arcs that `fix` changes, and the template's
+    `forced_as_built`.  The result equals a fresh build field by field.
     """
-    if positions is None:
-        key = lambda i: i
-    else:
-        key = positions.__getitem__
-    support = sorted(constraint.support(), key=key)
-    coeff_of = dict(constraint.terms)
-    coeffs = [coeff_of[i] for i in support]
+    if support is None:
+        support = sorted(constraint.support())
+    coeffs = list(map(dict(constraint.terms).__getitem__, support))
     rhs = constraint.rhs
     relation = constraint.relation
     if relation is Relation.GE:
@@ -347,6 +350,7 @@ def build_bdd(
         template.lo[:],
         template.hi[:],
         template.level_nodes,
+        template.forced_as_built,
     )
 
 
@@ -369,15 +373,15 @@ def _compile(name, support, coeffs, relation, rhs, state_budget):
 
     # per level: interval low ends, sorted, and (low, high, token) per interval;
     # level k holds the terminals; a node's token is its index in its level + 2
-    lows = [[] for _ in range(k)]
-    memo = [[] for _ in range(k)]
+    lows = [[] for _ in support]
+    memo = [[] for _ in support]
     if relation is Relation.EQ:
         lows.append([-inf, 0, 1])
         memo.append([(-inf, -1, FALSE), (0, 0, TRUE), (1, inf, FALSE)])
     else:
         lows.append([-inf, 0])
         memo.append([(-inf, -1, FALSE), (0, inf, TRUE)])
-    reduced = [[] for _ in range(k)]  # (0-child, 1-child) tokens per node
+    reduced = [[] for _ in support]  # (0-child, 1-child) tokens per node
 
     # explicit stack, as rows can be thousands of variables long; a frame is
     # pushed only on a memo miss, and only deeper levels change until it pops
@@ -414,39 +418,35 @@ def _compile(name, support, coeffs, relation, rhs, state_budget):
     if root_token == FALSE:
         return _sentinel(name, support, False)
 
-    # top-down assembly in first-reference order gives deterministic ids
-    level_tokens = []
-    current = [root_token]
-    for lev in range(k):
-        level_tokens.append(current)
-        nxt = []
-        seen = set()
-        for t in current:
+    # top-down numbering in first-reference order gives deterministic ids: a
+    # level's nodes are numbered in the order the level above first reaches them
+    ids = [{root_token: 2}]
+    next_id = 3
+    for lev in range(k - 1):
+        below = {}
+        for t in ids[lev]:
             for child in reduced[lev][t - 2]:
-                if child >= 2 and child not in seen:
-                    seen.add(child)
-                    nxt.append(child)
-        current = nxt
-
-    ids = []
-    next_id = 2
-    for lev in range(k):
-        mapping = {}
-        for t in level_tokens[lev]:
-            mapping[t] = next_id
-            next_id += 1
-        ids.append(mapping)
-    total = next_id
-    lo = [FALSE] * total
-    hi = [FALSE] * total
+                if child >= 2 and child not in below:
+                    below[child] = next_id
+                    next_id += 1
+        ids.append(below)
+    ids.append({})  # level k: terminals only
+    lo = [FALSE] * next_id
+    hi = [FALSE] * next_id
     level_nodes = []
+    forced = False  # some level has all its 0-arcs, or all its 1-arcs, on FALSE
     for lev in range(k):
         mapping = ids[lev]
-        level_nodes.append(list(mapping.values()))
-        below = ids[lev + 1] if lev + 1 < k else None
+        below = ids[lev + 1]
+        tokens = reduced[lev]
+        zero_arcs = one_arcs = FALSE  # 0 until some node's 0-arc (1-arc) is off FALSE
         for t, v in mapping.items():
-            l, h = reduced[lev][t - 2]
+            l, h = tokens[t - 2]
             lo[v] = l if l < 2 else below[l]
             hi[v] = h if h < 2 else below[h]
-
-    return Bdd(name, support, 2, lo, hi, level_nodes)
+            zero_arcs |= l
+            one_arcs |= h
+        level_nodes.append(list(mapping.values()))
+        if not (zero_arcs and one_arcs):
+            forced = True
+    return Bdd(name, support, 2, lo, hi, level_nodes, forced)

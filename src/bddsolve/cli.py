@@ -194,10 +194,10 @@ def _cmd_solve(args):
 
     if args.dump_bdd is not None:
         order = order_variables(instance, _ORDER_NAMES[args.order])
-        positions = decompose(instance, order).positions
-        for constraint in instance.constraints:
+        supports = decompose(instance, order).subproblem_vars
+        for constraint, support in zip(instance.constraints, supports):
             if constraint.name == args.dump_bdd:
-                diagram = build_bdd(constraint, positions)
+                diagram = build_bdd(constraint, support)
                 sys.stdout.write(diagram.to_dot(instance.var_names))
                 return 0
         print("bddsolve: no row named %r" % args.dump_bdd, file=sys.stderr)

@@ -63,7 +63,7 @@ class LinearConstraint:
     rhs: int
 
     def support(self):
-        return tuple(i for i, _ in self.terms)
+        return tuple(map(itemgetter(0), self.terms))
 
     def is_satisfied_by(self, values) -> bool:
         lhs = sum(a * values[i] for i, a in self.terms)
@@ -76,7 +76,12 @@ class LinearConstraint:
 
 @dataclass
 class ILPInstance:
-    """Minimize c.x + offset over binary x subject to integer linear rows."""
+    """Minimize c.x + offset over binary x subject to integer linear rows.
+
+    Building one runs `validate()`, which raises ModelError for the first
+    fault.  `parse_lp` hands over instances without that second check: its
+    own checks reject every fault `validate()` does, with a line and column.
+    """
 
     var_names: list[str]
     objective: list[Fraction]
@@ -157,6 +162,17 @@ class ILPInstance:
                     raise ModelError(f"coefficient overflow in constraint {con.name!r}")
             if abs(con.rhs) > MAX_RHS:
                 raise ModelError(f"right-hand side overflow in constraint {con.name!r}")
+
+    @classmethod
+    def _parsed(cls, var_names, objective, constraints, objective_offset, name):
+        """An instance from parts `parse_lp` has checked: Fractions and int rows, no fault."""
+        instance = cls.__new__(cls)
+        instance.var_names = var_names
+        instance.objective = objective
+        instance.constraints = constraints
+        instance.objective_offset = objective_offset
+        instance.name = name
+        return instance
 
     def check_assignment(self, values) -> bool:
         """True iff the 0/1 vector satisfies every constraint."""
@@ -467,7 +483,9 @@ def parse_lp(text, name="instance"):
     that fails is scanned again, token by token, for the line and column of
     its first fault.  Faults of layout and numbers come first, line by line up to
     'End'; then those of the objective's terms, then each row's in order,
-    then a repeated row name, reported at its second label.
+    then a repeated row name, reported at its second label.  These checks
+    are the instance's validation: they reject every fault
+    `ILPInstance.validate()` does, so it is not run again.
     """
     lines = text.splitlines()
     total = len(lines)
@@ -546,7 +564,7 @@ def parse_lp(text, name="instance"):
                 raise LpParseError(ln, 1, f"duplicate constraint name {rowname!r}")
             labels.add(rowname)
 
-    return ILPInstance(var_names, objective, constraints, obj_constant, name=name)
+    return ILPInstance._parsed(var_names, objective, constraints, obj_constant, name)
 
 
 def _format_rational(q: Fraction) -> str:
@@ -656,7 +674,7 @@ def decompose(instance: ILPInstance, order=None) -> Decomposition:
     sub_vars = []
     var_subs = [[] for _ in range(n)]
     for j, con in enumerate(instance.constraints):
-        sup = sorted(con.support(), key=positions.__getitem__)
+        sup = sorted(map(itemgetter(0), con.terms), key=positions.__getitem__)
         sub_vars.append(tuple(sup))
         for i in sup:
             var_subs[i].append(j)

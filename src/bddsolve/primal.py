@@ -177,6 +177,15 @@ def restriction_propagation(bdds, covering, assignment, var, value, newly):
     appended to `newly` for the caller's undo list.  Every touched diagram
     must have an open checkpoint on its trail.  `covering[v]` lists the
     diagrams covering variable v, as `DualState.covering` does.
+
+    A diagram's forced literals are read after each fix that wrote a trail
+    record, and after every fix of a diagram that forced a literal as built
+    (`Bdd.forced_as_built`).  A fix that wrote nothing left the diagram as
+    its last read found it, so that read's literals are already assigned
+    or queued.  This holds when every change to the diagrams since they
+    were built came from earlier calls whose implied literals are all in
+    `assignment` and whose changes are undone with them, as in
+    `primal_search`.
     """
     queue = [(var, value)]
     qi = 0
@@ -192,8 +201,12 @@ def restriction_propagation(bdds, covering, assignment, var, value, newly):
         newly.append(v)
         for j in covering[v]:
             bdd = bdds[j]
+            records = bdd.trail.records
+            written = len(records)
             if not bdd.fix(v, b):
                 return False
+            if written == len(records) and not bdd.forced_as_built:
+                continue
             for fv, fb in bdd.forced_literals():
                 prev = assignment.get(fv)
                 if prev is None:

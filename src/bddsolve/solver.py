@@ -111,10 +111,14 @@ def solve_instance(instance: ILPInstance, options: SolveOptions = None) -> RunRe
 
     t0 = time.perf_counter()
     shapes = {}  # one compiled template per row shape, dropped once the rows are built
-    bdds = [build_bdd(c, dec.positions, options.state_budget, shapes) for c in instance.constraints]
+    bdds = [
+        build_bdd(c, support, options.state_budget, shapes)
+        for c, support in zip(instance.constraints, dec.subproblem_vars)
+    ]
     build_ms = (time.perf_counter() - t0) * 1000.0
     del shapes
-    num_nodes = sum(b.node_count() for b in bdds)
+    # a fresh diagram has no removed node: all but the two terminals are live
+    num_nodes = sum(len(b.lo) - 2 for b in bdds)
     base = dict(
         instance_name=instance.name,
         num_vars=instance.num_vars,

@@ -113,7 +113,7 @@ def _softmin(values, alpha):
 
 def _state_for(instance, smoothing=0.0, averaging=UNIFORM):
     dec = decompose(instance)
-    bdds = [build_bdd(c, dec.positions) for c in instance.constraints]
+    bdds = [build_bdd(c, support) for c, support in zip(instance.constraints, dec.subproblem_vars)]
     if any(b.is_empty() for b in bdds):
         return None, dec, bdds
     return init_duals(bdds, dec, instance.objective, smoothing, averaging), dec, bdds
@@ -540,7 +540,7 @@ def test_c10_cli_determinism(tmp_path, cli_env):
 
 def _timed_dual(instance, passes):
     dec = decompose(instance)
-    bdds = [build_bdd(c, dec.positions) for c in instance.constraints]
+    bdds = [build_bdd(c, support) for c, support in zip(instance.constraints, dec.subproblem_vars)]
     nodes = sum(b.node_count() for b in bdds)
     state = init_duals(bdds, dec, instance.objective)
     start = time.perf_counter()

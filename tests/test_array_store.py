@@ -52,7 +52,7 @@ def use(monkeypatch, array):
 def build_state(monkeypatch, instance, array, averaging=UNIFORM):
     use(monkeypatch, array)
     dec = decompose(instance)
-    bdds = [build_bdd(c, dec.positions) for c in instance.constraints]
+    bdds = [build_bdd(c, support) for c, support in zip(instance.constraints, dec.subproblem_vars)]
     state = init_duals(bdds, dec, instance.objective, 0.0, averaging)
     assert (state.store is not None) == array
     return state
@@ -380,7 +380,7 @@ def test_soft_min_and_small_states_keep_the_lists(monkeypatch):
     problem = graph_matching_instance(3, seed=1)
     use(monkeypatch, True)
     dec = decompose(problem)
-    bdds = [build_bdd(c, dec.positions) for c in problem.constraints]
+    bdds = [build_bdd(c, support) for c, support in zip(problem.constraints, dec.subproblem_vars)]
     assert init_duals(bdds, dec, problem.objective, 0.3).store is None
     monkeypatch.undo()
     assert init_duals(bdds, dec, problem.objective).store is None  # far below ARRAY_MIN_NODES
@@ -391,11 +391,11 @@ def test_deep_schedules_keep_the_lists():
     # of waves of a few nodes each, where per-wave numpy calls cost more than lists
     problem = mrf_instance(1, 3000, 2, seed=0)
     dec = decompose(problem, order_variables(problem, "cuthill_mckee"))
-    bdds = [build_bdd(c, dec.positions, shapes={}) for c in problem.constraints]
+    bdds = [build_bdd(c, support, shapes={}) for c, support in zip(problem.constraints, dec.subproblem_vars)]
     assert sum(len(b.lo) - 2 for b in bdds) >= dual.ARRAY_MIN_NODES
     assert init_duals(bdds, dec, problem.objective).store is None
     dec = decompose(problem)
-    bdds = [build_bdd(c, dec.positions, shapes={}) for c in problem.constraints]
+    bdds = [build_bdd(c, support, shapes={}) for c, support in zip(problem.constraints, dec.subproblem_vars)]
     assert init_duals(bdds, dec, problem.objective).store is not None
 
 

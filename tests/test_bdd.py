@@ -161,15 +161,14 @@ def test_ge_row_matches_negation():
 
 
 def test_positions_reorder_support():
+    # the levels follow the support as given, as `decompose` sorts it by position
     terms = [(5, 1), (2, 1), (9, 1)]
-    positions = [0] * 10
-    positions[5], positions[2], positions[9] = 0, 1, 2
-    b = build_bdd(row(terms, Relation.EQ, 1), positions)
+    b = build_bdd(row(terms, Relation.EQ, 1), (5, 2, 9))
     assert b.support == (5, 2, 9)
-    positions[5], positions[9] = 2, 0
-    b2 = build_bdd(row(terms, Relation.EQ, 1), positions)
+    b2 = build_bdd(row(terms, Relation.EQ, 1), (9, 2, 5))
     assert b2.support == (9, 2, 5)
     assert solutions(b2) == solutions(b)
+    assert build_bdd(row(terms, Relation.EQ, 1)).support == (2, 5, 9)
 
 
 def test_build_is_deterministic():
@@ -494,7 +493,7 @@ def test_to_dot_shape():
 
 
 def fields(bdd):
-    return (bdd.constraint_name, bdd.support, bdd.root, bdd.lo, bdd.hi, bdd.level_nodes)
+    return (bdd.constraint_name, bdd.support, bdd.root, bdd.lo, bdd.hi, bdd.level_nodes, bdd.forced_as_built)
 
 
 def shape_kinds(seed):
@@ -531,9 +530,10 @@ def test_shape_cache_equals_fresh_builds(seed, order):
         positions = decompose(inst, order_variables(inst, order)).positions
         shapes = {}
         rows = list(inst.constraints) + sentinel_rows()
-        cached = [build_bdd(c, positions, shapes=shapes) for c in rows]
-        for c, b in zip(rows, cached):
-            assert fields(b) == fields(build_bdd(c, positions))
+        supports = [sorted(c.support(), key=positions.__getitem__) for c in rows]
+        cached = [build_bdd(c, support, shapes=shapes) for c, support in zip(rows, supports)]
+        for c, support, b in zip(rows, supports, cached):
+            assert fields(b) == fields(build_bdd(c, support))
         # arcs are never aliased, between siblings or with the template
         mutable = [arr for b in cached for arr in (b.lo, b.hi)]
         mutable += [arr for t in shapes.values() for arr in (t.lo, t.hi)]
@@ -563,11 +563,11 @@ def test_shape_siblings_stay_isolated_under_fixes_and_rollback(seed):
     groups = []  # (diagrams, slots) of each instance; all share `shapes` and one trail
     fresh = {}
     for inst in (mrf_instance(3, 3, 2, seed), tomography_instance(8, 3, seed)):
-        positions = decompose(inst).positions
-        bdds = [build_bdd(c, positions, shapes=shapes) for c in inst.constraints]
+        supports = decompose(inst).subproblem_vars
+        bdds = [build_bdd(c, support, shapes=shapes) for c, support in zip(inst.constraints, supports)]
         covering = {}
-        for j, (c, b) in enumerate(zip(inst.constraints, bdds)):
-            fresh[id(b)] = exact(build_bdd(c, positions))
+        for j, (c, support, b) in enumerate(zip(inst.constraints, supports, bdds)):
+            fresh[id(b)] = exact(build_bdd(c, support))
             for var in b.support:
                 covering.setdefault(var, []).append(j)
         groups.append((bdds, covering))

@@ -45,7 +45,7 @@ INF = math.inf
 
 def build_state(instance, smoothing=0.0, averaging=UNIFORM, order=None):
     dec = decompose(instance, order)
-    bdds = [build_bdd(c, dec.positions) for c in instance.constraints]
+    bdds = [build_bdd(c, support) for c, support in zip(instance.constraints, dec.subproblem_vars)]
     return init_duals(bdds, dec, instance.objective, smoothing, averaging), dec
 
 
@@ -123,7 +123,7 @@ def test_a_state_is_ready_when_built():
     # constructor refreshes, so its first pass reads seeded roots, not +inf
     problem = mrf_instance(1, 3, 2, 0)
     ready, dec = build_state(problem)
-    bdds = [build_bdd(c, dec.positions) for c in problem.constraints]
+    bdds = [build_bdd(c, support) for c, support in zip(problem.constraints, dec.subproblem_vars)]
     duals = [costs[:] for costs in ready.duals]
     direct = dual.DualState(bdds, dec, duals, 0.0, UNIFORM)
 
@@ -528,7 +528,7 @@ def _restricted(problem, dec, best, bdds=None):
     # fresh diagrams (or `bdds`) on one trail, a third of the variables fixed
     # toward a known optimum by propagation; returns the diagrams and the mark
     if bdds is None:
-        bdds = [build_bdd(c, dec.positions) for c in problem.constraints]
+        bdds = [build_bdd(c, support) for c, support in zip(problem.constraints, dec.subproblem_vars)]
     Trail().attach(bdds)
     mark = checkpoint_all(bdds)
     assignment, newly = {}, []

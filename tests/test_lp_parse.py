@@ -192,6 +192,7 @@ def generated_texts():
 def test_generator_texts_parse_to_the_written_instance(generated_texts):
     for inst, text in generated_texts:
         back = parse_lp(text)
+        back.validate()  # `parse_lp` does not run it again
         assert repr(back.var_names) == repr(inst.var_names)
         assert repr(back.objective) == repr(inst.objective)
         assert repr(back.objective_offset) == repr(inst.objective_offset)
@@ -259,9 +260,14 @@ def _scan(scan, *args):
 
 
 def test_line_patterns_accept_exactly_what_the_scanner_accepts():
-    """Per line: a pattern rejects what the scanner rejects, and reads the same values."""
+    """Per line: a pattern rejects what the scanner rejects, and reads the same values.
+
+    Every text `parse_lp` accepts also passes `ILPInstance.validate()`, which
+    the parser does not run again.
+    """
     rng = random.Random(20261018)
     bad_numbers = 0
+    accepted = 0
     for _ in range(6000):
         line = rng.choice((_random_line, _random_row))(rng)
         # constraint rows: split at names, then one pattern match per skeleton
@@ -298,4 +304,14 @@ def test_line_patterns_accept_exactly_what_the_scanner_accepts():
         names = model._binary_names(line)
         matched = names is not None and len(set(names)) == len(names)
         assert matched == (_scan(model._scan_binary, line, 1, set())[1] is None), line
+        # the whole text, with the line as its row
+        text = (f"Minimize\n {objective if read_error is None else 'obj: x'}\nSubject To\n {line}\n"
+                "Binary\n x y x-y q\nEnd\n")
+        try:
+            instance = parse_lp(text)
+        except LpParseError:
+            continue
+        instance.validate()
+        accepted += 1
     assert bad_numbers > 50
+    assert accepted > 300

@@ -146,6 +146,7 @@ def test_write_parse_round_trip_random():
     for inst in [_random_instance(rng) for _ in range(50)] + generated:
         text = write_lp(inst)
         back = parse_lp(text)
+        back.validate()  # `parse_lp` does not run it again
         assert back.var_names == inst.var_names
         assert back.objective == inst.objective
         assert back.objective_offset == inst.objective_offset

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from bddsolve import dual, primal
-from bddsolve.bdd import BddError, Trail, build_bdd
+from bddsolve.bdd import Bdd, BddError, Trail, build_bdd
 from bddsolve.dual import init_duals, run
 from bddsolve.model import ILPInstance, LinearConstraint, Relation, decompose, presolve_free
 from bddsolve.primal import (
@@ -25,7 +25,7 @@ from reference_algebra import COUNTING, MIN_MARGINAL, MessageStore, marginal_swe
 
 def build_state(instance, passes=6):
     dec = decompose(instance, None)
-    bdds = [build_bdd(c, dec.positions) for c in instance.constraints]
+    bdds = [build_bdd(c, support) for c, support in zip(instance.constraints, dec.subproblem_vars)]
     state = init_duals(bdds, dec, instance.objective)
     if passes and not state.infeasible:
         run(state, max_passes=passes, tolerance=0.0)
@@ -205,7 +205,7 @@ def test_count_imbalance_equals_the_per_diagram_counts():
     problem = mrf_instance(3, 3, 3, seed=4)
     dec = decompose(problem, None)
     shapes = {}
-    bdds = [build_bdd(c, dec.positions, shapes=shapes) for c in problem.constraints]
+    bdds = [build_bdd(c, support, shapes=shapes) for c, support in zip(problem.constraints, dec.subproblem_vars)]
 
     def per_diagram():
         counts = {}
@@ -336,6 +336,96 @@ def test_counters_balance_on_random_instances():
             assert pushed == r.backtracks
         else:
             assert 0 < pushed - r.backtracks <= r.max_depth
+
+
+def rescanning_propagation(bdds, covering, assignment, var, value, newly):
+    """`restriction_propagation` that reads a diagram's forced literals after every fix."""
+    queue = [(var, value)]
+    qi = 0
+    while qi < len(queue):
+        v, b = queue[qi]
+        qi += 1
+        prev = assignment.get(v)
+        if prev is not None:
+            if prev != b:
+                return False
+            continue
+        assignment[v] = b
+        newly.append(v)
+        for j in covering[v]:
+            bdd = bdds[j]
+            if not bdd.fix(v, b):
+                return False
+            for fv, fb in bdd.forced_literals():
+                prev = assignment.get(fv)
+                if prev is None:
+                    queue.append((fv, fb))
+                elif prev != fb:
+                    return False
+    return True
+
+
+def _with_forced_rows(problem, rng):
+    """`problem` plus a few rows that force literals as built."""
+    n = problem.num_vars
+    rows = list(problem.constraints)
+    for k in range(rng.randint(1, 3)):
+        i, j = rng.sample(range(n), 2)
+        terms, relation, rhs = rng.choice([
+            (((i, 1), (j, 1)), Relation.GE, 2),  # x_i = x_j = 1
+            (((i, 2), (j, 1)), Relation.LE, 1),  # x_i = 0
+            (((i, 1), (j, -1)), Relation.GE, 1),  # x_i = 1, x_j = 0
+            (((i, 1),), Relation.EQ, 1),
+        ])
+        rows.append(LinearConstraint(f"forced{k}", terms, relation, rhs))
+    return ILPInstance(problem.var_names, problem.objective, rows)
+
+
+def test_propagation_reads_forced_literals_only_after_a_change_or_when_forced_as_built(monkeypatch):
+    # skipping the read after a fix that wrote no trail record must change no
+    # step of the search: every call's outcome and assigned literals, and the
+    # result, equal those of a propagation that reads after every fix
+    reads = []
+    forced_literals = Bdd.forced_literals
+
+    def counted(self):
+        reads.append(self)
+        return forced_literals(self)
+
+    monkeypatch.setattr(Bdd, "forced_literals", counted)
+    propagate = primal.restriction_propagation
+
+    def search(state, propagation):
+        calls = []
+
+        def recorded(bdds, covering, assignment, var, value, newly):
+            ok = propagation(bdds, covering, assignment, var, value, newly)
+            calls.append((var, value, ok, tuple(newly)))
+            return ok
+
+        monkeypatch.setattr(primal, "restriction_propagation", recorded)
+        reads.clear()
+        result = primal_search(state)
+        return result, calls, len(reads)
+
+    rng = random.Random(2722)
+    searched = skipped = forced_built = 0
+    for _ in range(150):
+        problem = random_ilp(rng.randint(4, 9), rng.randint(2, 6), seed=rng.randint(0, 10**6))
+        if rng.random() < 0.7:
+            problem = _with_forced_rows(problem, rng)
+        state, _ = build_state(problem, passes=2)
+        if state.infeasible:
+            continue
+        result, calls, read = search(state, propagate)
+        want, want_calls, want_read = search(state, rescanning_propagation)
+        assert result == want
+        assert calls == want_calls
+        searched += 1
+        skipped += want_read - read
+        forced_built += any(b.forced_as_built for b in state.bdds)
+    assert searched > 30 and forced_built > 20
+    assert skipped > 20  # the rule did skip reads
 
 
 # -- the shared trail -------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bddsolve import solver
 from bddsolve.dual import DEFAULT_MAX_PASSES, DEFAULT_TOLERANCE, run
 from bddsolve.model import MAX_OBJECTIVE, ILPInstance, parse_lp
 from bddsolve.solver import (
@@ -329,6 +330,35 @@ def test_report_counts_propagated_literals():
     report = solve_instance(problem)
     assert report.status == SOLVED and report.solution == [1, 0]
     assert (report.primal_attempts, report.primal_propagated) == (1, 1)
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [
+        mrf_instance(3, 4, 3, 0),
+        graph_matching_instance(4, 0),
+        cell_tracking_instance(6, 0),
+        tomography_instance(8, 3, 0),
+        random_ilp(12, 10, 0),
+        random_ilp(6, 4, 77),  # infeasible
+    ],
+    ids=lambda inst: inst.name,
+)
+def test_num_nodes_counts_the_live_nodes_of_the_fresh_diagrams(instance, monkeypatch):
+    # the report reads each diagram's arc-list length, which counts live nodes
+    # only because a fresh diagram has no removed node
+    counted = []
+    build = solver.build_bdd
+
+    def counting(*args):
+        diagram = build(*args)
+        counted.append(diagram.node_count())
+        return diagram
+
+    monkeypatch.setattr(solver, "build_bdd", counting)
+    report = solve_instance(instance, SolveOptions(max_passes=4))
+    assert len(counted) == len(instance.constraints)
+    assert report.num_nodes == sum(counted) > 0
 
 
 def test_unconstrained_instance():
