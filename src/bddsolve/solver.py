@@ -5,10 +5,16 @@ front; their cost and the instance's constant offset shift every reported
 bound, so bounds and objective values are always in the instance's own
 scale.  Any returned solution has been re-checked against the original
 rows and costed exactly.
+
+`solve_instance` pauses CPython's cyclic garbage collector for the whole
+pipeline: the rows, diagrams, dual tables, trail and cost lists it makes
+form no reference cycles, so every automatic collection during a solve
+walks a large live heap and frees nothing.  The pause is process-wide.
 """
 
 from __future__ import annotations
 
+import gc
 import math
 import time
 from dataclasses import dataclass, field
@@ -101,7 +107,29 @@ def _effective_budget(option_value, num_vars):
 
 
 def solve_instance(instance: ILPInstance, options: SolveOptions = None) -> RunReport:
-    """Run the whole pipeline on one instance."""
+    """Run the whole pipeline on one instance, with automatic collection paused.
+
+    If the cyclic garbage collector is enabled, it is disabled for the
+    solve and enabled again on return or raise; a collector the caller
+    disabled (or an enclosing solve paused) is left alone.  The pipeline
+    makes no reference cycles, so the pause delays no memory the collector
+    would have freed.  It is process-wide: cycles made meanwhile by other
+    threads wait until the solve returns, and of solves overlapping in
+    several threads the one that paused the collector ends the pause when
+    it returns, whether or not the others have.  `parse_lp` is not
+    paused: the instance it returns is the caller's, who may keep it,
+    and pausing the parse as well measured no clear further gain.
+    """
+    if not gc.isenabled():
+        return _solve(instance, options)
+    gc.disable()
+    try:
+        return _solve(instance, options)
+    finally:
+        gc.enable()
+
+
+def _solve(instance, options):
     if options is None:
         options = SolveOptions()
     order = order_variables(instance, options.order)

@@ -1,6 +1,9 @@
+import gc
 import inspect
 import math
 import random
+import sys
+import threading
 from dataclasses import replace
 from fractions import Fraction
 
@@ -8,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bddsolve import solver
+from bddsolve import dual, solver
+from bddsolve.bdd import BddBuildError
 from bddsolve.dual import DEFAULT_MAX_PASSES, DEFAULT_TOLERANCE, run
 from bddsolve.model import MAX_OBJECTIVE, ILPInstance, parse_lp
 from bddsolve.solver import (
@@ -394,3 +398,106 @@ def test_report_gap():
     assert report(-100.0, 10).gap == 1.0  # capped
     assert report(0.0, 0).gap == 0.0
     assert report(3.0 + 1e-9, 3).gap == 0.0  # a bound within tolerance above the solution
+
+
+@pytest.fixture
+def collector():
+    """The cyclic collector, enabled for the test and left as it was found."""
+    was_enabled = gc.isenabled()
+    gc.enable()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def test_solve_runs_with_the_collector_paused_and_restores_it(collector):
+    grid = mrf_instance(30, 30, 2, seed=0)
+    starts = []
+
+    def hook(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.callbacks.append(hook)
+    try:
+        report = solve_instance(grid, SolveOptions(max_passes=3))
+    finally:
+        gc.callbacks.remove(hook)
+    assert report.passes == 3
+    assert starts == []
+    assert gc.isenabled()
+    with pytest.raises(BddBuildError):
+        solve_instance(grid, SolveOptions(state_budget=1))
+    assert gc.isenabled()
+    # a collector the caller disabled stays disabled, on return and on raise
+    gc.disable()
+    solve_instance(mrf_instance(2, 2, 2, seed=0))
+    assert not gc.isenabled()
+    with pytest.raises(BddBuildError):
+        solve_instance(grid, SolveOptions(state_budget=1))
+    assert not gc.isenabled()
+
+
+def test_overlapping_solves_in_threads_leave_the_collector_enabled(collector):
+    instance = mrf_instance(3, 3, 2, seed=0)
+    expected = solve_instance(instance).solution
+    results = []
+
+    def solve_some():
+        for _ in range(5):
+            results.append(solve_instance(instance).solution)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=solve_some) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [expected] * 20
+    assert gc.isenabled()
+
+
+@pytest.fixture(scope="module")
+def warmed_up():
+    # the first array-store solve imports numpy, which leaves cyclic garbage once
+    solve_instance(mrf_instance(30, 30, 2, seed=1), SolveOptions(max_passes=2))
+    gc.collect()
+
+
+LIST_STORE_OPTIONS = {
+    "uniform": SolveOptions(max_passes=20),
+    "srmp": SolveOptions(max_passes=20, averaging="srmp"),
+    "smoothing": SolveOptions(max_passes=20, smoothing=0.1),
+}
+
+
+@pytest.mark.parametrize(
+    "instance, options, store",
+    [
+        pytest.param(instance, options, "list", id=f"{instance.name}-{key}")
+        for instance in (
+            mrf_instance(3, 3, 3, 0),
+            graph_matching_instance(4, 0),
+            tomography_instance(8, 3, 0),
+            cell_tracking_instance(6, 0),
+            random_ilp(12, 10, 0),
+        )
+        for key, options in LIST_STORE_OPTIONS.items()
+    ]
+    + [pytest.param(mrf_instance(30, 30, 2, 0), SolveOptions(max_passes=5), "array", id="grid30-array")],
+)
+def test_a_solve_leaves_no_cyclic_garbage(instance, options, store, collector, warmed_up):
+    # the premise of the collector pause: nothing the pipeline makes waits
+    # for the cyclic collector, so pausing it delays no memory
+    gc.collect()
+    gc.disable()
+    report = solve_instance(instance, options)
+    assert gc.collect() == 0
+    assert (report.num_nodes >= dual.ARRAY_MIN_NODES) == (store == "array")
