@@ -74,7 +74,10 @@ def outcome(report):
 
 @pytest.mark.parametrize("averaging", [UNIFORM, SRMP])
 def test_runs_equal_the_list_kernels(averaging, monkeypatch):
+    # with no tolerance every run goes to the pass limit or a proof; with one,
+    # some converge before it, and must stop at the same pass on both stores
     kinds = Counter()
+    ends = Counter()
     forcing = dual._forcing
 
     def counted(diffs):
@@ -82,21 +85,46 @@ def test_runs_equal_the_list_kernels(averaging, monkeypatch):
         kinds["proof" if result is None else "forced"] += 1
         return result
 
-    for make in GENERATORS:
-        for seed in range(6):
-            problem = make(700 + seed)
-            lists = build_state(monkeypatch, problem, False, averaging)
-            want = run(lists, max_passes=30, tolerance=0.0)
-            array = build_state(monkeypatch, problem, True, averaging)
-            with monkeypatch.context() as m:
-                m.setattr(dual, "_forcing", counted)
-                got = run(array, max_passes=30, tolerance=0.0)
-            assert (got.termination, got.passes, bounds(got)) == (want.termination, want.passes, bounds(want))
-            assert repr(array.duals) == repr(lists.duals)
-            assert repr(array.energies) == repr(lists.energies)
-            assert array.infeasible == lists.infeasible
+    for tolerance in (0.0, 1e-6):
+        for make in GENERATORS:
+            for seed in range(6):
+                problem = make(700 + seed)
+                lists = build_state(monkeypatch, problem, False, averaging)
+                want = run(lists, max_passes=30, tolerance=tolerance)
+                array = build_state(monkeypatch, problem, True, averaging)
+                with monkeypatch.context() as m:
+                    m.setattr(dual, "_forcing", counted)
+                    got = run(array, max_passes=30, tolerance=tolerance)
+                assert (got.termination, got.passes, bounds(got)) == (want.termination, want.passes, bounds(want))
+                assert repr(array.duals) == repr(lists.duals)
+                assert repr(array.energies) == repr(lists.energies)
+                assert array.infeasible == lists.infeasible
+                ends[tolerance, got.termination] += 1
     assert kinds["forced"] >= 500
     assert kinds["proof"] >= 5
+    assert ends[0.0, "converged"] == 0
+    assert ends[1e-6, "converged"] >= 3
+    assert ends[1e-6, "pass_limit"] >= 3
+
+
+def test_run_computes_the_cost_scale_only_under_a_tolerance(monkeypatch):
+    # the scale is read only by the stopping rule, which a zero tolerance turns off
+    scale = dual.cost_scale
+    calls = []
+
+    def refuse(state):
+        raise AssertionError("computed a stopping scale no rule reads")
+
+    for array in (False, True):
+        state = build_state(monkeypatch, mrf_instance(3, 3, 2, seed=4), array)
+        with monkeypatch.context() as m:
+            m.setattr(dual, "cost_scale", refuse)
+            assert run(state, 6, 0.0).termination == "pass_limit"
+        with monkeypatch.context() as m:
+            m.setattr(dual, "cost_scale", lambda s: calls.append(s) or scale(s))
+            run(state, 6, 1e-6)
+        assert calls == [state]
+        calls.clear()
 
 
 def _two_proofs():
@@ -353,6 +381,22 @@ def test_list_totals_fold_left_like_the_store(monkeypatch):
     want, got = run(lists, 12, 0.0), run(array, 12, 0.0)
     assert bounds(got) == bounds(want)
     assert repr(array.duals) == repr(lists.duals)
+    assert repr(array.energies) == repr(lists.energies)
+    assert repr(forward_pass(array)) == repr(forward_pass(lists))
+    assert repr(array.energies) == repr(lists.energies)
+    # the store folds its optima by one accumulate from 0.0, as `dual_value`
+    # folds the energies: all -0.0 reads 0.0 (np.sum, or a fold from the first
+    # optimum, reads -0.0), +inf stays +inf, and 1e16 + 1.0 - 1e16 reads 0.0
+    # (fsum reads 1.0)
+    n = len(lists.energies)
+    for optima, total in (
+        ([-0.0] * n, "0.0"),
+        ([1.5, math.inf] + [0.5] * (n - 2), "inf"),
+        ([1e16, 1.0, -1e16] + [0.5] * (n - 3), repr(0.5 * (n - 3))),
+    ):
+        lists.energies[:] = optima
+        array.store.optima[:] = optima
+        assert repr(array.store.bound()) == repr(lists.dual_value()) == total
 
 
 def test_an_empty_diagram_proves_infeasibility_on_both_stores(monkeypatch):
