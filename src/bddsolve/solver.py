@@ -138,7 +138,7 @@ def _solve(instance, options):
     shift = float(instance.objective_offset + free_gain)
 
     t0 = time.perf_counter()
-    shapes = {}  # one compiled template per row shape, dropped once the rows are built
+    shapes = {}  # every template of this instance, dropped once the rows are built
     bdds = [
         build_bdd(c, support, options.state_budget, shapes)
         for c, support in zip(instance.constraints, dec.subproblem_vars)

@@ -1,9 +1,22 @@
 """Diagram queries that only the tests use: undo records and fresh trails, levels, slots,
 path enumeration, and the structural invariant check."""
 
+from bddsolve import bdd as _bdd
 from bddsolve.bdd import FALSE, TRUE, BddError, Trail
 
 DEFAULT_ENUMERATION_CAP = 25
+
+
+def fresh_build(constraint, support=None, state_budget=_bdd.DEFAULT_STATE_BUDGET):
+    """`build_bdd` compiled anew, sharing nothing: the process cache is emptied before and after.
+
+    Its `level_nodes` is then the diagram's own, so a test may corrupt it,
+    and the diagram can serve as the fresh oracle of a cached build.
+    """
+    _bdd.TEMPLATES.clear()
+    diagram = _bdd.build_bdd(constraint, support, state_budget)
+    _bdd.TEMPLATES.clear()
+    return diagram
 
 
 def trail_records(trail, bdds):

@@ -3,7 +3,16 @@ from pathlib import Path
 
 import pytest
 
+from bddsolve import bdd, model
+
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.fixture(autouse=True)
+def cold_caches():
+    """Each test starts with the process-wide skeleton and template caches empty."""
+    model.SKELETONS.clear()
+    bdd.TEMPLATES.clear()
 
 
 @pytest.fixture

@@ -4,9 +4,12 @@ import time
 
 import pytest
 
+from bddsolve import bdd as bdd_module
 from bddsolve.bdd import FALSE, TRUE, Bdd, BddBuildError, BddError, Trail, build_bdd
-from bddsolve.model import LinearConstraint, Relation, decompose, order_variables
+from bddsolve.cache import WeightedLru
+from bddsolve.model import ILPInstance, LinearConstraint, Relation, decompose, order_variables
 from bddsolve.primal import restriction_propagation
+from bddsolve.solver import SolveOptions, solve_instance
 from bddsolve.testkit import (
     cell_tracking_instance,
     graph_matching_instance,
@@ -14,7 +17,7 @@ from bddsolve.testkit import (
     random_ilp,
     tomography_instance,
 )
-from bdd_queries import check_invariants, fresh_trail, journal, level_of, solutions, trail_records
+from bdd_queries import check_invariants, fresh_build, fresh_trail, journal, level_of, solutions, trail_records
 
 
 def row(terms, relation, rhs, name="r"):
@@ -81,7 +84,7 @@ def test_pick_one_of_three():
 def test_check_invariants_rejects_misleveled_nodes():
     # levels [[2], [3, 4], [5, 6]]; node levels come from level_nodes alone
     def corrupted(change):
-        b = build_bdd(row([(0, 1), (1, 1), (2, 1)], Relation.EQ, 1))
+        b = fresh_build(row([(0, 1), (1, 1), (2, 1)], Relation.EQ, 1))
         check_invariants(b, reduced=True)
         change(b)
         return b
@@ -118,7 +121,7 @@ def test_check_invariants_pins_first_reference_numbering():
         (leave_a_gap, "without gaps"),
     ]
     for change, needle in cases:
-        b = build_bdd(row([(0, 1), (1, 1), (2, 1)], Relation.EQ, 1))
+        b = fresh_build(row([(0, 1), (1, 1), (2, 1)], Relation.EQ, 1))
         expect = solutions(b)
         change(b)
         check_invariants(b)
@@ -173,7 +176,7 @@ def test_positions_reorder_support():
 
 def test_build_is_deterministic():
     c = row([(0, 2), (1, -3), (2, 1), (3, 2)], Relation.LE, 1)
-    a, b = build_bdd(c), build_bdd(c)
+    a, b = fresh_build(c), fresh_build(c)
     assert a.lo == b.lo and a.hi == b.hi and a.level_nodes == b.level_nodes
 
 
@@ -533,7 +536,7 @@ def test_shape_cache_equals_fresh_builds(seed, order):
         supports = [sorted(c.support(), key=positions.__getitem__) for c in rows]
         cached = [build_bdd(c, support, shapes=shapes) for c, support in zip(rows, supports)]
         for c, support, b in zip(rows, supports, cached):
-            assert fields(b) == fields(build_bdd(c, support))
+            assert fields(b) == fields(fresh_build(c, support))
         # arcs are never aliased, between siblings or with the template
         mutable = [arr for b in cached for arr in (b.lo, b.hi)]
         mutable += [arr for t in shapes.values() for arr in (t.lo, t.hi)]
@@ -567,7 +570,7 @@ def test_shape_siblings_stay_isolated_under_fixes_and_rollback(seed):
         bdds = [build_bdd(c, support, shapes=shapes) for c, support in zip(inst.constraints, supports)]
         covering = {}
         for j, (c, support, b) in enumerate(zip(inst.constraints, supports, bdds)):
-            fresh[id(b)] = exact(build_bdd(c, support))
+            fresh[id(b)] = exact(fresh_build(c, support))
             for var in b.support:
                 covering.setdefault(var, []).append(j)
         groups.append((bdds, covering))
@@ -599,3 +602,93 @@ def test_shape_siblings_stay_isolated_under_fixes_and_rollback(seed):
     for b in everything:
         assert exact(b) == fresh[id(b)]
         check_invariants(b, reduced=True)
+
+
+# -- templates kept across instances --------------------------------------------
+
+
+@pytest.fixture
+def compiles(monkeypatch):
+    """Counts `_compile` calls; every build looks it up in the module."""
+    calls = []
+    compile_ = bdd_module._compile
+
+    def counting(*args):
+        calls.append(args[2:])  # coefficients, relation, rhs, state budget
+        return compile_(*args)
+
+    monkeypatch.setattr(bdd_module, "_compile", counting)
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_templates_served_across_instances_equal_fresh_compiles(seed, compiles):
+    built = []
+    per_instance = 0  # the compiles with no cache across instances
+    for inst in shape_kinds(seed) + shape_kinds(seed + 10) + [mrf_instance(3, 4, 3, seed + 20)]:
+        supports = decompose(inst).subproblem_vars
+        shapes = {}  # one per instance, as `solve_instance` keeps it
+        built += [(c, support, build_bdd(c, support, shapes=shapes))
+                  for c, support in zip(inst.constraints, supports)]
+        per_instance += len(shapes)
+    assert len(compiles) < per_instance  # later instances were served templates earlier ones compiled
+    # arcs are never aliased, between diagrams or with a cached template
+    mutable = [arr for _, _, b in built for arr in (b.lo, b.hi)]
+    mutable += [arr for template, _ in bdd_module.TEMPLATES._entries.values() for arr in (template.lo, template.hi)]
+    assert len({id(arr) for arr in mutable}) == len(mutable)
+    for c, support, b in built:
+        assert fields(b) == fields(fresh_build(c, support))
+
+
+def test_template_cache_keeps_its_budget_and_evicts_the_least_recently_used_first(monkeypatch, compiles):
+    # pick-one rows over 2, 3, 4 and 5 variables, of weights 5, 7, 9 and 11
+    picks = [row([(i, 1) for i in range(k)], Relation.EQ, 1, name=f"pick{k}") for k in (2, 3, 4, 5)]
+    weights = [len(fresh_build(c).lo) for c in picks]
+    monkeypatch.setattr(bdd_module, "TEMPLATES", WeightedLru(weights[0] + weights[1] + weights[2]))
+    cache = bdd_module.TEMPLATES
+    del compiles[:]
+    for c in picks[:3]:
+        build_bdd(c)
+    assert cache.weight == cache.budget and len(compiles) == 3
+    build_bdd(picks[0])  # served, and now the most recently used
+    assert len(compiles) == 3
+    build_bdd(picks[3])  # evicts pick3, the least recently used, then pick4 to fit
+    assert cache.weight == weights[0] + weights[3] <= cache.budget and len(compiles) == 4
+    build_bdd(picks[0])
+    assert len(compiles) == 4
+    build_bdd(picks[1])  # compiled again
+    assert len(compiles) == 5
+    # the real budget holds over a stream of shapes many times its size
+    monkeypatch.undo()
+    cache = bdd_module.TEMPLATES
+    for seed in range(8):
+        inst = random_ilp(14, 60, seed)
+        for c, support in zip(inst.constraints, decompose(inst).subproblem_vars):
+            build_bdd(c, support)
+            assert cache.weight <= cache.budget == bdd_module.TEMPLATE_CACHE_NODES
+    assert cache.weight > cache.budget // 2
+    assert cache.weight == sum(weight for _, weight in cache._entries.values())
+
+
+def test_a_template_over_the_budget_is_compiled_once_per_solve(compiles):
+    # three rows of one 24-variable knapsack shape, 8,080 nodes: over the whole budget
+    k = half_sum_knapsack(24)
+    terms = [(v + 24 * r, a) for r in range(3) for v, a in k.terms]
+    rows = [row(terms[24 * r:24 * r + 24], Relation.LE, k.rhs, name=f"k{r}") for r in range(3)]
+    instance = ILPInstance([f"x{i}" for i in range(72)], [-1] * 72, rows)
+    for _ in range(2):
+        report = solve_instance(instance, SolveOptions(max_passes=1, primal_budget=1))
+        assert report.num_nodes == 3 * 8080
+    assert len(compiles) == 2  # once in each solve
+    assert len(bdd_module.TEMPLATES) == 0 and bdd_module.TEMPLATES.weight == 0
+
+
+def test_a_build_error_is_not_cached(compiles):
+    c = row([(0, 3), (1, 5), (2, 7), (3, 11)], Relation.LE, 12)
+    for _ in range(2):
+        with pytest.raises(BddBuildError):
+            build_bdd(c, state_budget=2, shapes={})
+    assert len(compiles) == 2 and len(bdd_module.TEMPLATES) == 0
+    b = build_bdd(c, state_budget=3)  # a larger budget succeeds, and is cached
+    assert len(bdd_module.TEMPLATES) == 1
+    assert fields(b) == fields(fresh_build(c, state_budget=3))

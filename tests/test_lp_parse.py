@@ -127,9 +127,10 @@ PARSE_ERRORS = [
 
 @pytest.mark.parametrize("text,line,column,message", [c[1:] for c in PARSE_ERRORS], ids=[c[0] for c in PARSE_ERRORS])
 def test_parse_error_location_and_message(text, line, column, message):
-    with pytest.raises(LpParseError) as err:
-        parse_lp(text)
-    assert (err.value.line, err.value.column, str(err.value)) == (line, column, f"line {line}, column {column}: {message}")
+    for _ in range(2):  # the second parse reads its skeletons from the process cache
+        with pytest.raises(LpParseError) as err:
+            parse_lp(text)
+        assert (err.value.line, err.value.column, str(err.value)) == (line, column, f"line {line}, column {column}: {message}")
 
 
 def test_repeated_row_name_is_reported_at_its_label():
@@ -201,6 +202,38 @@ def test_generator_texts_parse_to_the_written_instance(generated_texts):
         for row in back.constraints:
             assert type(row.rhs) is int
             assert all(type(i) is int and type(a) is int for i, a in row.terms)
+
+
+def test_skeletons_served_across_instances_equal_fresh_readings(generated_texts, monkeypatch):
+    texts = [text for _, text in generated_texts]
+    texts += [write_lp(maker(seed)) for seed in range(40)
+              for maker in (lambda s: random_ilp(14, 5, s), lambda s: mrf_instance(1, 3, 2, s))]
+    reads = []
+    row_shape = model._row_shape
+    monkeypatch.setattr(model, "_row_shape", lambda skeleton: reads.append(skeleton) or row_shape(skeleton))
+    cold = []
+    for text in texts:
+        model.SKELETONS.clear()
+        cold.append(repr(vars(parse_lp(text))))
+    cold_reads = len(reads)
+    del reads[:]
+    cache = model.SKELETONS
+    for text, want in zip(texts, cold):
+        assert repr(vars(parse_lp(text))) == want
+        assert cache.weight <= cache.budget == model.SKELETON_CACHE_PARTS
+    assert len(reads) < cold_reads  # later instances were served skeletons earlier ones read
+    for skeleton, (reading, weight) in cache._entries.items():
+        assert reading == row_shape(skeleton) and weight == len(skeleton)
+
+
+def test_a_malformed_skeleton_cached_as_none_raises_at_each_instance_own_line():
+    with pytest.raises(LpParseError, match="line 4, column 10: unexpected character"):
+        parse_lp(_rows("c: x + y ? 1"))
+    assert None in [reading for reading, _ in model.SKELETONS._entries.values()]
+    text = "Minimize\n obj: a\nSubject To\n ok: a + b <= 1\n long_name: a + bb ? 1\nBinary\n a b bb\nEnd\n"
+    with pytest.raises(LpParseError) as err:
+        parse_lp(text)
+    assert str(err.value) == "line 5, column 19: unexpected character '?'"
 
 
 def test_well_formed_text_never_reaches_the_scanner(generated_texts, monkeypatch):

@@ -11,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bddsolve import dual, solver
+from bddsolve import bdd, dual, model, solver
 from bddsolve.bdd import BddBuildError
+from bddsolve.cache import WeightedLru
 from bddsolve.dual import DEFAULT_MAX_PASSES, DEFAULT_TOLERANCE, run
-from bddsolve.model import MAX_OBJECTIVE, ILPInstance, parse_lp
+from bddsolve.model import MAX_OBJECTIVE, ILPInstance, parse_lp, write_lp
 from bddsolve.solver import (
     DUAL_ONLY,
     INFEASIBLE,
@@ -205,6 +206,42 @@ def test_sound_and_deterministic_against_brute_force(
     )
     assert repr(again.lower_bound) == repr(report.lower_bound)
     assert [repr(t.lower_bound) for t in again.trace] == [repr(t.lower_bound) for t in report.trace]
+
+
+def outcome(report):
+    return (
+        report.status, report.termination, report.passes, repr(report.lower_bound), report.objective_value,
+        report.solution, report.primal_attempts, report.num_nodes,
+    )
+
+
+def test_warm_caches_give_the_reports_of_cold_ones(monkeypatch):
+    # a seeded stream from all five generators, read from LP text: rows of one
+    # shape recur from instance to instance under other names and costs
+    rng = random.Random(25)
+    makers = [
+        lambda s: random_ilp(rng.randint(4, 12), rng.randint(2, 8), s),
+        lambda s: mrf_instance(rng.randint(1, 3), 3, rng.randint(2, 3), s),
+        lambda s: graph_matching_instance(rng.randint(2, 3), s),
+        lambda s: cell_tracking_instance(rng.randint(3, 5), s),
+        lambda s: tomography_instance(rng.randint(3, 8), 2, s),
+    ]
+    texts = [write_lp(makers[k % 5](k)) for k in range(60)]
+    options = SolveOptions(max_passes=20)
+    compiles = []
+    compile_ = bdd._compile
+    monkeypatch.setattr(bdd, "_compile", lambda *args: compiles.append(args) or compile_(*args))
+    cold = []
+    for text in texts:
+        model.SKELETONS.clear()
+        bdd.TEMPLATES.clear()
+        cold.append(outcome(solve_instance(parse_lp(text), options)))
+    cold_compiles = len(compiles)
+    del compiles[:]
+    warm = [outcome(solve_instance(parse_lp(text), options)) for text in texts]
+    assert warm == cold
+    assert len(compiles) < cold_compiles / 2
+    assert {status for status, *_ in cold} == {SOLVED, INFEASIBLE}
 
 
 def test_options_reach_the_dual_loop():
@@ -440,14 +477,23 @@ def test_solve_runs_with_the_collector_paused_and_restores_it(collector):
     assert not gc.isenabled()
 
 
-def test_overlapping_solves_in_threads_leave_the_collector_enabled(collector):
-    instance = mrf_instance(3, 3, 2, seed=0)
-    expected = solve_instance(instance).solution
+def test_overlapping_solves_in_threads_leave_the_collector_enabled(collector, monkeypatch):
+    # the threads also share the process-wide caches, warm and small enough to evict often
+    monkeypatch.setattr(bdd, "TEMPLATES", WeightedLru(64))
+    monkeypatch.setattr(model, "SKELETONS", WeightedLru(32))
+    texts = [
+        write_lp(make(seed))
+        for seed in range(2)
+        for make in (lambda s: mrf_instance(3, 3, 2, s), lambda s: cell_tracking_instance(4, s),
+                     lambda s: random_ilp(10, 6, s))
+    ]
+    expected = [outcome(solve_instance(parse_lp(text))) for text in texts]
     results = []
 
     def solve_some():
-        for _ in range(5):
-            results.append(solve_instance(instance).solution)
+        for _ in range(2):
+            for k, text in enumerate(texts):
+                results.append((k, outcome(solve_instance(parse_lp(text)))))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -460,8 +506,11 @@ def test_overlapping_solves_in_threads_leave_the_collector_enabled(collector):
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert results == [expected] * 20
+    assert len(results) == 4 * 2 * len(texts)
+    assert all(got == expected[k] for k, got in results)
     assert gc.isenabled()
+    for cache in (bdd.TEMPLATES, model.SKELETONS):  # a lost update would break the weight's sum
+        assert 0 < cache.weight == sum(weight for _, weight in cache._entries.values()) <= cache.budget
 
 
 @pytest.fixture(scope="module")
