@@ -48,12 +48,15 @@ TRUE = 1
 DEFAULT_STATE_BUDGET = 1 << 22
 
 # Compiled templates kept across calls, each weighed by len(lo): its nodes
-# plus the two terminals.  batch-small's 1,000 instances from 4 generators
-# have 3,421 rows of 1,112 shapes, whose templates weigh 8,197 in all.
-# 4,096, about half that, keeps 561 templates (0.63 MB by tracemalloc), and
-# a pass over the set compiles 1,091 rows from the second pass on: the
-# shapes that recur from instance to instance stay, while the random_ilp
-# rows' shapes, which do not recur, pass through and leave.
+# plus the two terminals.  Every level holds a node, so that is at least
+# the levels plus 2, which is what an unsatisfiable row's sentinel weighs:
+# its arcs have two entries, but it keeps a level list per level.
+# batch-small's 1,000 instances from 4 generators have 3,421 rows of 1,112
+# shapes, whose templates weigh 8,321 in all.  4,096, about half that,
+# keeps 554 templates (0.62 MB by tracemalloc), and a pass over the set
+# compiles 1,094 rows from the second pass on: the shapes that recur from
+# instance to instance stay, while the random_ilp rows' shapes, which do
+# not recur, pass through and leave.
 TEMPLATE_CACHE_NODES = 4096
 TEMPLATES = WeightedLru(TEMPLATE_CACHE_NODES)
 
@@ -360,7 +363,7 @@ def build_bdd(
         template = TEMPLATES.get(shape, None)
         if template is None:
             template = _compile(constraint.name, support, coeffs, relation, rhs, state_budget)
-            TEMPLATES.put(shape, template, len(template.lo))
+            TEMPLATES.put(shape, template, max(len(template.lo), len(support) + 2))
         if shapes is not None:
             shapes[shape] = template
     return Bdd(

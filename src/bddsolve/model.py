@@ -222,15 +222,16 @@ _TERM_RE = re.compile(rf"([ \t]*(?:([+-][ \t]*(?:{_NUMBER})?)[ \t]*({_IDENT})|([
 
 _RELATIONS = {"<=": Relation.LE, ">=": Relation.GE, "=": Relation.EQ}
 
-# Skeletons read across calls, each weighed by its length: its row's names
-# plus 2.  A malformed one is kept as None, and the row is scanned again for
-# its fault.  batch-small's 1,000 instances have 1,157 distinct skeletons,
-# weighing 6,458 in all.  4,096 keeps 733 of them (0.45 MB by tracemalloc),
-# and a pass over the set reads 1,127 skeletons from the second pass on
-# (3,422 per pass without this cache): those that recur from instance to
-# instance stay, while the random_ilp rows' skeletons pass through and leave.
-SKELETON_CACHE_PARTS = 4096
-SKELETONS = WeightedLru(SKELETON_CACHE_PARTS)
+# Skeletons read across calls, each weighed by its characters, so that long
+# runs of blanks or digits count too.  A malformed one is kept as None, and
+# its row is scanned again for its fault.  batch-small's 1,000 instances have
+# 1,157 distinct skeletons of 23,874 characters in all.  16,384 keeps 798 of
+# them (0.49 MB by tracemalloc), and a pass over the set reads 1,118
+# skeletons from the second pass on (3,422 per pass without this cache):
+# those that recur from instance to instance stay, while the random_ilp
+# rows' skeletons pass through and leave.
+SKELETON_CACHE_CHARS = 16384
+SKELETONS = WeightedLru(SKELETON_CACHE_CHARS)
 
 
 def _signed_number(literal):
@@ -503,7 +504,7 @@ def parse_lp(text, name="instance"):
     A skeleton's reading, (coefficients, relation, rhs) or None for a
     malformed one, is kept in `SKELETONS`, which every call and thread of
     the process shares and which keeps the most recently used readings up
-    to `SKELETON_CACHE_PARTS` in all.  A reading is a tuple of ints and a
+    to `SKELETON_CACHE_CHARS` characters in all.  A reading is a tuple of ints and a
     `Relation`, never mutated, so sharing it is safe.
     """
     lines = text.splitlines()
@@ -536,7 +537,7 @@ def parse_lp(text, name="instance"):
                 shape = SKELETONS.get(skeleton)
                 if shape is MISSING:
                     shape = _row_shape(skeleton)
-                    SKELETONS.put(skeleton, shape, len(skeleton))
+                    SKELETONS.put(skeleton, shape, sum(map(len, skeleton)))
                 if shape is None:
                     _locate(_scan_row, line, ln)
                 row_shapes[skeleton] = shape

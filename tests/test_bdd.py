@@ -692,3 +692,10 @@ def test_a_build_error_is_not_cached(compiles):
     b = build_bdd(c, state_budget=3)  # a larger budget succeeds, and is cached
     assert len(bdd_module.TEMPLATES) == 1
     assert fields(b) == fields(fresh_build(c, state_budget=3))
+
+
+def test_an_unsatisfiable_row_weighs_its_levels():
+    # its sentinel has two-entry arcs but keeps a level list per level
+    b = build_bdd(row([(i, 1) for i in range(3000)], Relation.GE, 3001))
+    assert b.is_empty() and len(b.level_nodes) == 3000
+    assert bdd_module.TEMPLATES.weight == 3002

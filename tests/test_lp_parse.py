@@ -220,10 +220,16 @@ def test_skeletons_served_across_instances_equal_fresh_readings(generated_texts,
     cache = model.SKELETONS
     for text, want in zip(texts, cold):
         assert repr(vars(parse_lp(text))) == want
-        assert cache.weight <= cache.budget == model.SKELETON_CACHE_PARTS
+        assert cache.weight <= cache.budget == model.SKELETON_CACHE_CHARS
     assert len(reads) < cold_reads  # later instances were served skeletons earlier ones read
     for skeleton, (reading, weight) in cache._entries.items():
-        assert reading == row_shape(skeleton) and weight == len(skeleton)
+        assert reading == row_shape(skeleton) and weight == len("".join(skeleton))
+
+
+def test_a_skeleton_weighs_its_characters():
+    # blanks between terms are kept in the skeleton, so they count against the budget
+    parse_lp(_rows("c: x +" + " " * 5000 + "y <= 1"))
+    assert model.SKELETONS.weight == len(": " + " +" + " " * 5000 + " <= 1")
 
 
 def test_a_malformed_skeleton_cached_as_none_raises_at_each_instance_own_line():
