@@ -504,8 +504,8 @@ def parse_lp(text, name="instance"):
     A skeleton's reading, (coefficients, relation, rhs) or None for a
     malformed one, is kept in `SKELETONS`, which every call and thread of
     the process shares and which keeps the most recently used readings up
-    to `SKELETON_CACHE_CHARS` characters in all.  A reading is a tuple of ints and a
-    `Relation`, never mutated, so sharing it is safe.
+    to `SKELETON_CACHE_CHARS` characters of skeleton in all.  A reading is
+    a tuple of ints and a `Relation`, never mutated, so sharing it is safe.
     """
     lines = text.splitlines()
     total = len(lines)
