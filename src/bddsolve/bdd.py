@@ -28,9 +28,13 @@ all diagrams to one trail, so a checkpoint is a single mark on it and a
 rollback undoes only the records written since that mark, whichever
 diagrams they belong to.  Restoration is bit-exact.
 
-Rows of one shape (see `build_bdd`) may share a single `level_nodes`
-structure, within one instance and across instances and threads.  Nothing
-ever mutates it: fixing and rollback change only each diagram's own arcs.
+Every diagram refers to the `Template` of its row's shape (see
+`build_bdd`), which rows of that shape share within one instance and across
+instances and threads: its root, its levels as tuples of node tuples, its
+arcs as built and its literals forced as built.  A template is never
+mutated: fixing and rollback change only each diagram's own `lo`/`hi`
+lists, and code that needs only the as-built structure reads the
+template, once per shape, where tables derived from it are kept too.
 """
 
 from __future__ import annotations
@@ -50,10 +54,11 @@ DEFAULT_STATE_BUDGET = 1 << 22
 # Compiled templates kept across calls, each weighed by len(lo): its nodes
 # plus the two terminals.  Every level holds a node, so that is at least
 # the levels plus 2, which is what an unsatisfiable row's sentinel weighs:
-# its arcs have two entries, but it keeps a level list per level.
+# its arcs have two entries, but it keeps a level tuple per level.
 # batch-small's 1,000 instances from 4 generators have 3,421 rows of 1,112
 # shapes, whose templates weigh 8,321 in all.  4,096, about half that,
-# keeps 554 templates (0.62 MB by tracemalloc), and a pass over the set
+# keeps 554 templates (0.88 MB by tracemalloc with the dual's level parts
+# derived from them; 0.62 MB without), and a pass over the set
 # compiles 1,094 rows from the second pass on: the shapes that recur from
 # instance to instance stay, while the random_ilp rows' shapes, which do
 # not recur, pass through and leave.
@@ -120,22 +125,66 @@ class Trail:
             pop()[v] = old
 
 
+class Template:
+    """The as-built structure shared by every diagram of one row shape; never mutated.
+
+    `root` is the root node; `lo` and `hi` are the arcs as built, as
+    tuples; `level_nodes` holds each level's nodes as a tuple, top level
+    first, in a tuple; `forced` lists the `(level, value)` pairs the
+    diagram forces as built, top level first, as `Bdd.forced_literals`
+    reads them off an unfixed diagram.  None of these depends on the
+    row's variables or name, so one template serves every row of its
+    shape.  `derived` keeps, per function, a table computed from these
+    alone, so each consumer's per-shape work is done once per template.
+    """
+
+    __slots__ = ("root", "lo", "hi", "level_nodes", "forced", "_derived")
+
+    def __init__(self, root, lo, hi, level_nodes, forced):
+        self.root = root
+        self.lo = tuple(lo)
+        self.hi = tuple(hi)
+        self.level_nodes = tuple(map(tuple, level_nodes))
+        self.forced = tuple(forced)
+        self._derived = {}  # function -> its table of this template
+
+    @property
+    def num_levels(self):
+        """As `Bdd.num_levels`, so a read-only sweep takes a template or a diagram."""
+        return len(self.level_nodes)
+
+    def derived(self, make):
+        """`make(self)`, computed on the first call and kept with the template.
+
+        `make` must read only the template and return a table nobody
+        mutates.  Two threads may both compute it on a first call; the
+        results are equal, and either one is kept.
+        """
+        table = self._derived.get(make)
+        if table is None:
+            table = self._derived.setdefault(make, make(self))
+        return table
+
+
 class Bdd:
     """Leveled decision diagram for one constraint.
 
     Node ids are integers; 0 and 1 are the false/true terminals, internal
     nodes start at 2 and are numbered level by level in first-reference
     order from the root, 0-child before 1-child, so two builds of the same
-    row are identical.  `lo` and `hi` belong to this diagram alone;
-    `level_nodes` is read-only and may be shared with every diagram of the
-    same shape, in any instance or thread.  `forced_as_built` tells whether
-    the diagram as built forced a literal (`forced_literals()` was not empty
-    then).
+    row are identical.  `lo` and `hi` belong to this diagram alone and
+    start as copies of its `template`'s arcs.  `root` and `level_nodes` are
+    the template's, shared with every diagram of the same shape in any
+    instance or thread, and kept here for quick reads; the levels are
+    tuples, so they cannot be changed in place.  `forced_as_built` tells
+    whether the diagram as built forced a literal (the template's `forced`
+    is not empty).
     """
 
     __slots__ = (
         "constraint_name",
         "support",
+        "template",
         "root",
         "lo",
         "hi",
@@ -144,14 +193,15 @@ class Bdd:
         "trail",
     )
 
-    def __init__(self, constraint_name, support, root, lo, hi, level_nodes, forced_as_built):
+    def __init__(self, constraint_name, support, template):
         self.constraint_name = constraint_name
         self.support = tuple(support)
-        self.root = root
-        self.lo = lo
-        self.hi = hi
-        self.level_nodes = level_nodes
-        self.forced_as_built = forced_as_built
+        self.template = template
+        self.root = template.root
+        self.lo = list(template.lo)
+        self.hi = list(template.hi)
+        self.level_nodes = template.level_nodes
+        self.forced_as_built = bool(template.forced)
         self.trail = None  # set by `Trail.attach`; `fix` needs one
 
     # -- queries ------------------------------------------------------------
@@ -170,6 +220,11 @@ class Bdd:
         """Live internal nodes."""
         # FALSE is 0, so lo | hi is 0 exactly for the terminals and removed nodes
         return len(self.lo) - list(map(operator.or_, self.lo, self.hi)).count(FALSE)
+
+    def as_built(self):
+        """Whether the arcs still equal the template's, entry for entry."""
+        template = self.template
+        return tuple(self.lo) == template.lo and tuple(self.hi) == template.hi
 
     def live_nodes(self, level):
         """Nodes of `level` with an arc off the false terminal, i.e. not removed."""
@@ -306,17 +361,9 @@ class Bdd:
         return "\n".join(lines) + "\n"
 
 
-def _sentinel(constraint_name, support, satisfiable):
-    k = len(support)
-    return Bdd(
-        constraint_name,
-        support,
-        TRUE if satisfiable else FALSE,
-        [FALSE, FALSE],
-        [FALSE, FALSE],
-        [[] for _ in range(k)],
-        False,
-    )
+def _sentinel(num_levels, satisfiable):
+    """The template of a row with no nodes: the root is a terminal, every level empty."""
+    return Template(TRUE if satisfiable else FALSE, (FALSE, FALSE), (FALSE, FALSE), ((),) * num_levels, ())
 
 
 def build_bdd(
@@ -335,11 +382,10 @@ def build_bdd(
 
     The diagram depends only on its row's shape: the coefficients in
     support order (after `>=` rows are negated into `<=`), the relation, the
-    right-hand side and `state_budget`.  A shape is compiled into a template
-    no returned diagram aliases; every row of that shape gets the
-    template's `level_nodes`, shared and never mutated, with its own copies
-    of the arcs that `fix` changes, and the template's `forced_as_built`.
-    The result equals a fresh build field by field.
+    right-hand side and `state_budget`.  A shape is compiled into a
+    `Template`; every row of that shape refers to it, shares its levels,
+    and gets its own copies of the arcs that `fix` changes.  The result
+    equals a fresh build field by field.
 
     Templates are looked up first in `shapes`, a dict private to one
     instance when given, which keeps every template of the instance
@@ -366,19 +412,11 @@ def build_bdd(
             TEMPLATES.put(shape, template, max(len(template.lo), len(support) + 2))
         if shapes is not None:
             shapes[shape] = template
-    return Bdd(
-        constraint.name,
-        support,
-        template.root,
-        template.lo[:],
-        template.hi[:],
-        template.level_nodes,
-        template.forced_as_built,
-    )
+    return Bdd(constraint.name, support, template)
 
 
 def _compile(name, support, coeffs, relation, rhs, state_budget):
-    """Build the diagram of a `<=` or `=` row from its coefficients in support order.
+    """Build the template of a `<=` or `=` row from its coefficients in support order.
 
     One bottom-up pass makes only reduced nodes.  Each level keeps a memo of
     disjoint residual intervals, each mapped to a token: FALSE, TRUE or a node
@@ -392,7 +430,7 @@ def _compile(name, support, coeffs, relation, rhs, state_budget):
     k = len(support)
     if k == 0:
         ok = (0 == rhs) if relation is Relation.EQ else (0 <= rhs)
-        return _sentinel(name, support, ok)
+        return _sentinel(0, ok)
 
     # per level: interval low ends, sorted, and (low, high, token) per interval;
     # level k holds the terminals; a node's token is its index in its level + 2
@@ -439,7 +477,7 @@ def _compile(name, support, coeffs, relation, rhs, state_budget):
         memo[lev].insert(i, (low, min(zero[1], one[1] + a), token))
     root_token = memo[0][0][2]  # the root's interval is the only one on level 0
     if root_token == FALSE:
-        return _sentinel(name, support, False)
+        return _sentinel(k, False)
 
     # top-down numbering in first-reference order gives deterministic ids: a
     # level's nodes are numbered in the order the level above first reaches them
@@ -457,7 +495,7 @@ def _compile(name, support, coeffs, relation, rhs, state_budget):
     lo = [FALSE] * next_id
     hi = [FALSE] * next_id
     level_nodes = []
-    forced = False  # some level has all its 0-arcs, or all its 1-arcs, on FALSE
+    forced = []  # (level, value) where all the level's 0-arcs (value 1) or 1-arcs (value 0) are on FALSE
     for lev in range(k):
         mapping = ids[lev]
         below = ids[lev + 1]
@@ -469,7 +507,9 @@ def _compile(name, support, coeffs, relation, rhs, state_budget):
             hi[v] = h if h < 2 else below[h]
             zero_arcs |= l
             one_arcs |= h
-        level_nodes.append(list(mapping.values()))
-        if not (zero_arcs and one_arcs):
-            forced = True
-    return Bdd(name, support, 2, lo, hi, level_nodes, forced)
+        level_nodes.append(tuple(mapping.values()))
+        if not zero_arcs:
+            forced.append((lev, 1))
+        elif not one_arcs:
+            forced.append((lev, 0))
+    return Template(2, lo, hi, level_nodes, forced)

@@ -45,9 +45,14 @@ nothing, and its level below is reset whole.  A pass runs one kernel per
 algebra, `_min_steps` or `_soft_steps`, over its whole schedule, with no
 call per step; `mma_update` is the same kernel run on a one-step
 schedule, so each algebra has exactly one kernel body.
-`refresh` sweeps each diagram backward by `_bsweep` (either algebra),
-which also returns its level records.  `min_marginals` is a fresh
-min-sum sweep over one diagram's arcs, both ways, and is where
+A record ends with its level's parts, `(v, lo, hi, rest, reset)`, which
+depend only on the arcs and levels (`_level_parts`).  A diagram whose
+arcs are as built takes them from its template, where they are built
+once for every row of the shape; one that a fix has changed derives them
+from its live arcs by the same function.  `refresh` then sweeps each
+diagram backward from its parts by `_bsweep` (either algebra).
+`min_marginals` is a fresh min-sum sweep over one diagram's arcs, both
+ways, and is where
 `DualState.margins` reads the rounding margins on the list store.  A
 `DualState` picks its algebra once, from its smoothing.
 The generic reference sweeps the kernels are tested against live with the
@@ -62,16 +67,20 @@ soft-min state and every small one.  A min-sum state with at least
 `ARRAY_MIN_NODES` diagram nodes, and at least `ARRAY_MIN_WAVE_NODES` of
 them per wave (below), keeps them in flat numpy arrays instead, and a pass
 then runs wave by wave.  Two steps on variables that share no diagram
-commute, so a pass may take them in any order.  A variable's wave in a
-direction is 0, or 1 + the largest wave among the variables its diagrams
-step just before it, so the waves of a pass are the levels of that
-dependency order.  Each wave's steps then run as one vectorised step: the
-same additions, subtractions, minima and divisions as `mma_update`, on the
-same operands in the same association.  Both stores fold a step's total
-slot by slot from 0.0 (`np.sum` would pair the terms differently, and so
-would `sum`, which compensates float sums from Python 3.12 on), and the
-bound is the diagrams' optima folded left from 0.0 too: the lists add the
-energies one by one, the store its optima by one `np.add.accumulate` over
+commute, so a pass may take them in any order.  A variable's wave is 0,
+or 1 + the largest wave among the variables its diagrams step just
+before it in a forward pass, so the forward waves are the levels of that
+dependency order.  A diagram's levels then have strictly increasing wave
+numbers, so no wave holds two levels of one diagram, and the waves in
+reverse order are a valid backward order too: one partition, and one set
+of tables per wave, serves both directions.  Each wave's steps run as
+one vectorised step: the same additions, subtractions, minima and
+divisions as `mma_update`, on the same operands in the same
+association.  Both stores fold a step's total slot by slot from 0.0
+(`np.sum` would pair the terms differently, and so would `sum`, which
+compensates float sums from Python 3.12 on), and the bound is the
+diagrams' optima folded left from 0.0 too: the lists add the energies
+one by one, the store its optima by one `np.add.accumulate` over
 `(0.0, *optima)`, which adds in order, so a pass reads no optimum into
 Python.  A variable whose total is not finite goes through `_forcing`
 alone.  So bounds, cost copies, energies and everything downstream are
@@ -94,11 +103,14 @@ numpy 2.4, 2-core x86-64 VM).
 Both stores build what depends only on the diagrams' levels and supports
 once, with the state, and read the cost copies and the arcs only at
 `refresh`: the array store its wave tables, the list store its member
-flags and counts.  After a fix or a rollback, `refresh` brings the passes
-up to date on either store.  The rounding margins, each variable's sum of
-m1 - m0 over its diagrams, are computed on demand by `DualState.margins`:
-on the array store by one read-only wave pass into temporary forward and
-backward arrays, on lists by one `min_marginals` sweep per diagram.
+flags and counts.  The array store tiles its per-diagram and per-level
+tables from those of each distinct template (`_tile`), so a shape's
+levels are read once however many rows it has.  After a fix or a
+rollback, `refresh` brings the passes up to date on either store.  The
+rounding margins, each variable's sum of m1 - m0 over its diagrams, are
+computed on demand by `DualState.margins`: on the array store by one
+read-only wave pass into temporary forward and backward arrays, on lists
+by one `min_marginals` sweep per diagram.
 """
 
 from __future__ import annotations
@@ -107,6 +119,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from itertools import chain
+from typing import NamedTuple
 
 from .bdd import FALSE, TRUE
 from .model import MAX_OBJECTIVE
@@ -143,8 +156,9 @@ ARRAY_MIN_NODES = 1 << 15
 ARRAY_MIN_WAVE_NODES = 1 << 7
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
+    """One pass of a run: its number from 1, its direction, the bound after it and its time."""
+
     pass_index: int
     direction: str
     lower_bound: float
@@ -195,13 +209,13 @@ class DualState:
     `rest` holds the level's other nodes as `(node, lo, hi)` triples, and
     `reset` the nodes a forward step resets to +inf: the level below (or
     `(TRUE,)` below the last level) less lo and hi, which the step writes
-    without a compare.  Equal `rest` tuples are one object, and so are
-    equal `reset` tuples, so unrestricted rows of one shape share them.
-    An empty diagram's levels hold the false terminal as their first node,
-    which reads +inf both ways.  `records[var]` holds the variable's level
-    records, diagrams in order, and `schedules[forward]` each step's
-    `(records, flags, count)` in pass order: `active` going forward,
-    reversed going back.
+    without a compare.  A diagram whose arcs are as built takes these
+    parts from its template, so rows of one shape share them while they
+    are unfixed (see the module notes).  An empty diagram's levels hold
+    the false terminal as their first node, which reads +inf both ways.
+    `records[var]` holds the variable's level records, diagrams in order,
+    and `schedules[forward]` each step's `(records, flags, count)` in pass
+    order: `active` going forward, reversed going back.
     """
 
     def __init__(self, bdds, decomposition, duals, smoothing, averaging):
@@ -254,16 +268,16 @@ class DualState:
         if self.store is not None:
             self.store.refresh(self)
         else:
-            interned = {}  # equal node-triple tuples share one object
             records = {}  # per variable its level records, diagrams in order, as lists
             for j, bdd in enumerate(self.bdds):
-                fwj, bwj = self.fw[j], self.bw[j]
-                levels = _bsweep(bdd, fwj, bwj, self.duals[j], self.smin, interned)
+                fwj, bwj, costs = self.fw[j], self.bw[j], self.duals[j]
+                parts = bdd.template.derived(_level_parts) if bdd.as_built() else _level_parts(bdd)
+                _bsweep(parts, bwj, costs, self.smin)
                 self.energies[j] = bwj[bdd.root]
                 if bdd.root != FALSE:
                     fwj[bdd.root] = 0.0
-                for var, record in zip(bdd.support, levels):
-                    records.setdefault(var, []).append(record)
+                for lev, (var, part) in enumerate(zip(bdd.support, parts)):
+                    records.setdefault(var, []).append((fwj, bwj, costs, lev, *part))
             active = self.active
             self.records = records = {var: tuple(records[var]) for var in active}
             ahead, back = self.members[True], self.members[False]
@@ -334,9 +348,9 @@ def init_duals(bdds, decomposition, objective, smoothing=0.0, averaging=UNIFORM)
     """
     # c.numerator / c.denominator is float(c) for a Fraction or an int, without
     # the call through numbers.Rational.__float__: one correctly rounded division
-    covering = decomposition.var_subproblems
-    share = {i: c.numerator / c.denominator / len(covering[i]) for i, c in enumerate(objective) if covering[i]}
-    duals = [[share[i] for i in support] for support in decomposition.subproblem_vars]
+    share = [c.numerator / c.denominator / len(js) if js else None
+             for c, js in zip(objective, decomposition.var_subproblems)]
+    duals = [list(map(share.__getitem__, support)) for support in decomposition.subproblem_vars]
     return DualState(list(bdds), decomposition, duals, smoothing, averaging)
 
 
@@ -360,44 +374,49 @@ def _soft_min(alpha):
     return smin
 
 
-def _bsweep(bdd, fwj, bwj, costs, smin, interned):
-    """Seed the terminals and recompute every backward value bottom-up; returns the level records.
+def _level_parts(diagram):
+    """Per level, top first, the `(v, lo, hi, rest, reset)` that end its level records (see `DualState`).
 
-    The records, on `fwj`, `bwj` and `costs`, are taken from the arcs as
-    they are now (see `DualState`); equal `rest` and `reset` tuples are
-    shared through the dict `interned`.
+    Read off the arcs and levels of `diagram`: a `Template`'s as built, or
+    a `Bdd`'s as they are now.  An empty diagram's levels hold the false
+    terminal as their first node.
+    """
+    lo, hi = diagram.lo, diagram.hi
+    parts = []
+    below = (TRUE,)
+    for level in reversed(diagram.level_nodes):
+        triples = [(v, lo[v], hi[v]) for v in level]
+        v, l, h = triples[0] if triples else (FALSE, FALSE, FALSE)
+        reset = tuple([c for c in below if c != l and c != h])
+        parts.append((v, l, h, tuple(triples[1:]), reset))
+        below = level
+    parts.reverse()
+    return tuple(parts)
+
+
+def _bsweep(parts, bwj, costs, smin):
+    """Seed the terminals and recompute every backward value bottom-up from a diagram's level parts.
+
+    The false terminal heading an empty diagram's level keeps +inf, the
+    minimum of +inf and a finite cost plus +inf.
     """
     bwj[FALSE] = INF
     bwj[TRUE] = 0.0
-    lo, hi, nodes = bdd.lo, bdd.hi, bdd.level_nodes
-    intern = interned.setdefault
-    records = []
-    below = (TRUE,)
-    for lev in range(len(nodes) - 1, -1, -1):
-        level = nodes[lev]
+    for lev in range(len(parts) - 1, -1, -1):
+        v, l, h, rest, _ = parts[lev]
         cost = costs[lev]
-        triples = []
         if smin is None:
-            for v in level:
-                l = lo[v]
-                h = hi[v]
+            a = bwj[l]
+            b = cost + bwj[h]
+            bwj[v] = a if a <= b else b
+            for v, l, h in rest:
                 a = bwj[l]
                 b = cost + bwj[h]
                 bwj[v] = a if a <= b else b
-                triples.append((v, l, h))
         else:
-            for v in level:
-                l = lo[v]
-                h = hi[v]
+            bwj[v] = smin(bwj[l], cost + bwj[h])
+            for v, l, h in rest:
                 bwj[v] = smin(bwj[l], cost + bwj[h])
-                triples.append((v, l, h))
-        v, l, h = triples[0] if triples else (FALSE, FALSE, FALSE)  # an empty diagram's level
-        rest = tuple(triples[1:])
-        reset = tuple([c for c in below if c != l and c != h])
-        records.append((fwj, bwj, costs, lev, v, l, h, intern(rest, rest), intern(reset, reset)))
-        below = level
-    records.reverse()
-    return records
 
 
 def min_marginals(bdd, costs):
@@ -716,9 +735,10 @@ class _ArrayStore:
     reads its forward value, while its backward value stays +inf.  `costs`
     holds the cost copies flat in slot order (diagram by diagram, level by
     level), and `rank` gives each slot's variable's place in `active`.
-    `wave[forward]` is each variable's wave number in that direction, and
-    `waves[forward]` lists the waves' tables in pass order (see `_Wave`).
-    All of these live as long as the state.  `build` makes every table
+    `wave` is each variable's wave number, and `waves` lists the waves'
+    tables in forward pass order; a backward pass runs them in reverse
+    (see the module notes and `_Wave`).  All of these live as long as the
+    state.  `build` makes every table
     that depends only on the diagrams' levels and supports; `refresh`
     re-reads `costs` from `duals` and each wave's `lo`/`hi` from the arcs.
     `optima` holds each diagram's optimum as the last refresh or completed
@@ -736,10 +756,9 @@ class _ArrayStore:
 
         i32 = np.int32
         self = cls()
-        sizes = np.fromiter(map(len, (b.lo for b in bdds)), np.int64, len(bdds))
-        levels = np.fromiter(map(len, (b.support for b in bdds)), np.int64, len(bdds))
+        sizes, levels, roots, width, nodes = _tile(bdds)
         self.base = np.cumsum(sizes) - sizes
-        self.roots = self.base + np.fromiter((b.root for b in bdds), np.int64, len(bdds))
+        self.roots = self.base + roots
         self.trues = self.base + TRUE
         ends = np.cumsum(levels)[levels > 0]
         var = np.fromiter(chain.from_iterable(b.support for b in bdds), i32, int(levels.sum()))
@@ -749,32 +768,23 @@ class _ArrayStore:
         last[ends - 1] = True
         limit = (int(sizes.sum()) - 2 * len(bdds)) // ARRAY_MIN_WAVE_NODES
         num_vars = max(active, default=-1) + 1
-        self.wave = {}
-        for forward, has, step in ((True, ~first, -1), (False, ~last, 1)):
-            self.wave[forward] = _wave_numbers(var, has, step, num_vars, limit)
-            if self.wave[forward] is None:
-                return None
+        self.wave = _wave_numbers(var, ~first, -1, num_vars, limit)
+        if self.wave is None:
+            return None
         diag = np.repeat(np.arange(len(bdds), dtype=i32), levels)
-        width = np.fromiter(map(len, chain.from_iterable(b.level_nodes for b in bdds)), i32, len(var))
         start = np.cumsum(width) - width
-        nodes = np.fromiter(
-            chain.from_iterable(chain.from_iterable(b.level_nodes for b in bdds)), np.intp, int(width.sum())
-        )
         nodes += np.repeat(self.base[diag], width)
         heads = np.concatenate((nodes, self.trues))  # what a slot's `below` draws from
         rank_of = np.zeros(num_vars, i32)
         rank_of[active] = np.arange(len(active), dtype=i32)
         self.rank = rank = rank_of[var]
-        self.waves = {}
-        for forward, ahead in ((True, ~last), (False, ~first)):
-            number = self.wave[forward][var]
-            order = np.lexsort((-width, number))  # stable: slot order within a width
-            bounds = np.searchsorted(number[order], np.arange(int(number.max(initial=-1)) + 2)).tolist()
-            self.waves[forward] = [
-                _wave(order[a:b], width, start, nodes, rank, ahead, averaging == SRMP,
-                      last, diag, heads if forward else None)
-                for a, b in zip(bounds, bounds[1:])
-            ]
+        number = self.wave[var]
+        order = np.lexsort((-width, number))  # stable: slot order within a width
+        bounds = np.searchsorted(number[order], np.arange(int(number.max(initial=-1)) + 2)).tolist()
+        self.waves = [
+            _wave(order[a:b], width, start, nodes, rank, first, last, averaging == SRMP, diag, heads)
+            for a, b in zip(bounds, bounds[1:])
+        ]
         self.costs = self.optima = None
         self.fw = np.full(int(sizes.sum()), INF)
         self.bw = np.full(int(sizes.sum()), INF)
@@ -812,7 +822,7 @@ class _ArrayStore:
         lo += shift
         hi = np.fromiter(chain.from_iterable(b.hi for b in bdds), np.intp, len(shift))
         hi += shift
-        for w in chain(self.waves[True], self.waves[False]):  # the false terminal is the sink
+        for w in self.waves:  # the false terminal is the sink
             w.lo, w.hi = lo[w.nodes], hi[w.nodes]
         self._backward(self.bw)
         self.optima = self.bw[self.roots]
@@ -825,7 +835,7 @@ class _ArrayStore:
 
         bw[self.base + FALSE] = INF
         bw[self.base + TRUE] = 0.0
-        for w in self.waves[False]:
+        for w in reversed(self.waves):
             a = bw[w.lo]
             b = _spread(self.costs[w.slots], w.columns) + bw[w.hi]
             bw[w.nodes] = np.where(a <= b, a, b)
@@ -846,19 +856,20 @@ class _ArrayStore:
         saved = costs.copy()
         proof = None
         with np.errstate(all="ignore"):  # inf - inf is the nan of an empty diagram, as in the lists
-            for w in self.waves[forward]:
+            for w in self.waves if forward else reversed(self.waves):
+                member, count = w.members[forward]
                 f = fw[w.nodes]
                 a = bw[w.lo]
                 h = bw[w.hi]
                 c = costs[w.slots]
                 n = len(c)
                 d, total = _diffs(w, f, a, h, c)
-                share = (total / w.count)[w.slot_var]
+                share = (total / count)[w.slot_var]
                 new = c - d[:n]
-                if w.member is None:
+                if member is None:
                     new += share
                 else:
-                    new = np.where(w.member, new + share, new)
+                    new = np.where(member, new + share, new)
                 bad = ~np.isfinite(total)
                 if bad.any():
                     for i in np.flatnonzero(bad).tolist():
@@ -910,7 +921,7 @@ class _ArrayStore:
         fw[self.roots[self.roots != self.base + FALSE]] = 0.0
         out = np.empty(len(state.active))
         with np.errstate(all="ignore"):  # inf + -inf: forced both ways, nan as on the lists
-            for w in self.waves[True]:
+            for w in self.waves:
                 f = fw[w.nodes]
                 c = self.costs[w.slots]
                 out[w.rank] = _diffs(w, f, bw[w.lo], bw[w.hi], c)[1]
@@ -938,7 +949,7 @@ def _diffs(w, f, a, h, c):
     d = np.empty(n + 1)
     np.subtract(m1[:n], m0[:n], out=d[:n])
     d[n] = 0.0  # the pad of `groups`
-    total = np.zeros(len(w.count))
+    total = np.zeros(len(w.rank))
     for column in w.groups:
         total += d[column]
     return d, total
@@ -951,6 +962,44 @@ def _spread(values, columns):
     if len(columns) == 1:
         return values[: columns[0][1]]
     return np.concatenate([values[:count] for _, count in columns])
+
+
+def _tile(bdds):
+    """Per diagram its size, levels and root, and per slot its width and nodes, from the templates.
+
+    The nodes are numbered within their diagram.  Each distinct
+    template's tables (`_flat_levels`) are read once, and every diagram of
+    that template gets them by one gather per table.
+    """
+    import numpy as np
+
+    index = {}  # template -> its place among the distinct templates
+    which = np.array([index.setdefault(b.template, len(index)) for b in bdds], np.intp)
+    templates = list(index)
+    flat = [t.derived(_flat_levels) for t in templates]
+    t_sizes = np.fromiter((len(t.lo) for t in templates), np.intp, len(templates))
+    t_roots = np.fromiter((t.root for t in templates), np.intp, len(templates))
+    t_levels = np.fromiter((len(widths) for widths, _ in flat), np.intp, len(templates))
+    t_counts = np.fromiter((len(nodes) for _, nodes in flat), np.intp, len(templates))
+    t_width = np.fromiter(chain.from_iterable(widths for widths, _ in flat), np.intp, int(t_levels.sum()))
+    t_nodes = np.fromiter(chain.from_iterable(nodes for _, nodes in flat), np.intp, int(t_counts.sum()))
+    levels = t_levels[which]
+    width = t_width[_ranges((np.cumsum(t_levels) - t_levels)[which], levels)]
+    nodes = t_nodes[_ranges((np.cumsum(t_counts) - t_counts)[which], t_counts[which])]
+    return t_sizes[which], levels, t_roots[which], width, nodes
+
+
+def _flat_levels(template):
+    """A template's level widths and its nodes level by level, as the array store tiles them."""
+    return tuple(map(len, template.level_nodes)), tuple(chain.from_iterable(template.level_nodes))
+
+
+def _ranges(starts, counts):
+    """`starts[i], starts[i] + 1, ..., starts[i] + counts[i] - 1` for every i, concatenated."""
+    import numpy as np
+
+    offsets = np.cumsum(counts) - counts
+    return np.repeat(starts - offsets, counts) + np.arange(int(counts.sum()))
 
 
 def _wave_numbers(var, has, step, num_vars, limit):
@@ -973,8 +1022,7 @@ def _wave_numbers(var, has, step, num_vars, limit):
     wave = np.zeros(num_vars, np.int32)
     frontier = np.flatnonzero(waiting == 0)
     for number in range(1, limit + 1):
-        count = out[frontier]
-        edges = by_parent[np.repeat(first[frontier] - (np.cumsum(count) - count), count) + np.arange(count.sum())]
+        edges = by_parent[_ranges(first[frontier], out[frontier])]
         if not len(edges):
             return wave
         if number == limit:
@@ -988,7 +1036,7 @@ def _wave_numbers(var, has, step, num_vars, limit):
 
 
 class _Wave:
-    """The tables of one wave in one direction of an `_ArrayStore`.
+    """The tables of one wave of an `_ArrayStore`, for passes in either direction.
 
     - `slots` come widest level first.  `nodes` holds node k of every slot
       wider than k, for k = 0, 1, ...: node 0 of the i-th slot sits at i, and
@@ -998,20 +1046,18 @@ class _Wave:
       nodes a forward step resets (the level below, or the true terminal).
     - `groups[k, v]` is the place of variable v's k-th slot (in slot
       order), padded with the place of a trailing 0.0; `slot_var` is the
-      inverse.  `count` is the number of members per variable, `member` the
-      member flags (None when every slot is one), and `rank` each variable's
-      place in `active`.
+      inverse, and `rank` each variable's place in `active`.
+      `members[forward]` is `(member, count)` for a step in that
+      direction: the member flags (None when every slot is one) and the
+      number of members per variable.
     - The tables a pass indexes by are `np.intp` (see the module notes).
     """
 
-    __slots__ = (
-        "slots", "nodes", "lo", "hi", "columns", "below",
-        "groups", "slot_var", "count", "member", "rank",
-    )
+    __slots__ = ("slots", "nodes", "lo", "hi", "columns", "below", "groups", "slot_var", "members", "rank")
 
 
-def _wave(sl, width, start, nodes, rank, ahead, srmp, last, diag, heads):
-    """The `_Wave` of the slots `sl`, widest level first; `heads` only for a forward wave."""
+def _wave(sl, width, start, nodes, rank, first, last, srmp, diag, heads):
+    """The `_Wave` of the slots `sl`, widest level first."""
     import numpy as np
 
     w = _Wave()
@@ -1034,21 +1080,19 @@ def _wave(sl, width, start, nodes, rank, ahead, srmp, last, diag, heads):
     w.slot_var = np.empty(n, np.intp)
     w.slot_var[pos] = vid
     w.rank = r[vstart]
-    w.member = None
-    w.count = vcount.astype(np.float64)
+    every = (None, vcount.astype(np.float64))
+    w.members = {True: every, False: every}
     if srmp:
-        ah = ahead[sl]
-        member = ah | (np.bincount(w.slot_var, weights=ah, minlength=len(vstart)) == 0)[w.slot_var]
-        if not member.all():
-            w.member = member
-            w.count = np.bincount(w.slot_var, weights=member, minlength=len(vstart))
-    if heads is not None:
-        end = last[sl]
-        nxt = np.where(end, 0, sl + 1)
-        size = np.where(end, 1, width[nxt])
-        source = np.where(end, len(nodes) + diag[sl], start[nxt])
-        place = np.cumsum(size) - size
-        w.below = heads[np.repeat(source - place, size) + np.arange(int(size.sum()))]
+        # a member has a level still ahead of the slot's in the pass
+        for forward, ahead in ((True, ~last[sl]), (False, ~first[sl])):
+            member = ahead | (np.bincount(w.slot_var, weights=ahead, minlength=len(vstart)) == 0)[w.slot_var]
+            if not member.all():
+                w.members[forward] = (member, np.bincount(w.slot_var, weights=member, minlength=len(vstart)))
+    end = last[sl]
+    nxt = np.where(end, 0, sl + 1)
+    size = np.where(end, 1, width[nxt])
+    source = np.where(end, len(nodes) + diag[sl], start[nxt])
+    w.below = heads[_ranges(source, size)]
     return w
 
 

@@ -112,41 +112,38 @@ def _count_imbalance(bdds):
     """`{var: n1 - n0}`, summed in diagram order over the non-empty diagrams covering var.
 
     n0/n1 are a diagram's accepted paths with var at 0/1 (`_path_counts`).
-    Those depend only on the root and the arcs, so diagrams sharing one
-    `level_nodes` (rows of one shape, see `bdd.build_bdd`) with equal root
-    and arcs are swept once: on grid 3 sweeps serve 9,600 rows.
+    A diagram whose arcs are as built reads them off its template, where
+    they are counted once for every row of its shape (on grid 3 sweeps
+    serve 9,600 rows); a diagram a fix has changed is swept on its own.
     """
     counts = {}
-    swept = {}
     for bdd in bdds:
         if bdd.root >= 2:
-            key = (id(bdd.level_nodes), bdd.root, tuple(bdd.lo), tuple(bdd.hi))
-            pairs = swept.get(key)
-            if pairs is None:
-                pairs = swept[key] = _path_counts(bdd)
+            pairs = bdd.template.derived(_path_counts) if bdd.as_built() else _path_counts(bdd)
             for var, (n0, n1) in zip(bdd.support, pairs):
                 counts[var] = counts.get(var, 0) + (n1 - n0)
     return counts
 
 
-def _path_counts(bdd):
+def _path_counts(diagram):
     """Per-level (accepted paths with the level's variable at 0, same at 1).
 
-    Exact integers from one backward and one forward sweep over a
-    non-sentinel diagram; a node's forward count is final before its level
-    is read, since arcs only reach the next level or a terminal.  A removed
-    node has both arcs on the false terminal, so it counts 0 paths.
+    Exact integers from one backward and one forward sweep over the arcs
+    of a non-sentinel diagram: a `Bdd`'s live ones, or a `Template`'s as
+    built.  A node's forward count is final before its level is read,
+    since arcs only reach the next level or a terminal.  A removed node
+    has both arcs on the false terminal, so it counts 0 paths.
     """
-    lo, hi = bdd.lo, bdd.hi
+    lo, hi = diagram.lo, diagram.hi
     bw = [0] * len(lo)
     bw[TRUE] = 1
-    for nodes in reversed(bdd.level_nodes):
+    for nodes in reversed(diagram.level_nodes):
         for v in nodes:
             bw[v] = bw[lo[v]] + bw[hi[v]]
     fw = [0] * len(lo)
-    fw[bdd.root] = 1
+    fw[diagram.root] = 1
     out = []
-    for nodes in bdd.level_nodes:
+    for nodes in diagram.level_nodes:
         n0 = n1 = 0
         for v in nodes:
             base = fw[v]

@@ -10,8 +10,8 @@ DEFAULT_ENUMERATION_CAP = 25
 def fresh_build(constraint, support=None, state_budget=_bdd.DEFAULT_STATE_BUDGET):
     """`build_bdd` compiled anew, sharing nothing: the process cache is emptied before and after.
 
-    Its `level_nodes` is then the diagram's own, so a test may corrupt it,
-    and the diagram can serve as the fresh oracle of a cached build.
+    Its template is then the diagram's own, so the diagram can serve as the
+    fresh oracle of a cached build.
     """
     _bdd.TEMPLATES.clear()
     diagram = _bdd.build_bdd(constraint, support, state_budget)
@@ -162,7 +162,7 @@ def check_invariants(bdd, reduced=False):
         for lev in range(k):
             if expect != list(range(next_id, next_id + len(expect))):
                 raise BddError("nodes not numbered in first-reference order")
-            if bdd.level_nodes[lev] != expect:
+            if list(bdd.level_nodes[lev]) != expect:
                 raise BddError("level_nodes not in first-reference order")
             next_id += len(expect)
             seen = set()

@@ -64,7 +64,7 @@ def brute_min_marginals(bdd, thetas):
 
 def test_frozen_example_layout():
     b = pick_one_of_three()
-    assert b.level_nodes == [[2], [3, 4], [5, 6]]
+    assert b.level_nodes == ((2,), (3, 4), (5, 6))
     assert (b.lo[2], b.hi[2]) == (3, 4)
     assert (b.lo[3], b.hi[3]) == (5, 6)
     assert (b.lo[4], b.hi[4]) == (6, 0)

@@ -153,7 +153,7 @@ def test_a_proof_undoes_the_steps_after_the_first_prover(monkeypatch):
     problem = _two_proofs()
     lists = build_state(monkeypatch, problem, False)
     array = build_state(monkeypatch, problem, True)
-    assert list(array.store.wave[True]) == [0, 1, 0, 1, 0]  # A proves in the first wave, B in the second
+    assert list(array.store.wave) == [0, 1, 0, 1, 0]  # A proves in the first wave, B in the second
     before = [list(costs) for costs in array.duals]
     assert forward_pass(lists) == forward_pass(array) == math.inf
     assert array.infeasible and lists.infeasible
@@ -322,8 +322,9 @@ def test_margins_follow_fixes_refresh_and_rollback(monkeypatch):
 
 def test_refresh_builds_no_wave_tables(monkeypatch):
     # every wave table but the arcs depends only on levels and supports, so
-    # the store builds them once, with the state; a refresh after a fix or a
-    # rollback re-reads the cost copies and arcs into the same tables
+    # the store builds them once, with the state, one table set per wave for
+    # both directions; a refresh after a fix or a rollback re-reads the cost
+    # copies and arcs into the same tables
     built = []
     wave = dual._wave
 
@@ -333,8 +334,8 @@ def test_refresh_builds_no_wave_tables(monkeypatch):
 
     monkeypatch.setattr(dual, "_wave", counted)
     state = build_state(monkeypatch, mrf_instance(4, 4, 2, seed=3), True)
-    waves = list(chain(state.store.waves[True], state.store.waves[False]))
-    assert len(built) == len(waves)
+    waves = list(state.store.waves)
+    assert len(built) == len(waves) == int(state.store.wave.max()) + 1 > 1
     tables = [(w.slots, w.nodes, w.groups) for w in waves]
 
     def arcs():
@@ -353,8 +354,87 @@ def test_refresh_builds_no_wave_tables(monkeypatch):
     state.refresh()
     assert arcs() == unrestricted
     assert len(built) == len(waves)
-    assert list(chain(state.store.waves[True], state.store.waves[False])) == waves
+    assert state.store.waves == waves
     assert all(x is y for old, w in zip(tables, waves) for x, y in zip(old, (w.slots, w.nodes, w.groups)))
+
+
+def per_diagram_reads(bdds):
+    """Sizes, levels and roots per diagram, widths and nodes per slot, read diagram by diagram."""
+    return [
+        [len(b.lo) for b in bdds],
+        [len(b.support) for b in bdds],
+        [b.root for b in bdds],
+        [len(nodes) for b in bdds for nodes in b.level_nodes],
+        [v for b in bdds for nodes in b.level_nodes for v in nodes],
+    ]
+
+
+def test_tables_tiled_from_templates_equal_per_diagram_reads(monkeypatch):
+    # rows of shared and of unshared shapes, sentinels (an empty row, and
+    # unsatisfiable rows whose levels hold no node), and diagrams a fix has
+    # restricted or emptied, which keep their template's levels
+    def r(name, terms, relation, rhs):
+        return LinearConstraint(name, tuple(terms), relation, rhs)
+
+    rows = [
+        r("p0", [(0, 1), (1, 1), (2, 1)], Relation.EQ, 1),
+        r("p1", [(3, 1), (4, 1), (5, 1)], Relation.EQ, 1),
+        r("p2", [(6, 1), (7, 1), (8, 1)], Relation.EQ, 1),
+        r("empty", [], Relation.LE, 0),
+        r("unsat", [(6, 1)], Relation.GE, 2),
+        r("unsat_dp", [(7, 2), (8, 3)], Relation.EQ, 1),
+    ]
+    rows += random_ilp(9, 5, 3).constraints + mrf_instance(1, 3, 3, 1).constraints
+    calls = []
+    flat = dual._flat_levels
+    monkeypatch.setattr(dual, "_flat_levels", lambda t: calls.append(t) or flat(t))
+    bdds = [build_bdd(c) for c in rows]
+    templates = {id(b.template) for b in bdds}
+    assert len(templates) < len(bdds)
+    assert [a.tolist() for a in dual._tile(bdds)] == per_diagram_reads(bdds)
+    assert len(calls) == len(templates)
+    trail = Trail()
+    trail.attach(bdds)
+    trail.checkpoint()
+    assert bdds[0].fix(0, 0)
+    assert bdds[1].fix(3, 0) and bdds[1].fix(4, 0) and not bdds[1].fix(5, 0)
+    assert not bdds[0].as_built() and bdds[1].is_empty() and bdds[2].as_built()
+    assert [a.tolist() for a in dual._tile(bdds)] == per_diagram_reads(bdds)
+    assert len(calls) == len(templates)  # each template's tables are read once
+
+
+@pytest.mark.parametrize("averaging", [UNIFORM, SRMP])
+@pytest.mark.parametrize("order", ["input", "cuthill_mckee"])
+def test_backward_passes_run_the_forward_waves_reversed(order, averaging, monkeypatch):
+    # a diagram's levels have strictly increasing forward wave numbers, so
+    # the forward waves reversed are a valid backward order, and one table
+    # set per wave serves both directions; the passes equal the lists'
+    seen = []
+    diffs = dual._diffs
+    monkeypatch.setattr(dual, "_diffs", lambda w, *args: seen.append(w) or diffs(w, *args))
+    feasible = 0
+    for make in GENERATORS:
+        problem = make(710)
+        dec = decompose(problem, order_variables(problem, order))
+        states = []
+        for array in (False, True):
+            use(monkeypatch, array)
+            bdds = [build_bdd(c, support) for c, support in zip(problem.constraints, dec.subproblem_vars)]
+            states.append(init_duals(bdds, dec, problem.objective, 0.0, averaging))
+        lists, array = states
+        store = array.store
+        for b in array.bdds:
+            numbers = store.wave[list(b.support)].tolist()
+            assert all(x < y for x, y in zip(numbers, numbers[1:]))
+        for a_pass, waves in ((forward_pass, store.waves), (backward_pass, store.waves[::-1])) * 2:
+            seen.clear()
+            proven = array.infeasible  # a pass on a proven state sweeps nothing
+            assert repr(a_pass(array)) == repr(a_pass(lists))
+            assert [id(w) for w in seen] == ([] if proven else [id(w) for w in waves])
+        assert repr(array.duals) == repr(lists.duals)
+        assert repr(array.energies) == repr(lists.energies)
+        feasible += not array.infeasible
+    assert feasible >= 3
 
 
 def test_scoring_sweeps_no_diagram(monkeypatch):

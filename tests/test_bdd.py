@@ -81,8 +81,19 @@ def test_pick_one_of_three():
     check_invariants(b, reduced=True)
 
 
+def relevel(b, lev, nodes):
+    """Give `b` a private copy of its levels with level `lev` holding `nodes`.
+
+    A diagram's levels are its template's tuples, shared with every
+    diagram of its shape, so a test corrupts a copy of them instead.
+    """
+    levels = list(b.level_nodes)
+    levels[lev] = tuple(nodes)
+    b.level_nodes = tuple(levels)
+
+
 def test_check_invariants_rejects_misleveled_nodes():
-    # levels [[2], [3, 4], [5, 6]]; node levels come from level_nodes alone
+    # levels ((2,), (3, 4), (5, 6)); node levels come from level_nodes alone
     def corrupted(change):
         b = fresh_build(row([(0, 1), (1, 1), (2, 1)], Relation.EQ, 1))
         check_invariants(b, reduced=True)
@@ -92,12 +103,28 @@ def test_check_invariants_rejects_misleveled_nodes():
     cases = [
         (lambda b: b.lo.__setitem__(2, 5), "skips a level"),
         (lambda b: setattr(b, "root", 3), "level-0"),
-        (lambda b: b.level_nodes[0].remove(2), "level-0"),
-        (lambda b: b.level_nodes[1].append(5), "two levels"),
+        (lambda b: relevel(b, 0, ()), "level-0"),
+        (lambda b: relevel(b, 1, (3, 4, 5)), "two levels"),
     ]
     for change, needle in cases:
         with pytest.raises(BddError, match=needle):
             check_invariants(corrupted(change))
+
+
+def test_levels_cannot_change_in_place():
+    # every diagram of a shape, in any instance or thread, shares its levels
+    c = row([(0, 1), (1, 1), (2, 1)], Relation.EQ, 1)
+    b, sibling = build_bdd(c), build_bdd(c)
+    assert b.level_nodes is sibling.level_nodes is b.template.level_nodes
+    with pytest.raises(TypeError):
+        b.level_nodes[1] = (3,)
+    with pytest.raises(AttributeError):
+        b.level_nodes[1].append(5)
+    with pytest.raises(AttributeError):
+        b.level_nodes[0].remove(2)
+    relevel(b, 1, (4, 3))  # a private copy leaves the shape's levels alone
+    assert sibling.level_nodes == build_bdd(c).level_nodes == ((2,), (3, 4), (5, 6))
+    check_invariants(sibling, reduced=True)
 
 
 def test_check_invariants_pins_first_reference_numbering():
@@ -109,7 +136,7 @@ def test_check_invariants_pins_first_reference_numbering():
             arcs[2] = {3: 4, 4: 3}[arcs[2]]
 
     def reorder_level(b):
-        b.level_nodes[1].reverse()
+        relevel(b, 1, reversed(b.level_nodes[1]))
 
     def leave_a_gap(b):
         b.lo.append(FALSE)
@@ -537,6 +564,7 @@ def test_shape_cache_equals_fresh_builds(seed, order):
         cached = [build_bdd(c, support, shapes=shapes) for c, support in zip(rows, supports)]
         for c, support, b in zip(rows, supports, cached):
             assert fields(b) == fields(fresh_build(c, support))
+            assert [(b.support[lev], value) for lev, value in b.template.forced] == b.forced_literals()
         # arcs are never aliased, between siblings or with the template
         mutable = [arr for b in cached for arr in (b.lo, b.hi)]
         mutable += [arr for t in shapes.values() for arr in (t.lo, t.hi)]

@@ -416,6 +416,11 @@ def test_run_report_and_trace_shape():
     assert [t.pass_index for t in report.trace] == list(range(1, report.passes + 1))
     assert all(t.time_ms >= 0 for t in report.trace)
     assert report.lower_bound == report.trace[-1].lower_bound
+    entry = report.trace[0]
+    assert entry == dual.TraceEntry(pass_index=1, direction="forward", lower_bound=entry.lower_bound,
+                                    time_ms=entry.time_ms)
+    with pytest.raises(AttributeError):
+        entry.lower_bound = 0.0
 
 
 def test_runs_are_deterministic():
@@ -618,6 +623,48 @@ def test_rows_of_one_shape_share_their_node_triples():
     for j, old in zip(group[1:], resets[1:]):
         row = _resets(state, j)
         assert row == old and all(x is y for x, y in zip(row, _resets(state, group[1])))
+
+
+def _parts(state, j):
+    # diagram j's level parts: its records less the messages, copies and level
+    return list(zip(*(_fields(state, j, k) for k in range(4, 9))))
+
+
+@pytest.mark.parametrize("make", [lambda: mrf_instance(1, 4, 3, 0), lambda: tomography_instance(6, 3, 1)])
+def test_records_take_template_parts_while_the_arcs_are_as_built(make):
+    # a diagram whose arcs equal its template's takes the template's level
+    # parts, the same objects for every row of the shape; a fixed diagram
+    # derives its own from its live arcs, and after a rollback takes the
+    # template's again; either way they equal the parts of the live arcs
+    state, dec = build_state(make())
+
+    def check():
+        for j, bdd in enumerate(state.bdds):
+            live = list(dual._level_parts(bdd))
+            template = list(bdd.template.derived(dual._level_parts))
+            got = _parts(state, j)
+            assert got == live
+            if bdd.as_built():
+                assert all(x is y for got_part, part in zip(got, template) for x, y in zip(got_part[3:], part[3:]))
+            else:
+                assert got != template
+
+    check()
+    Trail().attach(state.bdds)
+    mark = checkpoint_all(state.bdds)
+    assignment = {}
+    for var in state.active[::3]:
+        if var not in assignment and not restriction_propagation(
+            state.bdds, state.covering, assignment, var, 1, []
+        ):
+            break
+    state.refresh()
+    assert sum(not b.as_built() for b in state.bdds) >= 2
+    check()
+    rollback_all(state.bdds, mark)
+    state.refresh()
+    assert all(b.as_built() for b in state.bdds)
+    check()
 
 
 def _first_node_shapes(bdd, lev):

@@ -199,9 +199,12 @@ def test_scores_match_the_reference_sweeps(monkeypatch, strategy):
     assert sum(len(got.margins) for got in fast) >= 100
 
 
-def test_count_imbalance_equals_the_per_diagram_counts():
-    # rows of one shape share `level_nodes`; diagrams with equal arcs are
-    # swept once, and a fixed diagram of a shape gets its own sweep
+def test_count_imbalance_equals_the_per_diagram_counts(monkeypatch):
+    # rows of one shape share a template, which is swept once for every
+    # diagram whose arcs are as built; a fixed diagram gets its own sweep
+    sweeps = []
+    path_counts = primal._path_counts
+    monkeypatch.setattr(primal, "_path_counts", lambda d: sweeps.append(d) or path_counts(d))
     problem = mrf_instance(3, 3, 3, seed=4)
     dec = decompose(problem, None)
     shapes = {}
@@ -216,7 +219,9 @@ def test_count_imbalance_equals_the_per_diagram_counts():
         return counts
 
     assert len({id(b.level_nodes) for b in bdds}) < len(bdds)
-    assert primal._count_imbalance(bdds) == per_diagram()
+    counts = primal._count_imbalance(bdds)
+    assert sweeps == list({id(b.template): b.template for b in bdds if b.root >= 2}.values())
+    assert counts == per_diagram()
     trail = Trail()
     trail.attach(bdds)
     trail.checkpoint()
@@ -225,7 +230,10 @@ def test_count_imbalance_equals_the_per_diagram_counts():
         bdd.fix(rng.choice(bdd.support), rng.randint(0, 1))
     variants = {(id(b.level_nodes), tuple(b.lo), tuple(b.hi)) for b in bdds}
     assert len(variants) > len({id(b.level_nodes) for b in bdds})  # a shape now has unequal arcs
-    assert primal._count_imbalance(bdds) == per_diagram()
+    del sweeps[:]
+    counts = primal._count_imbalance(bdds)
+    assert sweeps == [b for b in bdds if b.root >= 2 and not b.as_built()]  # the templates' counts are kept
+    assert counts == per_diagram()
 
 
 def test_search_is_deterministic():
