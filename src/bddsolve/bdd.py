@@ -12,12 +12,14 @@ parent lists, arc counters or liveness flags.  An internal node is removed
 exactly when both its arcs point at the false terminal, and no live node
 points at a removed one; every live node is reached from the root and
 reaches the true terminal, so the diagram is empty exactly when its root
-is removed.  Fixing a variable redirects arcs on one level to the false
-terminal.  Nodes no arc reaches any more have their arcs redirected too,
-one level at a time going down, each step scanning the level above them
-for arcs still reaching them; nodes left with both arcs on the false
-terminal are removed one level at a time going up, each step scanning the
-level above for arcs into the nodes just removed.
+is removed.  An unsatisfiable row is built with every node removed, one
+per level, so every level holds a node; only a row with no variables has
+a terminal for its root.  Fixing a variable redirects arcs on one level
+to the false terminal.  Nodes no arc reaches any more have their arcs
+redirected too, one level at a time going down, each step scanning the
+level above them for arcs still reaching them; nodes left with both arcs
+on the false terminal are removed one level at a time going up, each
+step scanning the level above for arcs into the nodes just removed.
 
 Every mutation is an arc redirect, written as an undo record to a
 `Trail`: three flat entries, the arc list (a diagram's `lo` or `hi`, never
@@ -53,8 +55,7 @@ DEFAULT_STATE_BUDGET = 1 << 22
 
 # Compiled templates kept across calls, each weighed by len(lo): its nodes
 # plus the two terminals.  Every level holds a node, so that is at least
-# the levels plus 2, which is what an unsatisfiable row's sentinel weighs:
-# its arcs have two entries, but it keeps a level tuple per level.
+# the levels plus 2.
 # batch-small's 1,000 instances from 4 generators have 3,421 rows of 1,112
 # shapes, whose templates weigh 8,321 in all.  4,096, about half that,
 # keeps 554 templates (0.88 MB by tracemalloc with the dual's level parts
@@ -148,11 +149,6 @@ class Template:
         self.forced = tuple(forced)
         self._derived = {}  # function -> its table of this template
 
-    @property
-    def num_levels(self):
-        """As `Bdd.num_levels`, so a read-only sweep takes a template or a diagram."""
-        return len(self.level_nodes)
-
     def derived(self, make):
         """`make(self)`, computed on the first call and kept with the template.
 
@@ -226,6 +222,14 @@ class Bdd:
         template = self.template
         return tuple(self.lo) == template.lo and tuple(self.hi) == template.hi
 
+    def derived(self, make):
+        """`make(self)`, taken from the template's kept table while the arcs are as built.
+
+        `make` reads only arcs and levels, of a diagram or of a template
+        (see `Template.derived`), so both give equal tables.
+        """
+        return self.template.derived(make) if self.as_built() else make(self)
+
     def live_nodes(self, level):
         """Nodes of `level` with an arc off the false terminal, i.e. not removed."""
         lo, hi = self.lo, self.hi
@@ -237,7 +241,7 @@ class Bdd:
         A level forces value 1 when every node's 0-arc is on the false
         terminal, and 0 symmetrically; removed nodes have both arcs there.
         """
-        if self.root == TRUE or self.is_empty():
+        if self.is_empty():
             return []
         lo, hi = self.lo, self.hi
         forced = []
@@ -278,8 +282,6 @@ class Bdd:
         """
         if self.trail is None or not self.trail.marks:
             raise BddError("fix requires an open checkpoint on an attached trail")
-        if self.root == FALSE:
-            return False
         try:
             lev = self.support.index(var)
         except ValueError:
@@ -347,23 +349,22 @@ class Bdd:
         lines = [f"digraph \"{self.constraint_name}\" {{", "  rankdir=TB;"]
         lines.append('  t1 [label="T", shape=box];')
         lines.append('  t0 [label="F", shape=box];')
-        if self.root >= 2:
-            names = {FALSE: "t0", TRUE: "t1"}
-            for lev in range(self.num_levels):
-                for v in self.live_nodes(lev):
-                    names[v] = f"n{v}"
-                    lines.append(f'  n{v} [label="{label(self.support[lev])}"];')
-            for lev in range(self.num_levels):
-                for v in self.live_nodes(lev):
-                    lines.append(f"  n{v} -> {names[self.lo[v]]} [style=dotted];")
-                    lines.append(f"  n{v} -> {names[self.hi[v]]};")
+        names = {FALSE: "t0", TRUE: "t1"}
+        for lev in range(self.num_levels):
+            for v in self.live_nodes(lev):
+                names[v] = f"n{v}"
+                lines.append(f'  n{v} [label="{label(self.support[lev])}"];')
+        for lev in range(self.num_levels):
+            for v in self.live_nodes(lev):
+                lines.append(f"  n{v} -> {names[self.lo[v]]} [style=dotted];")
+                lines.append(f"  n{v} -> {names[self.hi[v]]};")
         lines.append("}")
         return "\n".join(lines) + "\n"
 
 
-def _sentinel(num_levels, satisfiable):
-    """The template of a row with no nodes: the root is a terminal, every level empty."""
-    return Template(TRUE if satisfiable else FALSE, (FALSE, FALSE), (FALSE, FALSE), ((),) * num_levels, ())
+def _sentinel(satisfiable):
+    """The template of a row with no variables: the root is a terminal, and there are no levels."""
+    return Template(TRUE if satisfiable else FALSE, (FALSE, FALSE), (FALSE, FALSE), (), ())
 
 
 def build_bdd(
@@ -377,8 +378,8 @@ def build_bdd(
     follow ascending variable index.  One bottom-up pass memoises, per
     level, intervals of residuals that admit the same completions, and
     makes a node only for an interval that can still reach the true
-    terminal; a top-down pass then numbers the nodes.  Unsatisfiable rows
-    give an empty sentinel.
+    terminal; a top-down pass then numbers the nodes.  An unsatisfiable row
+    gives one removed node per level, nodes 2 to k + 1 over k levels.
 
     The diagram depends only on its row's shape: the coefficients in
     support order (after `>=` rows are negated into `<=`), the relation, the
@@ -409,7 +410,7 @@ def build_bdd(
         template = TEMPLATES.get(shape, None)
         if template is None:
             template = _compile(constraint.name, support, coeffs, relation, rhs, state_budget)
-            TEMPLATES.put(shape, template, max(len(template.lo), len(support) + 2))
+            TEMPLATES.put(shape, template, len(template.lo))
         if shapes is not None:
             shapes[shape] = template
     return Bdd(constraint.name, support, template)
@@ -430,7 +431,7 @@ def _compile(name, support, coeffs, relation, rhs, state_budget):
     k = len(support)
     if k == 0:
         ok = (0 == rhs) if relation is Relation.EQ else (0 <= rhs)
-        return _sentinel(0, ok)
+        return _sentinel(ok)
 
     # per level: interval low ends, sorted, and (low, high, token) per interval;
     # level k holds the terminals; a node's token is its index in its level + 2
@@ -477,7 +478,7 @@ def _compile(name, support, coeffs, relation, rhs, state_budget):
         memo[lev].insert(i, (low, min(zero[1], one[1] + a), token))
     root_token = memo[0][0][2]  # the root's interval is the only one on level 0
     if root_token == FALSE:
-        return _sentinel(k, False)
+        return Template(2, [FALSE] * (k + 2), [FALSE] * (k + 2), [(v,) for v in range(2, k + 2)], ())
 
     # top-down numbering in first-reference order gives deterministic ids: a
     # level's nodes are numbered in the order the level above first reaches them

@@ -18,14 +18,15 @@ import math
 import sys
 
 from .bdd import BddBuildError, build_bdd
-from .dual import DEFAULT_MAX_PASSES, DEFAULT_TOLERANCE
-from .model import LpParseError, ModelError, decompose, order_variables, parse_lp, write_lp
+from .dual import DEFAULT_MAX_PASSES, DEFAULT_TOLERANCE, SRMP, UNIFORM
+from .model import ORDERS, LpParseError, ModelError, decompose, order_variables, parse_lp, write_lp
+from .primal import ABS_MARGIN, COUNT_ALIGNED, NEG_MARGIN
 from .solver import DUAL_ONLY, INFEASIBLE, SOLVED, RunReport, SolveOptions, solve_instance
 
 _EXIT_CODES = {SOLVED: 0, INFEASIBLE: 2, DUAL_ONLY: 3}
 _DIRECTION_TAGS = {"forward": "fw", "backward": "bw"}
-_ORDER_NAMES = {"input": "input", "cuthill-mckee": "cuthill_mckee"}
-_PRIMAL_ORDER_NAMES = {"neg-mm": "neg_mm", "abs-mm": "abs_mm", "reduction": "reduction_aligned"}
+_ORDER_NAMES = {order.replace("_", "-"): order for order in ORDERS}
+_PRIMAL_ORDER_NAMES = {"neg-mm": NEG_MARGIN, "abs-mm": ABS_MARGIN, "reduction": COUNT_ALIGNED}
 
 
 def _at_least(least):
@@ -67,7 +68,7 @@ def _build_parser():
                        help="relative bound-improvement threshold; 0 disables (default %(default)s)")
     solve.add_argument("--smoothing", type=float, default=0.0, metavar="ALPHA",
                        help="temperature for soft-min messages; 0 = exact min (default 0)")
-    solve.add_argument("--averaging", choices=("uniform", "srmp"), default="uniform",
+    solve.add_argument("--averaging", choices=(UNIFORM, SRMP), default=UNIFORM,
                        help="how marginal differences are redistributed (default uniform)")
     solve.add_argument("--primal-order", choices=sorted(_PRIMAL_ORDER_NAMES), default="neg-mm",
                        help="variable scoring for the rounding search (default neg-mm)")

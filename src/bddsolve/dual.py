@@ -211,11 +211,10 @@ class DualState:
     `(TRUE,)` below the last level) less lo and hi, which the step writes
     without a compare.  A diagram whose arcs are as built takes these
     parts from its template, so rows of one shape share them while they
-    are unfixed (see the module notes).  An empty diagram's levels hold
-    the false terminal as their first node, which reads +inf both ways.
-    `records[var]` holds the variable's level records, diagrams in order,
-    and `schedules[forward]` each step's `(records, flags, count)` in pass
-    order: `active` going forward, reversed going back.
+    are unfixed (see the module notes).  `records[var]` holds the
+    variable's level records, diagrams in order, and `schedules[forward]`
+    each step's `(records, flags, count)` in pass order: `active` going
+    forward, reversed going back.
     """
 
     def __init__(self, bdds, decomposition, duals, smoothing, averaging):
@@ -261,7 +260,7 @@ class DualState:
 
         Runs at the end of construction; needed again after any direct
         surgery on `duals`; passes keep the arrays current on their own.
-        A diagram whose root is the true terminal has no levels, so its
+        A diagram of a row with no variables has no levels, so its root's
         seeded forward value stays its optimum.  On the array store this also
         re-reads `duals` and the diagrams' arcs.
         """
@@ -271,11 +270,10 @@ class DualState:
             records = {}  # per variable its level records, diagrams in order, as lists
             for j, bdd in enumerate(self.bdds):
                 fwj, bwj, costs = self.fw[j], self.bw[j], self.duals[j]
-                parts = bdd.template.derived(_level_parts) if bdd.as_built() else _level_parts(bdd)
+                parts = bdd.derived(_level_parts)
                 _bsweep(parts, bwj, costs, self.smin)
                 self.energies[j] = bwj[bdd.root]
-                if bdd.root != FALSE:
-                    fwj[bdd.root] = 0.0
+                fwj[bdd.root] = 0.0
                 for lev, (var, part) in enumerate(zip(bdd.support, parts)):
                     records.setdefault(var, []).append((fwj, bwj, costs, lev, *part))
             active = self.active
@@ -303,9 +301,8 @@ class DualState:
             return self.store.margins(self)
         sums = {}
         for j, bdd in enumerate(self.bdds):
-            if bdd.root >= 2:  # an empty diagram (infeasible state) has no marginals
-                for var, (m0, m1) in zip(bdd.support, min_marginals(bdd, self.duals[j])):
-                    sums[var] = sums.get(var, 0.0) + (m1 - m0)
+            for var, (m0, m1) in zip(bdd.support, min_marginals(bdd, self.duals[j])):
+                sums[var] = sums.get(var, 0.0) + (m1 - m0)
         return {var: sums[var] for var in self.active if var in sums}
 
 
@@ -378,15 +375,14 @@ def _level_parts(diagram):
     """Per level, top first, the `(v, lo, hi, rest, reset)` that end its level records (see `DualState`).
 
     Read off the arcs and levels of `diagram`: a `Template`'s as built, or
-    a `Bdd`'s as they are now.  An empty diagram's levels hold the false
-    terminal as their first node.
+    a `Bdd`'s as they are now.
     """
     lo, hi = diagram.lo, diagram.hi
     parts = []
     below = (TRUE,)
     for level in reversed(diagram.level_nodes):
         triples = [(v, lo[v], hi[v]) for v in level]
-        v, l, h = triples[0] if triples else (FALSE, FALSE, FALSE)
+        v, l, h = triples[0]
         reset = tuple([c for c in below if c != l and c != h])
         parts.append((v, l, h, tuple(triples[1:]), reset))
         below = level
@@ -395,11 +391,7 @@ def _level_parts(diagram):
 
 
 def _bsweep(parts, bwj, costs, smin):
-    """Seed the terminals and recompute every backward value bottom-up from a diagram's level parts.
-
-    The false terminal heading an empty diagram's level keeps +inf, the
-    minimum of +inf and a finite cost plus +inf.
-    """
+    """Seed the terminals and recompute every backward value bottom-up from a diagram's level parts."""
     bwj[FALSE] = INF
     bwj[TRUE] = 0.0
     for lev in range(len(parts) - 1, -1, -1):
@@ -425,10 +417,8 @@ def min_marginals(bdd, costs):
     `costs[lev]` is the cost of the 1-arcs at level `lev`.  One fresh
     backward and forward sweep over the arcs, with the kernels' float
     operations but no level records (they would cost more to build than
-    one sweep saves); a sentinel diagram has no levels to report.
+    one sweep saves).
     """
-    if bdd.root < 2:
-        return []
     lo, hi, nodes = bdd.lo, bdd.hi, bdd.level_nodes
     bw = [INF] * len(lo)
     bw[TRUE] = 0.0
@@ -827,7 +817,7 @@ class _ArrayStore:
         self._backward(self.bw)
         self.optima = self.bw[self.roots]
         state.energies[:] = self.optima.tolist()
-        self.fw[self.roots[self.roots != self.base + FALSE]] = 0.0
+        self.fw[self.roots] = 0.0
 
     def _backward(self, bw):
         """Every backward value of `bw` afresh from the cost copies, bottom-up in every diagram."""
@@ -918,7 +908,7 @@ class _ArrayStore:
 
         bw = self._backward(np.full(len(self.bw), INF))
         fw = np.full(len(self.fw), INF)
-        fw[self.roots[self.roots != self.base + FALSE]] = 0.0
+        fw[self.roots] = 0.0
         out = np.empty(len(state.active))
         with np.errstate(all="ignore"):  # inf + -inf: forced both ways, nan as on the lists
             for w in self.waves:
@@ -1064,8 +1054,7 @@ def _wave(sl, width, start, nodes, rank, first, last, srmp, diag, heads):
     n = len(sl)
     w.slots = sl
     # node k of every slot wider than k; the slots wider than k are a prefix
-    # (column 0 may miss slots, and even be empty: an empty diagram's levels)
-    counts = np.bincount(width[sl], minlength=2)[::-1].cumsum()[::-1][1:].tolist()
+    counts = np.bincount(width[sl])[::-1].cumsum()[::-1][1:].tolist()
     w.nodes = nodes[np.concatenate([start[sl[:c]] + k for k, c in enumerate(counts)])]
     w.columns = list(zip(np.cumsum([0] + counts).tolist(), counts))
     # variables: the places of each one's slots, in slot order
@@ -1144,22 +1133,17 @@ def _run(state, max_passes, tolerance):
     prev_round = lb
     termination = "pass_limit"
     while passes < max_passes:
+        forward = passes % 2 == 0
         t0 = time.perf_counter()
-        lb = forward_pass(state)
+        lb = forward_pass(state) if forward else backward_pass(state)
+        ms = (time.perf_counter() - t0) * 1000.0
         passes += 1
-        trace.append(TraceEntry(passes, "forward", lb, (time.perf_counter() - t0) * 1000.0))
+        trace.append(TraceEntry(passes, "forward" if forward else "backward", lb, ms))
         if state.infeasible:
             termination = "infeasible"
             break
-        if passes >= max_passes:
-            break
-        t0 = time.perf_counter()
-        lb = backward_pass(state)
-        passes += 1
-        trace.append(TraceEntry(passes, "backward", lb, (time.perf_counter() - t0) * 1000.0))
-        if state.infeasible:
-            termination = "infeasible"
-            break
+        if forward:
+            continue
         if scale is not None and abs(lb - prev_round) / max(scale, abs(lb)) < tolerance:
             termination = "converged"
             break

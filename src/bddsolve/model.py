@@ -678,7 +678,6 @@ class Decomposition:
     subproblem_vars: tuple
     var_subproblems: tuple
     order: tuple
-    positions: tuple
 
     @property
     def free_variables(self):
@@ -705,7 +704,6 @@ def decompose(instance: ILPInstance, order=None) -> Decomposition:
         tuple(sub_vars),
         tuple(tuple(js) for js in var_subs),
         tuple(order),
-        tuple(positions),
     )
 
 

@@ -109,7 +109,7 @@ def compute_scores(state, strategy=NEG_MARGIN) -> PrimalScores:
 
 
 def _count_imbalance(bdds):
-    """`{var: n1 - n0}`, summed in diagram order over the non-empty diagrams covering var.
+    """`{var: n1 - n0}`, summed in diagram order over the diagrams covering var.
 
     n0/n1 are a diagram's accepted paths with var at 0/1 (`_path_counts`).
     A diagram whose arcs are as built reads them off its template, where
@@ -118,10 +118,8 @@ def _count_imbalance(bdds):
     """
     counts = {}
     for bdd in bdds:
-        if bdd.root >= 2:
-            pairs = bdd.template.derived(_path_counts) if bdd.as_built() else _path_counts(bdd)
-            for var, (n0, n1) in zip(bdd.support, pairs):
-                counts[var] = counts.get(var, 0) + (n1 - n0)
+        for var, (n0, n1) in zip(bdd.support, bdd.derived(_path_counts)):
+            counts[var] = counts.get(var, 0) + (n1 - n0)
     return counts
 
 
@@ -129,10 +127,10 @@ def _path_counts(diagram):
     """Per-level (accepted paths with the level's variable at 0, same at 1).
 
     Exact integers from one backward and one forward sweep over the arcs
-    of a non-sentinel diagram: a `Bdd`'s live ones, or a `Template`'s as
-    built.  A node's forward count is final before its level is read,
-    since arcs only reach the next level or a terminal.  A removed node
-    has both arcs on the false terminal, so it counts 0 paths.
+    of a diagram: a `Bdd`'s live ones, or a `Template`'s as built.  A
+    node's forward count is final before its level is read, since arcs
+    only reach the next level or a terminal.  A removed node has both arcs
+    on the false terminal, so it counts 0 paths.
     """
     lo, hi = diagram.lo, diagram.hi
     bw = [0] * len(lo)

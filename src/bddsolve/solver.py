@@ -145,8 +145,9 @@ def _solve(instance, options):
     ]
     build_ms = (time.perf_counter() - t0) * 1000.0
     del shapes
-    # a fresh diagram has no removed node: all but the two terminals are live
-    num_nodes = sum(len(b.lo) - 2 for b in bdds)
+    # a fresh diagram is empty with every node removed, or has none removed
+    live = [b for b in bdds if not b.is_empty()]
+    num_nodes = sum(len(b.lo) - 2 for b in live)
     base = dict(
         instance_name=instance.name,
         num_vars=instance.num_vars,
@@ -155,7 +156,7 @@ def _solve(instance, options):
         build_time_ms=build_ms,
     )
 
-    if any(b.is_empty() for b in bdds):
+    if len(live) < len(bdds):
         return RunReport(
             **base,
             status=INFEASIBLE,

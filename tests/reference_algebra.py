@@ -143,7 +143,7 @@ def backward_step(bdd: Bdd, store: MessageStore, level: int, theta, algebra: Mar
 
 def forward_step(bdd: Bdd, store: MessageStore, level: int, theta, algebra: MarginalAlgebra):
     """Push forward values from `level` one level down (overwriting there)."""
-    if level + 1 >= bdd.num_levels:
+    if level + 1 >= len(bdd.level_nodes):
         raise ValueError("forward_step has no level below the last")
     fw, lo, hi = store.fw, bdd.lo, bdd.hi
     w = algebra.arc_weight(theta)
@@ -186,7 +186,7 @@ def backward_sweep(bdd: Bdd, store: MessageStore, thetas, algebra: MarginalAlgeb
     """Full bottom-up pass; afterwards bw is current at every level."""
     store.bw[TRUE] = algebra.path_identity
     store.bw[FALSE] = algebra.merge_identity
-    for level in range(bdd.num_levels - 1, -1, -1):
+    for level in range(len(bdd.level_nodes) - 1, -1, -1):
         backward_step(bdd, store, level, thetas[level], algebra)
 
 
@@ -198,9 +198,9 @@ def marginal_sweep(bdd: Bdd, store: MessageStore, thetas, algebra: MarginalAlgeb
     if bdd.root >= 2:
         store.fw[bdd.root] = algebra.path_identity
     out = []
-    for level in range(bdd.num_levels):
+    for level in range(len(bdd.level_nodes)):
         out.append(aggregate_marginals(bdd, store, level, thetas[level], algebra))
-        if level + 1 < bdd.num_levels:
+        if level + 1 < len(bdd.level_nodes):
             forward_step(bdd, store, level, thetas[level], algebra)
     return out
 
@@ -228,7 +228,7 @@ def forward_energy(bdd: Bdd, store: MessageStore, theta, algebra: MarginalAlgebr
     w = algebra.arc_weight(theta)
     combine, merge = algebra.combine, algebra.merge
     total = algebra.merge_identity
-    for v in bdd.level_nodes[bdd.num_levels - 1]:
+    for v in bdd.level_nodes[-1]:
         if not _live(bdd, v):
             continue
         if lo[v] == TRUE:

@@ -370,8 +370,8 @@ def per_diagram_reads(bdds):
 
 
 def test_tables_tiled_from_templates_equal_per_diagram_reads(monkeypatch):
-    # rows of shared and of unshared shapes, sentinels (an empty row, and
-    # unsatisfiable rows whose levels hold no node), and diagrams a fix has
+    # rows of shared and of unshared shapes, a row with no variables,
+    # unsatisfiable rows whose every node is removed, and diagrams a fix has
     # restricted or emptied, which keep their template's levels
     def r(name, terms, relation, rhs):
         return LinearConstraint(name, tuple(terms), relation, rhs)
@@ -480,7 +480,7 @@ def test_list_totals_fold_left_like_the_store(monkeypatch):
 
 
 def test_an_empty_diagram_proves_infeasibility_on_both_stores(monkeypatch):
-    # r0 has no solution: its diagram is an empty sentinel, levels without nodes
+    # r0 has no solution: its diagram has every node removed
     problem = ILPInstance(
         ["a", "b", "c"],
         [Fraction(1), Fraction(-1), Fraction(2)],

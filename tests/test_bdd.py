@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 
@@ -7,6 +8,7 @@ import pytest
 from bddsolve import bdd as bdd_module
 from bddsolve.bdd import FALSE, TRUE, Bdd, BddBuildError, BddError, Trail, build_bdd
 from bddsolve.cache import WeightedLru
+from bddsolve.dual import min_marginals
 from bddsolve.model import ILPInstance, LinearConstraint, Relation, decompose, order_variables
 from bddsolve.primal import restriction_propagation
 from bddsolve.solver import SolveOptions, solve_instance
@@ -165,10 +167,45 @@ def test_force_both_zero():
 
 def test_unsatisfiable_row_is_empty_sentinel():
     b = build_bdd(row([(0, 1)], Relation.GE, 2))
-    assert b.root == FALSE
+    assert b.lo[b.root] == FALSE and b.hi[b.root] == FALSE
+    assert b.level_nodes == ((b.root,),) and b.live_nodes(0) == []
     assert b.is_empty()
     assert b.node_count() == 0
     assert solutions(b) == set()
+
+
+UNSATISFIABLE_ROWS = [
+    row([(0, 1), (1, 1)], Relation.LE, -1),
+    row([(0, 1), (1, 2), (2, 1)], Relation.GE, 5),
+    row([(0, 2), (1, 4), (2, 6)], Relation.EQ, 3),
+]
+
+
+@pytest.mark.parametrize("c", UNSATISFIABLE_ROWS, ids=["le", "ge", "eq"])
+def test_unsatisfiable_row_has_every_node_removed(c):
+    b = build_bdd(c)
+    k = len(b.support)
+    assert b.level_nodes == tuple((v,) for v in range(2, k + 2)) and len(b.lo) == k + 2
+    assert b.lo.count(FALSE) == b.hi.count(FALSE) == k + 2
+    assert b.is_empty() and b.node_count() == 0 and b.forced_literals() == []
+    assert b.template.forced == ()
+    assert min_marginals(b, [1.0] * k) == [(math.inf, math.inf)] * k
+    trail = fresh_trail(b)
+    trail.checkpoint()
+    for var in b.support:
+        for value in (0, 1):
+            assert b.fix(var, value) is False
+    assert trail.records == []
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_every_level_holds_a_node(seed):
+    rows = [c for inst in shape_kinds(seed) for c in inst.constraints] + UNSATISFIABLE_ROWS
+    bdds = [build_bdd(c) for c in rows]
+    assert any(b.is_empty() for b in bdds)
+    for b in bdds:
+        assert len(b.level_nodes) == len(b.support)
+        assert all(b.level_nodes)
 
 
 def test_vacuous_row_keeps_its_level():
@@ -557,7 +594,7 @@ def sentinel_rows():
 def test_shape_cache_equals_fresh_builds(seed, order):
     hits = 0
     for inst in shape_kinds(seed):
-        positions = decompose(inst, order_variables(inst, order)).positions
+        positions = {v: pos for pos, v in enumerate(order_variables(inst, order))}
         shapes = {}
         rows = list(inst.constraints) + sentinel_rows()
         supports = [sorted(c.support(), key=positions.__getitem__) for c in rows]
@@ -723,7 +760,7 @@ def test_a_build_error_is_not_cached(compiles):
 
 
 def test_an_unsatisfiable_row_weighs_its_levels():
-    # its sentinel has two-entry arcs but keeps a level list per level
+    # its template has one removed node per level
     b = build_bdd(row([(i, 1) for i in range(3000)], Relation.GE, 3001))
     assert b.is_empty() and len(b.level_nodes) == 3000
     assert bdd_module.TEMPLATES.weight == 3002

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import re
@@ -6,9 +7,11 @@ import sys
 
 import pytest
 
+from bddsolve import cli
 from bddsolve.cli import _ORDER_NAMES, _build_parser, entry, main
-from bddsolve.dual import DEFAULT_MAX_PASSES, DEFAULT_TOLERANCE
+from bddsolve.dual import DEFAULT_MAX_PASSES, DEFAULT_TOLERANCE, SRMP, UNIFORM
 from bddsolve.model import ORDERS, parse_lp, write_lp
+from bddsolve.primal import STRATEGIES
 from bddsolve.testkit import mrf_instance, random_ilp
 
 SMALL = """\
@@ -188,6 +191,31 @@ def test_max_passes_default_matches_the_library():
 
 def test_order_flag_names_every_library_order():
     assert sorted(_ORDER_NAMES.values()) == sorted(ORDERS)
+
+
+def test_every_mode_choice_reaches_the_solve_as_a_library_value(small_file, capsys, monkeypatch):
+    # each CLI spelling maps onto a value SolveOptions accepts, and together
+    # the spellings of a flag name every value the library knows
+    seen = []
+    solve = cli.solve_instance
+
+    def recording(instance, options):
+        seen.append(options)
+        return solve(instance, options)
+
+    monkeypatch.setattr(cli, "solve_instance", recording)
+    commands = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {a.option_strings[0]: a.choices for a in commands.choices["solve"]._actions if a.choices}
+    for flag, field, values in (
+        ("--averaging", "averaging", {UNIFORM, SRMP}),
+        ("--primal-order", "strategy", set(STRATEGIES)),
+        ("--order", "order", set(ORDERS)),
+    ):
+        del seen[:]
+        for choice in flags[flag]:
+            assert main(["solve", small_file, flag, choice]) == 0
+            capsys.readouterr()
+        assert {getattr(options, field) for options in seen} == values and len(seen) == len(values)
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

@@ -295,7 +295,7 @@ def test_decompose_sorts_support_by_order():
     )
     dec = decompose(inst, order=[2, 0, 1])
     assert dec.subproblem_vars[0] == (2, 0, 1)
-    assert dec.positions == (1, 2, 0)
+    assert dec.order == (2, 0, 1)
 
 
 def test_presolve_free_examples():

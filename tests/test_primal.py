@@ -187,7 +187,7 @@ def test_scores_match_the_reference_sweeps(monkeypatch, strategy):
         return marginal_sweep(bdd, MessageStore(bdd, MIN_MARGINAL), costs, MIN_MARGINAL)
 
     def reference_counts(bdd):
-        return marginal_sweep(bdd, MessageStore(bdd, COUNTING), [0] * bdd.num_levels, COUNTING)
+        return marginal_sweep(bdd, MessageStore(bdd, COUNTING), [0] * len(bdd.level_nodes), COUNTING)
 
     monkeypatch.setattr(dual, "min_marginals", reference_min_marginals)
     monkeypatch.setattr(primal, "_path_counts", reference_counts)
