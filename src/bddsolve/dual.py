@@ -758,7 +758,7 @@ class _ArrayStore:
         last[ends - 1] = True
         limit = (int(sizes.sum()) - 2 * len(bdds)) // ARRAY_MIN_WAVE_NODES
         num_vars = max(active, default=-1) + 1
-        self.wave = _wave_numbers(var, ~first, -1, num_vars, limit)
+        self.wave = _wave_numbers(var, first, num_vars, limit)
         if self.wave is None:
             return None
         diag = np.repeat(np.arange(len(bdds), dtype=i32), levels)
@@ -992,27 +992,28 @@ def _ranges(starts, counts):
     return np.repeat(starts - offsets, counts) + np.arange(int(counts.sum()))
 
 
-def _wave_numbers(var, has, step, num_vars, limit):
+def _wave_numbers(var, first, num_vars, limit):
     """Per variable: 0, or 1 + the largest number among the variables stepped just before it.
 
-    `has` flags the slots whose diagram steps another variable just before
-    them in this direction, at slot offset `step`.  Waves are peeled off
-    one at a time, each from the variables whose predecessors are all
-    numbered, so the work is linear in the slots plus a few numpy calls per
-    wave.  None when more than `limit` waves would be needed.
+    `first` flags the slots at a diagram's first level; any other slot's
+    diagram steps the previous slot's variable just before it.  Waves are
+    peeled off one at a time, each from the variables whose predecessors are
+    all numbered, so the work is linear in the slots plus a few numpy calls
+    per wave.  None when more than `limit` waves would be needed.
     """
     import numpy as np
 
-    child = var[has]
-    parent = var[np.flatnonzero(has) + step]
+    later = np.flatnonzero(~first)
+    child = var[later]
+    parent = var[later - 1]
     by_parent = np.argsort(parent, kind="stable")
     out = np.bincount(parent, minlength=num_vars)
-    first = np.cumsum(out) - out
+    start = np.cumsum(out) - out
     waiting = np.bincount(child, minlength=num_vars)
     wave = np.zeros(num_vars, np.int32)
     frontier = np.flatnonzero(waiting == 0)
     for number in range(1, limit + 1):
-        edges = by_parent[_ranges(first[frontier], out[frontier])]
+        edges = by_parent[_ranges(start[frontier], out[frontier])]
         if not len(edges):
             return wave
         if number == limit:

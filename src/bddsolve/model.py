@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import compress
 from operator import itemgetter
 
 from .cache import MISSING, WeightedLru
@@ -92,8 +92,7 @@ class ILPInstance:
     name: str = "instance"
 
     def __post_init__(self):
-        # `parse_lp` hands over Fractions already; wrap only what is not one
-        self.objective = [c if type(c) is Fraction else Fraction(c) for c in self.objective]
+        self.objective = [Fraction(c) for c in self.objective]
         self.objective_offset = Fraction(self.objective_offset)
         self.validate()
 
@@ -107,45 +106,21 @@ class ILPInstance:
         return {nm: i for i, nm in enumerate(self.var_names)}
 
     def validate(self):
-        """Raise ModelError naming the first fault, in the order checked below.
-
-        Each check runs over all items at once; only a failing one walks its
-        items to name the first fault.
-        """
+        """Raise ModelError naming the first fault, in the order checked below."""
         names = self.var_names
         n = len(names)
         if len(self.objective) != n:
             raise ModelError("objective length does not match variable count")
         if len(set(names)) != n:
             raise ModelError("duplicate variable name")
-        if not all(map(IDENTIFIER_RE.match, names)):
-            for nm in names:
-                if not IDENTIFIER_RE.match(nm):
-                    raise ModelError(f"invalid variable name {nm!r}")
-        if any(map(_beyond_objective_cap, self.objective)):
-            for nm, c in zip(names, self.objective):
-                if _beyond_objective_cap(c):
-                    raise ModelError(f"objective coefficient overflow for variable {nm!r}")
+        for nm in names:
+            if not IDENTIFIER_RE.match(nm):
+                raise ModelError(f"invalid variable name {nm!r}")
+        for nm, c in zip(names, self.objective):
+            if _beyond_objective_cap(c):
+                raise ModelError(f"objective coefficient overflow for variable {nm!r}")
         if _beyond_objective_cap(self.objective_offset):
             raise ModelError("objective constant overflow")
-        rows = self.constraints
-        terms = [con.terms for con in rows]
-        flat = list(chain.from_iterable(terms))
-        idx = list(map(itemgetter(0), flat))
-        coeffs = list(map(itemgetter(1), flat))
-        if (
-            len({con.name for con in rows}) != len(rows)
-            or sum(map(len, map(dict, terms))) != len(flat)  # a repeated variable merges in its row's dict
-            or min(idx, default=0) < 0
-            or max(idx, default=-1) >= n
-            or 0 in coeffs
-            or max(map(abs, coeffs), default=0) > MAX_COEFFICIENT
-            or max((abs(con.rhs) for con in rows), default=0) > MAX_RHS
-        ):
-            self._raise_row_fault()
-
-    def _raise_row_fault(self):
-        n = len(self.var_names)
         seen_rows = set()
         for con in self.constraints:
             if con.name in seen_rows:
@@ -251,10 +226,9 @@ def _signed_number(literal):
     return -value if literal[:1] == "-" else value
 
 
-def _row_coefficient(literal):
-    """An int row coefficient, or 0 when malformed, fractional, zero or beyond the cap."""
-    value = _signed_number(literal)
-    if value is None or value.denominator != 1 or not 0 < abs(value) <= MAX_COEFFICIENT:
+def _row_coefficient(value):
+    """An int row coefficient, or 0 when fractional, zero or beyond the cap."""
+    if value.denominator != 1 or not 0 < abs(value) <= MAX_COEFFICIENT:
         return 0
     return int(value)
 
@@ -281,17 +255,21 @@ def _binary_names(line):
 def _row_shape(skeleton):
     """(coefficients, relation, rhs) of the rows split into `skeleton`, or None if malformed.
 
-    A coefficient that is malformed, fractional, zero or beyond the cap reads 0.
+    A malformed or too long number makes the skeleton malformed; a
+    coefficient that is fractional, zero or beyond the cap reads 0.
     """
     m = _ROW_RE.fullmatch("x".join(skeleton))
     if m is None:
         return None
     body, relation, sign, number = m.groups()
     terms = _terms(body)
-    rhs = _signed_number(sign + number)
-    if terms is None or not terms[1] or any(terms[2]) or rhs is None or rhs.denominator != 1:
+    if terms is None or not terms[1] or any(terms[2]):
         return None  # also for a row without terms or with a constant term
-    return tuple(map(_row_coefficient, terms[0])), _RELATIONS[relation], int(rhs)
+    coeffs = list(map(_signed_number, terms[0]))
+    rhs = _signed_number(sign + number)
+    if None in coeffs or rhs is None or rhs.denominator != 1:
+        return None
+    return tuple(map(_row_coefficient, coeffs)), _RELATIONS[relation], int(rhs)
 
 
 # -- the token scanner: locates the fault in a line the patterns rejected
@@ -542,8 +520,6 @@ def parse_lp(text, name="instance"):
                     _locate(_scan_row, line, ln)
                 row_shapes[skeleton] = shape
             coeffs, relation, rhs = shape
-            if 0 in coeffs:
-                _scan_row(line, ln)  # raises for a malformed number; other faults wait their turn
             raw_rows.append((parts[1], parts[3::2], coeffs, relation, rhs, line, ln))
         else:
             raise LpParseError(total, 1, "missing 'Binary' section")

@@ -147,44 +147,32 @@ def _solve(instance, options):
     del shapes
     # a fresh diagram is empty with every node removed, or has none removed
     live = [b for b in bdds if not b.is_empty()]
-    num_nodes = sum(len(b.lo) - 2 for b in live)
-    base = dict(
+    # the report of the build exit, filled in as the dual and the search finish
+    report = RunReport(
         instance_name=instance.name,
         num_vars=instance.num_vars,
         num_constraints=len(instance.constraints),
-        num_nodes=num_nodes,
+        num_nodes=sum(len(b.lo) - 2 for b in live),
+        status=INFEASIBLE,
+        termination="infeasible",
+        passes=0,
+        lower_bound=math.inf,
         build_time_ms=build_ms,
     )
-
     if len(live) < len(bdds):
-        return RunReport(
-            **base,
-            status=INFEASIBLE,
-            termination="infeasible",
-            passes=0,
-            lower_bound=math.inf,
-        )
+        return report
 
     t0 = time.perf_counter()
     state = init_duals(bdds, dec, instance.objective, options.smoothing, options.averaging)
     dual_report = _dual.run(state, options.max_passes, options.tolerance)
-    dual_ms = (time.perf_counter() - t0) * 1000.0
-    trace = [
+    report.dual_time_ms = (time.perf_counter() - t0) * 1000.0
+    report.passes = dual_report.passes
+    report.trace = [
         _dual.TraceEntry(t.pass_index, t.direction, t.lower_bound + shift, t.time_ms)
         for t in dual_report.trace
     ]
-    lower_bound = dual_report.lower_bound + shift
-
     if dual_report.termination == "infeasible":
-        return RunReport(
-            **base,
-            status=INFEASIBLE,
-            termination="infeasible",
-            passes=dual_report.passes,
-            lower_bound=math.inf,
-            dual_time_ms=dual_ms,
-            trace=trace,
-        )
+        return report
 
     t0 = time.perf_counter()
     result = _primal.primal_search(
@@ -193,40 +181,26 @@ def _solve(instance, options):
         strategy=options.strategy,
         budget=_effective_budget(options.primal_budget, instance.num_vars),
     )
-    primal_ms = (time.perf_counter() - t0) * 1000.0
+    report.primal_time_ms = (time.perf_counter() - t0) * 1000.0
+    report.primal_attempts = result.attempts
+    report.primal_conflicts = result.conflicts
+    report.primal_backtracks = result.backtracks
+    report.primal_max_depth = result.max_depth
+    report.primal_propagated = result.propagated
+    if result.status == _primal.INFEASIBLE:
+        # Exhausting the search tree is a complete proof: no assignment
+        # satisfies all rows, whatever the dual bound said.
+        return report
 
-    solution = None
-    value = None
-    termination = dual_report.termination
+    report.termination = dual_report.termination
+    report.lower_bound = dual_report.lower_bound + shift
     if result.status == _primal.SOLVED:
         solution = [result.assignment[i] for i in range(instance.num_vars)]
         if not instance.check_assignment(solution):
             raise RuntimeError("internal error: rounded assignment fails the constraints")
-        value = instance.objective_value(solution)
-        status = SOLVED
-    elif result.status == _primal.INFEASIBLE:
-        # Exhausting the search tree is a complete proof: no assignment
-        # satisfies all rows, whatever the dual bound said.
-        status = INFEASIBLE
-        lower_bound = math.inf
-        termination = "infeasible"
+        report.solution = solution
+        report.objective_value = instance.objective_value(solution)
+        report.status = SOLVED
     else:
-        status = DUAL_ONLY
-
-    return RunReport(
-        **base,
-        status=status,
-        termination=termination,
-        passes=dual_report.passes,
-        lower_bound=lower_bound,
-        solution=solution,
-        objective_value=value,
-        primal_attempts=result.attempts,
-        dual_time_ms=dual_ms,
-        primal_time_ms=primal_ms,
-        primal_conflicts=result.conflicts,
-        primal_backtracks=result.backtracks,
-        primal_max_depth=result.max_depth,
-        primal_propagated=result.propagated,
-        trace=trace,
-    )
+        report.status = DUAL_ONLY
+    return report

@@ -112,7 +112,9 @@ def enumerate_feasible(instance: ILPInstance, cap=BRUTE_FORCE_CAP):
 def random_ilp(num_vars, num_rows, seed, coeff_pool=(1, 2, 3, -1, -2, -3)):
     """Rows over random supports with random small coefficients.
 
-    Each row on its own is satisfiable; their conjunction may or may not be.
+    Each `<=` and `>=` row on its own is satisfiable, since its right-hand
+    side lies between its least and greatest sums; an `=` row may not be
+    (seed 0's `r2: 3 x5 - 2 x6 = -1`).  Their conjunction may or may not be.
     """
     rng = random.Random(seed)
     objective = [Fraction(rng.randint(-5, 5)) for _ in range(num_vars)]

@@ -314,9 +314,8 @@ def test_line_patterns_accept_exactly_what_the_scanner_accepts():
         shape = model._row_shape(tuple(parts[::2]))
         scanned, error = _scan(model._scan_row, line, 1)
         if error is not None:
-            # a matched row fails the scan only for a malformed number, read as coefficient 0
-            assert shape is None or (0 in shape[0] and "bad number" in error), (line, error)
-            bad_numbers += shape is not None
+            assert shape is None, (line, error)
+            bad_numbers += "bad number" in error
         else:
             assert shape is not None, line
             terms, rhs = scanned

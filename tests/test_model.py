@@ -200,6 +200,11 @@ VALIDATION_FAULTS = [
     ("name ending in a newline", (["x\n"], [Fraction(1)], []), "invalid variable name 'x\\n'"),
     ("objective overflow", (["x", "y"], [Fraction(1), Fraction(-(1 << 60) - 1)], []),
      "objective coefficient overflow for variable 'y'"),
+    ("first of two invalid names", (["x", "a b", "c d"], [Fraction(1)] * 3, []), "invalid variable name 'a b'"),
+    ("first of two objective overflows", (["x", "y", "z"], [Fraction(1), Fraction(1 << 61), Fraction(-(1 << 62))], []),
+     "objective coefficient overflow for variable 'y'"),
+    ("invalid name before an objective overflow", (["x", "a b"], [Fraction(1 << 61), Fraction(1)], []),
+     "invalid variable name 'a b'"),
     ("offset overflow", (["x"], [Fraction(1)], [], Fraction(1 << 61)), "objective constant overflow"),
     ("repeated row name", (["x", "y"], [Fraction(1)] * 2, [_row("c", ((0, 1),)), _row("c", ((1, 1),))]),
      "duplicate constraint name 'c'"),

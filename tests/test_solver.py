@@ -1,4 +1,6 @@
+import dataclasses
 import gc
+import hashlib
 import inspect
 import math
 import random
@@ -105,6 +107,57 @@ def test_reports_build_time():
     assert empty.status == INFEASIBLE and empty.passes == 0
     for report in (solved, empty):
         assert type(report.build_time_ms) is float and report.build_time_ms >= 0.0
+
+
+_NO_SEARCH = dict(solution=None, objective_value=None, primal_attempts=0, primal_conflicts=0,
+                  primal_backtracks=0, primal_max_depth=0, primal_propagated=0)
+_UNSOLVED = dict(solution=None, objective_value=None)
+
+# (exit of `solve_instance`, its instance and options, every report field but
+# the times); `trace` is the sha256 prefix of the repr of its (pass, direction,
+# bound) triples.
+REPORT_EXITS = [
+    ("empty", lambda: (parse_lp(SMALL.replace("cap: x + y <= 1", "cap: x + y >= 3"), name="bad"), None),
+     dict(instance_name="bad", num_vars=3, num_constraints=2, num_nodes=5, status=INFEASIBLE,
+          termination="infeasible", passes=0, lower_bound=math.inf, **_NO_SEARCH, trace="4f53cda18c2baa0c")),
+    ("dual proof", lambda: (random_ilp(8, 5, 1), None),
+     dict(instance_name="random-1", num_vars=8, num_constraints=5, num_nodes=26, status=INFEASIBLE,
+          termination="infeasible", passes=1, lower_bound=math.inf, **_NO_SEARCH,
+          trace="6a989e59e09c1b35")),
+    ("search proof", lambda: (random_ilp(8, 5, 14), None),
+     dict(instance_name="random-14", num_vars=8, num_constraints=5, num_nodes=24, status=INFEASIBLE,
+          termination="infeasible", passes=40, lower_bound=math.inf, **_UNSOLVED, primal_attempts=2,
+          primal_conflicts=2, primal_backtracks=0, primal_max_depth=0, primal_propagated=2,
+          trace="a7e7ed373a41c79f")),
+    ("budget stop",
+     lambda: (tomography_instance(40, 4, 0), SolveOptions(max_passes=40, smoothing=0.1, primal_budget=1)),
+     dict(instance_name="tomography-40-4-0", num_vars=784, num_constraints=411, num_nodes=5011,
+          status=DUAL_ONLY, termination="pass_limit", passes=40, lower_bound=-168.7336972704913,
+          **_UNSOLVED, primal_attempts=1, primal_conflicts=0, primal_backtracks=0, primal_max_depth=1,
+          primal_propagated=27, trace="91d9ccadb9254d84")),
+    ("solved", lambda: (parse_lp(SMALL, name="small"), None),
+     dict(instance_name="small", num_vars=3, num_constraints=2, num_nodes=8, status=SOLVED,
+          termination="converged", passes=2, lower_bound=-2.0, solution=[1, 0, 0],
+          objective_value=Fraction(-2), primal_attempts=1, primal_conflicts=0, primal_backtracks=0,
+          primal_max_depth=1, primal_propagated=2, trace="f7474986ea425b12")),
+]
+
+
+@pytest.mark.parametrize("case,make,expected", REPORT_EXITS, ids=[c[0] for c in REPORT_EXITS])
+def test_every_exit_reports_its_fields(case, make, expected):
+    report = solve_instance(*make())
+    fields = {f.name: getattr(report, f.name) for f in dataclasses.fields(report) if not f.name.endswith("_time_ms")}
+    triples = [(t.pass_index, t.direction, t.lower_bound) for t in report.trace]
+    fields["trace"] = hashlib.sha256(repr(triples).encode()).hexdigest()[:16]
+    assert fields == expected
+    assert repr(report.lower_bound) == repr(expected["lower_bound"])
+    assert report.build_time_ms > 0
+    if case == "empty":
+        assert report.dual_time_ms == 0
+    if case in ("empty", "dual proof"):
+        assert report.primal_time_ms == 0
+    else:
+        assert report.dual_time_ms > 0 and report.primal_time_ms > 0
 
 
 def test_cross_row_conflict_detected():

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -144,6 +145,17 @@ def test_structured_instances_are_feasible():
         value, assignment = brute_force_solve(inst)
         assert value is not None
         assert inst.check_assignment(list(assignment))
+
+
+def test_random_ilp_inequalities_are_satisfiable_and_equalities_may_not_be():
+    unsatisfiable = []
+    for seed in range(300):
+        for row in random_ilp(14, 5, seed).constraints:
+            points = product((0, 1), repeat=len(row.terms))
+            if not any(row.is_satisfied_by(dict(zip(row.support(), bits))) for bits in points):
+                assert row.relation is Relation.EQ, (seed, row)
+                unsatisfiable.append((seed, row.name))
+    assert (0, "r2") in unsatisfiable and len(unsatisfiable) > 10
 
 
 def test_tracking_all_zero_feasible():
