@@ -33,7 +33,7 @@ diagrams they belong to.  Restoration is bit-exact.
 Every diagram refers to the `Template` of its row's shape (see
 `build_bdd`), which rows of that shape share within one instance and across
 instances and threads: its root, its levels as tuples of node tuples, its
-arcs as built and its literals forced as built.  A template is never
+arcs as built and the literals those arcs force.  A template is never
 mutated: fixing and rollback change only each diagram's own `lo`/`hi`
 lists, and code that needs only the as-built structure reads the
 template, once per shape, where tables derived from it are kept too.
@@ -132,21 +132,21 @@ class Template:
     `root` is the root node; `lo` and `hi` are the arcs as built, as
     tuples; `level_nodes` holds each level's nodes as a tuple, top level
     first, in a tuple; `forced` lists the `(level, value)` pairs the
-    diagram forces as built, top level first, as `Bdd.forced_literals`
-    reads them off an unfixed diagram.  None of these depends on the
-    row's variables or name, so one template serves every row of its
-    shape.  `derived` keeps, per function, a table computed from these
+    diagram forces as built, top level first, read off these arcs by
+    `_forced`, the scan `Bdd.forced_literals` runs.  None of these
+    depends on the row's variables or name, so one template serves every
+    row of its shape.  `derived` keeps, per function, a table computed from these
     alone, so each consumer's per-shape work is done once per template.
     """
 
     __slots__ = ("root", "lo", "hi", "level_nodes", "forced", "_derived")
 
-    def __init__(self, root, lo, hi, level_nodes, forced):
+    def __init__(self, root, lo, hi, level_nodes):
         self.root = root
         self.lo = tuple(lo)
         self.hi = tuple(hi)
         self.level_nodes = tuple(map(tuple, level_nodes))
-        self.forced = tuple(forced)
+        self.forced = tuple(_forced(range(len(self.level_nodes)), root, self.level_nodes, self.lo, self.hi))
         self._derived = {}  # function -> its table of this template
 
     def derived(self, make):
@@ -172,9 +172,7 @@ class Bdd:
     start as copies of its `template`'s arcs.  `root` and `level_nodes` are
     the template's, shared with every diagram of the same shape in any
     instance or thread, and kept here for quick reads; the levels are
-    tuples, so they cannot be changed in place.  `forced_as_built` tells
-    whether the diagram as built forced a literal (the template's `forced`
-    is not empty).
+    tuples, so they cannot be changed in place.
     """
 
     __slots__ = (
@@ -185,7 +183,6 @@ class Bdd:
         "lo",
         "hi",
         "level_nodes",
-        "forced_as_built",
         "trail",
     )
 
@@ -197,7 +194,6 @@ class Bdd:
         self.lo = list(template.lo)
         self.hi = list(template.hi)
         self.level_nodes = template.level_nodes
-        self.forced_as_built = bool(template.forced)
         self.trail = None  # set by `Trail.attach`; `fix` needs one
 
     # -- queries ------------------------------------------------------------
@@ -236,30 +232,8 @@ class Bdd:
         return [v for v in self.level_nodes[level] if lo[v] != FALSE or hi[v] != FALSE]
 
     def forced_literals(self):
-        """(variable, value) pairs forced on every remaining true-path.
-
-        A level forces value 1 when every node's 0-arc is on the false
-        terminal, and 0 symmetrically; removed nodes have both arcs there.
-        """
-        if self.is_empty():
-            return []
-        lo, hi = self.lo, self.hi
-        forced = []
-        for lev, var in enumerate(self.support):
-            all_lo_dead = True
-            all_hi_dead = True
-            for v in self.level_nodes[lev]:
-                if lo[v] != FALSE:
-                    all_lo_dead = False
-                if hi[v] != FALSE:
-                    all_hi_dead = False
-                if not (all_lo_dead or all_hi_dead):
-                    break
-            if all_lo_dead:
-                forced.append((var, 1))
-            elif all_hi_dead:
-                forced.append((var, 0))
-        return forced
+        """(variable, value) pairs forced on every remaining true-path, top level first."""
+        return _forced(self.support, self.root, self.level_nodes, self.lo, self.hi)
 
     # -- mutation -----------------------------------------------------------
 
@@ -362,9 +336,36 @@ class Bdd:
         return "\n".join(lines) + "\n"
 
 
+def _forced(labels, root, level_nodes, lo, hi):
+    """`(label, value)` per level whose every remaining true-path takes `value`, top level first.
+
+    A level forces value 1 when every node's 0-arc is on the false
+    terminal, and 0 symmetrically; removed nodes have both arcs there.  A
+    terminal or removed root forces nothing.
+    """
+    if root < 2 or (lo[root] == FALSE and hi[root] == FALSE):
+        return []
+    forced = []
+    for label, nodes in zip(labels, level_nodes):
+        all_lo_dead = True
+        all_hi_dead = True
+        for v in nodes:
+            if lo[v] != FALSE:
+                all_lo_dead = False
+            if hi[v] != FALSE:
+                all_hi_dead = False
+            if not (all_lo_dead or all_hi_dead):
+                break
+        if all_lo_dead:
+            forced.append((label, 1))
+        elif all_hi_dead:
+            forced.append((label, 0))
+    return forced
+
+
 def _sentinel(satisfiable):
     """The template of a row with no variables: the root is a terminal, and there are no levels."""
-    return Template(TRUE if satisfiable else FALSE, (FALSE, FALSE), (FALSE, FALSE), (), ())
+    return Template(TRUE if satisfiable else FALSE, (FALSE, FALSE), (FALSE, FALSE), ())
 
 
 def build_bdd(
@@ -407,7 +408,7 @@ def build_bdd(
     shape = (tuple(coeffs), relation, rhs, state_budget)
     template = None if shapes is None else shapes.get(shape)
     if template is None:
-        template = TEMPLATES.get(shape, None)
+        template = TEMPLATES.get(shape)
         if template is None:
             template = _compile(constraint.name, support, coeffs, relation, rhs, state_budget)
             TEMPLATES.put(shape, template, len(template.lo))
@@ -478,7 +479,7 @@ def _compile(name, support, coeffs, relation, rhs, state_budget):
         memo[lev].insert(i, (low, min(zero[1], one[1] + a), token))
     root_token = memo[0][0][2]  # the root's interval is the only one on level 0
     if root_token == FALSE:
-        return Template(2, [FALSE] * (k + 2), [FALSE] * (k + 2), [(v,) for v in range(2, k + 2)], ())
+        return Template(2, [FALSE] * (k + 2), [FALSE] * (k + 2), [(v,) for v in range(2, k + 2)])
 
     # top-down numbering in first-reference order gives deterministic ids: a
     # level's nodes are numbered in the order the level above first reaches them
@@ -496,21 +497,13 @@ def _compile(name, support, coeffs, relation, rhs, state_budget):
     lo = [FALSE] * next_id
     hi = [FALSE] * next_id
     level_nodes = []
-    forced = []  # (level, value) where all the level's 0-arcs (value 1) or 1-arcs (value 0) are on FALSE
     for lev in range(k):
         mapping = ids[lev]
         below = ids[lev + 1]
         tokens = reduced[lev]
-        zero_arcs = one_arcs = FALSE  # 0 until some node's 0-arc (1-arc) is off FALSE
         for t, v in mapping.items():
             l, h = tokens[t - 2]
             lo[v] = l if l < 2 else below[l]
             hi[v] = h if h < 2 else below[h]
-            zero_arcs |= l
-            one_arcs |= h
         level_nodes.append(tuple(mapping.values()))
-        if not zero_arcs:
-            forced.append((lev, 1))
-        elif not one_arcs:
-            forced.append((lev, 0))
-    return Template(2, lo, hi, level_nodes, forced)
+    return Template(2, lo, hi, level_nodes)

@@ -13,8 +13,6 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 
-MISSING = object()  # `get`'s default: told apart from a cached None
-
 
 class WeightedLru:
     """Entries whose weights sum to at most `budget`, least recently used dropped first.
@@ -37,7 +35,7 @@ class WeightedLru:
     def __len__(self):
         return len(self._entries)
 
-    def get(self, key, default=MISSING):
+    def get(self, key, default=None):
         """The value cached under `key`, now the most recently used, or `default`."""
         with self._lock:
             entry = self._entries.get(key)

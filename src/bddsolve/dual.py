@@ -51,8 +51,8 @@ arcs are as built takes them from its template, where they are built
 once for every row of the shape; one that a fix has changed derives them
 from its live arcs by the same function.  `refresh` then sweeps each
 diagram backward from its parts by `_bsweep` (either algebra).
-`min_marginals` is a fresh min-sum sweep over one diagram's arcs, both
-ways, and is where
+`min_marginals` runs the same min-sum `_bsweep` and then a fresh forward
+sweep over one diagram's arcs, and is where
 `DualState.margins` reads the rounding margins on the list store.  A
 `DualState` picks its algebra once, from its smoothing.
 The generic reference sweeps the kernels are tested against live with the
@@ -414,20 +414,15 @@ def _bsweep(parts, bwj, costs, smin):
 def min_marginals(bdd, costs):
     """Per-level (min path cost with the level's variable at 0, same at 1).
 
-    `costs[lev]` is the cost of the 1-arcs at level `lev`.  One fresh
-    backward and forward sweep over the arcs, with the kernels' float
-    operations but no level records (they would cost more to build than
-    one sweep saves).
+    `costs[lev]` is the cost of the 1-arcs at level `lev`.  The backward
+    values come from `_bsweep` over the diagram's level parts (its
+    template's while the arcs are as built); the forward sweep is a fresh
+    one over the arcs, with the kernels' float operations but no level
+    records (they would cost more to build than one sweep saves).
     """
     lo, hi, nodes = bdd.lo, bdd.hi, bdd.level_nodes
     bw = [INF] * len(lo)
-    bw[TRUE] = 0.0
-    for lev in range(len(nodes) - 1, -1, -1):
-        cost = costs[lev]
-        for v in nodes[lev]:
-            a = bw[lo[v]]
-            b = cost + bw[hi[v]]
-            bw[v] = a if a <= b else b
+    _bsweep(bdd.derived(_level_parts), bw, costs, None)
     fw = [INF] * len(lo)
     fw[bdd.root] = 0.0
     out = []

@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import compress
 from operator import itemgetter
 
-from .cache import MISSING, WeightedLru
+from .cache import WeightedLru
 
 MAX_COEFFICIENT = 1 << 20
 MAX_RHS = 1 << 40
@@ -29,7 +29,10 @@ MAX_OBJECTIVE = 1 << 60  # |objective coefficient| and |offset|; keeps every dua
 # setting of Python's digit limit for int() (640 at least) rejects it.
 MAX_DIGITS = 640
 
-IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.\-]*\Z")
+# a name and an unsigned number, as every LP pattern and the token scanner read them
+_IDENT = r"[A-Za-z_][A-Za-z0-9_.\-]*"
+_NUMBER = r"\d+(?:\.\d+)?(?:/\d+)?"
+IDENTIFIER_RE = re.compile(rf"{_IDENT}\Z")
 
 
 def _beyond_objective_cap(q: Fraction) -> bool:
@@ -185,8 +188,6 @@ class ILPInstance:
 # every name replaced by `x`; rows that share it only look up their names.
 # A skeleton read in an earlier parse is looked up in `SKELETONS` first.
 
-_IDENT = r"[A-Za-z_][A-Za-z0-9_.\-]*"
-_NUMBER = r"\d+(?:\.\d+)?(?:/\d+)?"
 _LABEL = rf"{_IDENT}[ \t]*:[ \t]*"
 _LABEL_RE = re.compile(_LABEL)
 _ROW_RE = re.compile(rf"{_LABEL}([^<>=]*?)[ \t]*(<=|>=|=)[ \t]*([+-]?)[ \t]*({_NUMBER})")
@@ -198,13 +199,13 @@ _TERM_RE = re.compile(rf"([ \t]*(?:([+-][ \t]*(?:{_NUMBER})?)[ \t]*({_IDENT})|([
 _RELATIONS = {"<=": Relation.LE, ">=": Relation.GE, "=": Relation.EQ}
 
 # Skeletons read across calls, each weighed by its characters, so that long
-# runs of blanks or digits count too.  A malformed one is kept as None, and
-# its row is scanned again for its fault.  batch-small's 1,000 instances have
-# 1,157 distinct skeletons of 23,874 characters in all.  16,384 keeps 798 of
-# them (0.49 MB by tracemalloc), and a pass over the set reads 1,118
-# skeletons from the second pass on (3,422 per pass without this cache):
-# those that recur from instance to instance stay, while the random_ilp
-# rows' skeletons pass through and leave.
+# runs of blanks or digits count too.  A malformed one is not kept: its row
+# is scanned again for its fault, which ends the parse.  batch-small's 1,000
+# instances have 1,157 distinct skeletons of 23,874 characters in all.
+# 16,384 keeps 798 of them (0.49 MB by tracemalloc), and a pass over the set
+# reads 1,118 skeletons from the second pass on (3,422 per pass without this
+# cache): those that recur from instance to instance stay, while the
+# random_ilp rows' skeletons pass through and leave.
 SKELETON_CACHE_CHARS = 16384
 SKELETONS = WeightedLru(SKELETON_CACHE_CHARS)
 
@@ -274,13 +275,7 @@ def _row_shape(skeleton):
 
 # -- the token scanner: locates the fault in a line the patterns rejected
 
-_TOKEN_RE = re.compile(
-    r"[ \t]*(?:"
-    r"(?P<ident>[A-Za-z_][A-Za-z0-9_.\-]*)"
-    r"|(?P<number>\d+(?:\.\d+)?(?:/\d+)?)"
-    r"|(?P<op><=|>=|=|\+|-|:)"
-    r")"
-)
+_TOKEN_RE = re.compile(rf"[ \t]*(?:(?P<ident>{_IDENT})|(?P<number>{_NUMBER})|(?P<op><=|>=|=|\+|-|:))")
 
 
 def _tokenize(line, lineno):
@@ -301,15 +296,13 @@ def _tokenize(line, lineno):
 
 
 def _parse_number(text, lineno, col):
-    """An int for plain digits (the common case, and much cheaper), else a Fraction."""
-    if len(text) > MAX_DIGITS:
-        raise LpParseError(lineno, col, f"number too long ({len(text)} characters)")
-    if text.isdecimal():
-        return int(text)
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise LpParseError(lineno, col, f"bad number {text!r}") from None
+    """The value of a number token, as `_signed_number` reads it; raises where it reads None."""
+    value = _signed_number(text)
+    if value is None:
+        if len(text) > MAX_DIGITS:
+            raise LpParseError(lineno, col, f"number too long ({len(text)} characters)")
+        raise LpParseError(lineno, col, f"bad number {text!r}")
+    return value
 
 
 def _parse_terms(tokens, start, lineno, allow_constant):
@@ -471,7 +464,7 @@ def parse_lp(text, name="instance"):
     the Binary section and appear in first-declaration order in the instance.
 
     Each line is read whole by patterns (a row through its skeleton; see the
-    notes above `_IDENT`) and its terms are checked in bulk; only a line
+    notes above `_LABEL`) and its terms are checked in bulk; only a line
     that fails is scanned again, token by token, for the line and column of
     its first fault.  Faults of layout and numbers come first, line by line up to
     'End'; then those of the objective's terms, then each row's in order,
@@ -479,10 +472,10 @@ def parse_lp(text, name="instance"):
     are the instance's validation: they reject every fault
     `ILPInstance.validate()` does, so it is not run again.
 
-    A skeleton's reading, (coefficients, relation, rhs) or None for a
-    malformed one, is kept in `SKELETONS`, which every call and thread of
-    the process shares and which keeps the most recently used readings up
-    to `SKELETON_CACHE_CHARS` characters of skeleton in all.  A reading is
+    A well-formed skeleton's reading, (coefficients, relation, rhs), is
+    kept in `SKELETONS`, which every call and thread of the process shares
+    and which keeps the most recently used readings up to
+    `SKELETON_CACHE_CHARS` characters of skeleton in all.  A reading is
     a tuple of ints and a `Relation`, never mutated, so sharing it is safe.
     """
     lines = text.splitlines()
@@ -513,11 +506,11 @@ def parse_lp(text, name="instance"):
             shape = row_shapes.get(skeleton)
             if shape is None:
                 shape = SKELETONS.get(skeleton)
-                if shape is MISSING:
-                    shape = _row_shape(skeleton)
-                    SKELETONS.put(skeleton, shape, sum(map(len, skeleton)))
                 if shape is None:
-                    _locate(_scan_row, line, ln)
+                    shape = _row_shape(skeleton)
+                    if shape is None:
+                        _locate(_scan_row, line, ln)
+                    SKELETONS.put(skeleton, shape, sum(map(len, skeleton)))
                 row_shapes[skeleton] = shape
             coeffs, relation, rhs = shape
             raw_rows.append((parts[1], parts[3::2], coeffs, relation, rhs, line, ln))
@@ -587,7 +580,10 @@ def _format_rational(q: Fraction) -> str:
 
 
 def _format_terms(parts):
-    """parts: iterable of (coefficient-as-string-or-None, varname)."""
+    """parts: iterable of (magnitude, negative, varname).
+
+    `magnitude` is text: "" for 1, else the number and a trailing space.
+    """
     pieces = []
     for magnitude, negative, varname in parts:
         if not pieces:

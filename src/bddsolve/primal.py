@@ -175,12 +175,12 @@ def restriction_propagation(bdds, covering, assignment, var, value, newly):
 
     A diagram's forced literals are read after each fix that wrote a trail
     record, and after every fix of a diagram that forced a literal as built
-    (`Bdd.forced_as_built`).  A fix that wrote nothing left the diagram as
-    its last read found it, so that read's literals are already assigned
-    or queued.  This holds when every change to the diagrams since they
-    were built came from earlier calls whose implied literals are all in
-    `assignment` and whose changes are undone with them, as in
-    `primal_search`.
+    (its template's `forced` is not empty).  A fix that wrote nothing left
+    the diagram as its last read found it, so that read's literals are
+    already assigned or queued.  This holds when every change to the
+    diagrams since they were built came from earlier calls whose implied
+    literals are all in `assignment` and whose changes are undone with
+    them, as in `primal_search`.
     """
     queue = [(var, value)]
     qi = 0
@@ -200,7 +200,7 @@ def restriction_propagation(bdds, covering, assignment, var, value, newly):
             written = len(records)
             if not bdd.fix(v, b):
                 return False
-            if written == len(records) and not bdd.forced_as_built:
+            if written == len(records) and not bdd.template.forced:
                 continue
             for fv, fb in bdd.forced_literals():
                 prev = assignment.get(fv)

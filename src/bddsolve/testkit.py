@@ -87,25 +87,6 @@ def brute_force_solve(instance: ILPInstance, cap=BRUTE_FORCE_CAP):
     return Fraction(best_val, scale) + instance.objective_offset, assignment
 
 
-def enumerate_feasible(instance: ILPInstance, cap=BRUTE_FORCE_CAP):
-    """All feasible assignments and their float objective values.
-
-    Returns (assignments, values): an int8 array of shape (m, n) and a
-    float64 array of length m, in increasing bit-pattern order.
-    """
-    import numpy as np
-
-    costs = np.array([float(f) for f in instance.objective])
-    chunks_bits = []
-    chunks_vals = []
-    for _, bits in _feasible_chunks(instance, cap):
-        chunks_bits.append(bits.astype(np.int8))
-        chunks_vals.append(bits @ costs + float(instance.objective_offset))
-    if not chunks_bits:
-        return np.zeros((0, instance.num_vars), dtype=np.int8), np.zeros(0)
-    return np.concatenate(chunks_bits), np.concatenate(chunks_vals)
-
-
 # -- instance generators --------------------------------------------------------
 
 

@@ -20,7 +20,7 @@ These routines favour clarity; `bddsolve.dual` runs specialised min-sum
 and soft-min kernels computing the same values in cost units.  The
 `scratch_*` functions recompute a dual state's marginals and energies from
 scratch; `marginals_of_set` reads the same marginals off an enumerated
-assignment set (`testkit.enumerate_feasible`); `slot_pass` runs a dual
+assignment set; `slot_pass` runs a dual
 pass with one kernel call per covering level, the loop the solver's fused
 coordinate step must match to the bit; `predicted_increase` is the
 closed-form bound gain of one hard-min update; `update_pass` runs a pass

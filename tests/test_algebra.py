@@ -247,6 +247,8 @@ def test_sweeps_track_fixation_and_rollback():
         store = MessageStore(b, MIN_MARGINAL)
         got = marginal_sweep(b, store, thetas, MIN_MARGINAL)
         assert got == [pytest.approx(w) for w in brute_min_marginals(b, thetas)]
+        assert b.as_built()  # min_marginals reads the template's level parts again
+        assert repr(min_marginals(b, thetas)) == repr(got)
     assert with_removed > 20 and restricted > with_removed
 
 

@@ -560,7 +560,7 @@ def test_to_dot_shape():
 
 
 def fields(bdd):
-    return (bdd.constraint_name, bdd.support, bdd.root, bdd.lo, bdd.hi, bdd.level_nodes, bdd.forced_as_built)
+    return (bdd.constraint_name, bdd.support, bdd.root, bdd.lo, bdd.hi, bdd.level_nodes, bdd.template.forced)
 
 
 def shape_kinds(seed):

@@ -232,10 +232,12 @@ def test_a_skeleton_weighs_its_characters():
     assert model.SKELETONS.weight == len(": " + " +" + " " * 5000 + " <= 1")
 
 
-def test_a_malformed_skeleton_cached_as_none_raises_at_each_instance_own_line():
+def test_a_malformed_skeleton_raises_at_each_instance_own_line():
+    weight = model.SKELETONS.weight
     with pytest.raises(LpParseError, match="line 4, column 10: unexpected character"):
         parse_lp(_rows("c: x + y ? 1"))
-    assert None in [reading for reading, _ in model.SKELETONS._entries.values()]
+    assert None not in [reading for reading, _ in model.SKELETONS._entries.values()]
+    assert model.SKELETONS.weight == weight
     text = "Minimize\n obj: a\nSubject To\n ok: a + b <= 1\n long_name: a + bb ? 1\nBinary\n a b bb\nEnd\n"
     with pytest.raises(LpParseError) as err:
         parse_lp(text)

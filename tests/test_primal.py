@@ -431,7 +431,7 @@ def test_propagation_reads_forced_literals_only_after_a_change_or_when_forced_as
         assert calls == want_calls
         searched += 1
         skipped += want_read - read
-        forced_built += any(b.forced_as_built for b in state.bdds)
+        forced_built += any(b.template.forced for b in state.bdds)
     assert searched > 30 and forced_built > 20
     assert skipped > 20  # the rule did skip reads
 

@@ -10,9 +10,10 @@ import pytest
 
 from bddsolve.model import ILPInstance, LinearConstraint, Relation, write_lp
 from bddsolve.testkit import (
+    BRUTE_FORCE_CAP,
+    _feasible_chunks,
     brute_force_solve,
     cell_tracking_instance,
-    enumerate_feasible,
     graph_matching_instance,
     mrf_instance,
     random_ilp,
@@ -72,11 +73,11 @@ def test_brute_force_cap():
         brute_force_solve(inst)
 
 
-def test_enumerate_feasible_matches_itertools():
+def test_feasible_chunks_match_itertools():
     rng = random.Random(4202)
     for _ in range(15):
         inst = random_ilp(rng.randint(2, 7), rng.randint(1, 5), seed=rng.randint(0, 10**6))
-        bits, vals = enumerate_feasible(inst)
+        got = [tuple(b) for _, bits in _feasible_chunks(inst, BRUTE_FORCE_CAP) for b in bits.tolist()]
         want = [
             s
             for s in (
@@ -85,9 +86,7 @@ def test_enumerate_feasible_matches_itertools():
             )
             if inst.check_assignment(list(s))
         ]
-        assert [tuple(b) for b in bits.tolist()] == want
-        for b, v in zip(bits, vals):
-            assert v == pytest.approx(float(inst.objective_value(list(b))))
+        assert got == want
 
 
 def test_marginals_of_set_hard_and_smoothed():
