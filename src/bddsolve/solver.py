@@ -6,15 +6,17 @@ bound, so bounds and objective values are always in the instance's own
 scale.  Any returned solution has been re-checked against the original
 rows and costed exactly.
 
-`solve_instance` pauses CPython's cyclic garbage collector for the whole
-pipeline: the rows, diagrams, dual tables, trail and cost lists it makes
-form no reference cycles, so every automatic collection during a solve
-walks a large live heap and frees nothing.  The pause is process-wide.
+`solve_instance` runs the whole pipeline with CPython's cyclic garbage
+collector paused, through `model.collector_paused`, the one helper
+`model.parse_lp` runs the parse under too.  Its premise, checked by
+`test_a_solve_leaves_no_cyclic_garbage`: the rows, diagrams, dual tables,
+trail and cost lists a solve makes form no reference cycles, so every
+automatic collection during a solve would walk a large live heap and free
+nothing.  The pause is process-wide.
 """
 
 from __future__ import annotations
 
-import gc
 import math
 import time
 from dataclasses import dataclass, field
@@ -24,7 +26,7 @@ from . import dual as _dual
 from . import primal as _primal
 from .bdd import DEFAULT_STATE_BUDGET, build_bdd
 from .dual import init_duals
-from .model import ORDERS, ILPInstance, decompose, order_variables, presolve_free
+from .model import ORDERS, ILPInstance, collector_paused, decompose, order_variables, presolve_free
 
 SOLVED = "solved"
 INFEASIBLE = "infeasible"
@@ -109,24 +111,14 @@ def _effective_budget(option_value, num_vars):
 def solve_instance(instance: ILPInstance, options: SolveOptions = None) -> RunReport:
     """Run the whole pipeline on one instance, with automatic collection paused.
 
-    If the cyclic garbage collector is enabled, it is disabled for the
-    solve and enabled again on return or raise; a collector the caller
-    disabled (or an enclosing solve paused) is left alone.  The pipeline
-    makes no reference cycles, so the pause delays no memory the collector
-    would have freed.  It is process-wide: cycles made meanwhile by other
-    threads wait until the solve returns, and of solves overlapping in
-    several threads the one that paused the collector ends the pause when
-    it returns, whether or not the others have.  `parse_lp` is not
-    paused: the instance it returns is the caller's, who may keep it,
-    and pausing the parse as well measured no clear further gain.
+    The pause is `model.collector_paused`'s, the one `parse_lp` runs under
+    too: a collector the caller disabled, or an enclosing parse or solve
+    paused, is left alone, and one this call paused is enabled again on
+    return or raise.  The pipeline makes no reference cycles
+    (`test_a_solve_leaves_no_cyclic_garbage`), so the pause delays no
+    memory the collector would have freed.
     """
-    if not gc.isenabled():
-        return _solve(instance, options)
-    gc.disable()
-    try:
-        return _solve(instance, options)
-    finally:
-        gc.enable()
+    return collector_paused(_solve, instance, options)
 
 
 def _solve(instance, options):

@@ -4,8 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bddsolve.model import (
+    MAX_COEFFICIENT,
+    MAX_RHS,
     Decomposition,
     ILPInstance,
     LinearConstraint,
@@ -260,24 +264,56 @@ def test_check_assignment_and_objective():
     assert inst.objective_value([1, 1]) == Fraction(3)
 
 
-def test_objective_value_equals_a_fraction_sum():
-    def plain(inst, values):
-        return sum((c * v for c, v in zip(inst.objective, values)), Fraction(0)) + inst.objective_offset
+COSTS = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=12),
+    st.integers(-10**6, 10**6).map(Fraction),
+)
 
-    rng = random.Random(23)
-    cases = [(ILPInstance([], [], [], objective_offset=Fraction(-7, 3)), [])]
-    for _ in range(200):
-        n = rng.randint(1, 12)
-        objective = [Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3, 4, 6, 7, 9, 10, 12)))
-                     for _ in range(n)]
-        offset = Fraction(rng.randint(-20, 20), rng.choice((1, 5, 8)))
-        inst = ILPInstance([f"x{i}" for i in range(n)], objective, [], objective_offset=offset)
-        cases.append((inst, [0] * n))
-        cases.append((inst, [rng.randint(0, 1) for _ in range(n)]))
-    for inst, values in cases:
-        got = inst.objective_value(values)
-        expected = plain(inst, values)
-        assert type(got) is Fraction and got == expected and str(got) == str(expected)
+
+@st.composite
+def recheck_cases(draw):
+    """An instance of random rows and costs, with a 0/1 vector of its length."""
+    n = draw(st.integers(0, 12))
+    values = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    rows = []
+    for k in range(draw(st.integers(0, 6)) if n else 0):
+        support = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        coeffs = draw(st.lists(st.integers(-MAX_COEFFICIENT, MAX_COEFFICIENT).filter(bool),
+                               min_size=len(support), max_size=len(support)))
+        terms = tuple(zip(support, coeffs))
+        lhs = sum(a * values[i] for i, a in terms)
+        # right-hand sides at the caps, anywhere between, and next to the vector's sum
+        rhs = draw(st.one_of(st.sampled_from([-MAX_RHS, MAX_RHS]), st.integers(-MAX_RHS, MAX_RHS),
+                             st.integers(lhs - 1, lhs + 1)))
+        rows.append(LinearConstraint(f"r{k}", terms, draw(st.sampled_from(Relation)), rhs))
+    objective = draw(st.lists(COSTS, min_size=n, max_size=n))
+    instance = ILPInstance([f"x{i}" for i in range(n)], objective, rows, objective_offset=draw(COSTS))
+    return instance, values
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(recheck_cases())
+@example((ILPInstance([], [], [], objective_offset=Fraction(-7, 3)), []))
+@example((ILPInstance(["a", "b", "c"], [Fraction(5, 6), Fraction(-7, 4), Fraction(0)],
+                      [LinearConstraint("r", ((0, -3), (2, 2)), Relation.GE, -MAX_RHS)],
+                      objective_offset=Fraction(1, 9)), [0, 0, 0]))
+def test_recheck_and_recost_follow_their_definitions(case):
+    instance, values = case
+    holds = []
+    for con in instance.constraints:
+        lhs = sum(a * values[i] for i, a in con.terms)
+        expected = {Relation.LE: lhs <= con.rhs, Relation.GE: lhs >= con.rhs, Relation.EQ: lhs == con.rhs}
+        holds.append(expected[con.relation])
+        assert con.is_satisfied_by(values) is holds[-1]
+    assert instance.check_assignment(values) is all(holds)
+    for wrong in (values + [0], values[:-1]):
+        if len(wrong) != len(values):
+            with pytest.raises(ModelError, match="assignment length mismatch"):
+                instance.check_assignment(wrong)
+    got = instance.objective_value(values)
+    expected = sum((c * v for c, v in zip(instance.objective, values)), Fraction(0)) + instance.objective_offset
+    assert type(got) is Fraction and got == expected and str(got) == str(expected)
 
 
 def test_decompose_incidence_is_inverse():

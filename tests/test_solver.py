@@ -17,7 +17,7 @@ from bddsolve import bdd, dual, model, solver
 from bddsolve.bdd import BddBuildError
 from bddsolve.cache import WeightedLru
 from bddsolve.dual import DEFAULT_MAX_PASSES, DEFAULT_TOLERANCE, run
-from bddsolve.model import MAX_OBJECTIVE, ILPInstance, parse_lp, write_lp
+from bddsolve.model import MAX_OBJECTIVE, ILPInstance, LpParseError, parse_lp, write_lp
 from bddsolve.solver import (
     DUAL_ONLY,
     INFEASIBLE,
@@ -504,29 +504,45 @@ def collector():
 
 def test_solve_runs_with_the_collector_paused_and_restores_it(collector):
     grid = mrf_instance(30, 30, 2, seed=0)
-    starts = []
+    text = write_lp(grid)
+    malformed = text.replace(" = 1", " ? 1", 1)
+    starts = []  # per collection started, the functions on the stack
 
     def hook(phase, info):
         if phase == "start":
-            starts.append(info["generation"])
+            frame, names = sys._getframe(1), set()
+            while frame is not None:
+                names.add(frame.f_code.co_name)
+                frame = frame.f_back
+            starts.append(names)
 
+    gc.collect()  # so that no collection is due at the parse's first allocation
     gc.callbacks.append(hook)
     try:
-        report = solve_instance(grid, SolveOptions(max_passes=3))
+        # the collector, enabled again, walks the new instance at the first
+        # allocation after the parse (here, the options), outside either call
+        report = solve_instance(parse_lp(text), SolveOptions(max_passes=3))
     finally:
         gc.callbacks.remove(hook)
     assert report.passes == 3
-    assert starts == []
+    # unpaused, the parse alone starts about 120 collections
+    assert not any(names & {"parse_lp", "solve_instance"} for names in starts), starts
     assert gc.isenabled()
     with pytest.raises(BddBuildError):
         solve_instance(grid, SolveOptions(state_budget=1))
+    assert gc.isenabled()
+    with pytest.raises(LpParseError):
+        parse_lp(malformed)
     assert gc.isenabled()
     # a collector the caller disabled stays disabled, on return and on raise
     gc.disable()
-    solve_instance(mrf_instance(2, 2, 2, seed=0))
+    solve_instance(parse_lp(write_lp(mrf_instance(2, 2, 2, seed=0))))
     assert not gc.isenabled()
     with pytest.raises(BddBuildError):
         solve_instance(grid, SolveOptions(state_budget=1))
+    assert not gc.isenabled()
+    with pytest.raises(LpParseError):
+        parse_lp(malformed)
     assert not gc.isenabled()
 
 
@@ -580,26 +596,40 @@ LIST_STORE_OPTIONS = {
 }
 
 
+GENERATED = (
+    mrf_instance(3, 3, 3, 0),
+    graph_matching_instance(4, 0),
+    tomography_instance(8, 3, 0),
+    cell_tracking_instance(6, 0),
+    random_ilp(12, 10, 0),
+)
+
+
 @pytest.mark.parametrize(
     "instance, options, store",
     [
         pytest.param(instance, options, "list", id=f"{instance.name}-{key}")
-        for instance in (
-            mrf_instance(3, 3, 3, 0),
-            graph_matching_instance(4, 0),
-            tomography_instance(8, 3, 0),
-            cell_tracking_instance(6, 0),
-            random_ilp(12, 10, 0),
-        )
+        for instance in GENERATED
         for key, options in LIST_STORE_OPTIONS.items()
     ]
-    + [pytest.param(mrf_instance(30, 30, 2, 0), SolveOptions(max_passes=5), "array", id="grid30-array")],
+    + [pytest.param(mrf_instance(30, 30, 2, 0), SolveOptions(max_passes=5), "array", id="grid30-array")]
+    + [
+        pytest.param(instance, None, None, id=f"parse-{instance.name}")
+        for instance in (*GENERATED, mrf_instance(30, 30, 2, 0))
+    ],
 )
 def test_a_solve_leaves_no_cyclic_garbage(instance, options, store, collector, warmed_up):
-    # the premise of the collector pause: nothing the pipeline makes waits
-    # for the cyclic collector, so pausing it delays no memory
+    # the premise of the collector pause: nothing a parse (options None) or
+    # the pipeline makes waits for the cyclic collector, so pausing it
+    # delays no memory
+    text = write_lp(instance)
     gc.collect()
     gc.disable()
+    if options is None:
+        parsed = parse_lp(text)
+        assert gc.collect() == 0
+        assert len(parsed.constraints) == len(instance.constraints)
+        return
     report = solve_instance(instance, options)
     assert gc.collect() == 0
     assert (report.num_nodes >= dual.ARRAY_MIN_NODES) == (store == "array")
