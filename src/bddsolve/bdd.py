@@ -55,11 +55,13 @@ DEFAULT_STATE_BUDGET = 1 << 22
 
 # Compiled templates kept across calls, each weighed by len(lo): its nodes
 # plus the two terminals.  Every level holds a node, so that is at least
-# the levels plus 2.
+# the levels plus 2.  The budget counts nodes only, not the tables
+# `Template.derived` keeps with a template (the list store's level parts,
+# the rounding's path counts), so it bounds the cache's bytes loosely.
 # batch-small's 1,000 instances from 4 generators have 3,421 rows of 1,112
 # shapes, whose templates weigh 8,321 in all.  4,096, about half that,
-# keeps 554 templates (0.88 MB by tracemalloc with the dual's level parts
-# derived from them; 0.62 MB without), and a pass over the set
+# keeps 554 templates (0.87 MB by tracemalloc, what `clear()` frees after
+# two passes at seed 0; 0.32 MB of it the level parts), and a pass over the set
 # compiles 1,094 rows from the second pass on: the shapes that recur from
 # instance to instance stay, while the random_ilp rows' shapes, which do
 # not recur, pass through and leave.

@@ -953,30 +953,25 @@ def _tile(bdds):
     """Per diagram its size, levels and root, and per slot its width and nodes, from the templates.
 
     The nodes are numbered within their diagram.  Each distinct
-    template's tables (`_flat_levels`) are read once, and every diagram of
-    that template gets them by one gather per table.
+    template's levels are read once, and every diagram of that template
+    gets them by one gather per table; nothing is kept with the template.
     """
     import numpy as np
 
     index = {}  # template -> its place among the distinct templates
     which = np.array([index.setdefault(b.template, len(index)) for b in bdds], np.intp)
     templates = list(index)
-    flat = [t.derived(_flat_levels) for t in templates]
+    levels = [t.level_nodes for t in templates]
     t_sizes = np.fromiter((len(t.lo) for t in templates), np.intp, len(templates))
     t_roots = np.fromiter((t.root for t in templates), np.intp, len(templates))
-    t_levels = np.fromiter((len(widths) for widths, _ in flat), np.intp, len(templates))
-    t_counts = np.fromiter((len(nodes) for _, nodes in flat), np.intp, len(templates))
-    t_width = np.fromiter(chain.from_iterable(widths for widths, _ in flat), np.intp, int(t_levels.sum()))
-    t_nodes = np.fromiter(chain.from_iterable(nodes for _, nodes in flat), np.intp, int(t_counts.sum()))
+    t_levels = np.fromiter(map(len, levels), np.intp, len(templates))
+    t_counts = np.fromiter((sum(map(len, nodes)) for nodes in levels), np.intp, len(templates))
+    t_width = np.fromiter(map(len, chain.from_iterable(levels)), np.intp, int(t_levels.sum()))
+    t_nodes = np.fromiter(chain.from_iterable(chain.from_iterable(levels)), np.intp, int(t_counts.sum()))
     levels = t_levels[which]
     width = t_width[_ranges((np.cumsum(t_levels) - t_levels)[which], levels)]
     nodes = t_nodes[_ranges((np.cumsum(t_counts) - t_counts)[which], t_counts[which])]
     return t_sizes[which], levels, t_roots[which], width, nodes
-
-
-def _flat_levels(template):
-    """A template's level widths and its nodes level by level, as the array store tiles them."""
-    return tuple(map(len, template.level_nodes)), tuple(chain.from_iterable(template.level_nodes))
 
 
 def _ranges(starts, counts):

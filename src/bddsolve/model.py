@@ -4,9 +4,10 @@ An instance is a rational objective over binary variables plus a list of
 integer linear constraints.  Decomposition assigns each constraint its own
 subproblem and records, per variable, the set of subproblems covering it.
 
-LP text is read line by line with whole-line patterns, and each line's terms
-are checked in bulk; only a line that fails is scanned again, token by
-token, to report the line and column of its fault.
+LP text is read line by line, a row through its skeleton (the text between
+its names), which a token scanner reads once per distinct skeleton.  Each
+line's terms are checked in bulk; only a line that fails is scanned again,
+token by token, to report the line and column of its fault.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import gc
 import math
 import re
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import compress
@@ -89,7 +90,7 @@ class Relation(Enum):
 _LE, _GE = Relation.LE, Relation.GE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinearConstraint:
     """One row: sum of integer-coefficient terms compared against an integer."""
 
@@ -174,8 +175,12 @@ class ILPInstance:
                     raise ModelError(f"zero coefficient in constraint {con.name!r}")
                 if abs(a) > MAX_COEFFICIENT:
                     raise ModelError(f"coefficient overflow in constraint {con.name!r}")
+                if a % 1 != 0:  # also for nan; 1.0, Fraction(2) and True are integers
+                    raise ModelError(f"non-integer coefficient in constraint {con.name!r}")
             if abs(con.rhs) > MAX_RHS:
                 raise ModelError(f"right-hand side overflow in constraint {con.name!r}")
+            if con.rhs % 1 != 0:
+                raise ModelError(f"non-integer right-hand side in constraint {con.name!r}")
 
     @classmethod
     def _parsed(cls, var_names, objective, constraints, objective_offset, name):
@@ -211,28 +216,24 @@ class ILPInstance:
 # ---------------------------------------------------------------------------
 # LP text format
 #
-# Well-formed lines are read by patterns, not token by token.  The terms of
-# a line are read by one `findall`, and they must tile it: `findall` skips
-# what no term matches, so a stray character or a missing sign shows as
-# terms shorter than the line.  (One `fullmatch` over a repeated term
-# pattern would do too, but on an objective line of thousands of terms the
-# regex engine's backtracking stack runs to megabytes; a Binary line is
-# checked by its characters and names for the same reason.)  The patterns
-# accept exactly what the token scanner further below accepts, and read
-# every name whole, as the scanner does.  A line that fails a pattern or a
-# check is scanned again, token by token, only to report its line, column
-# and reason.
+# The token scanner further below is the one row grammar.  A constraint row
+# is first split at its names; the text between them, its skeleton, fixes
+# the row's coefficients, relation and right-hand side.  Each distinct
+# skeleton is scanned once per parse, as a row whose every name is `x`
+# (`_row_shape`), or looked up in `SKELETONS` if an earlier parse read it;
+# rows that share it only look up their names.
 #
-# A constraint row is first split at its names.  The text between them, its
-# skeleton, fixes the row's structure, coefficients, relation and right-hand
-# side, so each distinct skeleton is read once per parse, as a row with
-# every name replaced by `x`; rows that share it only look up their names.
-# A skeleton read in an earlier parse is looked up in `SKELETONS` first.
+# A Binary line is split at its names too, and is well formed exactly when
+# only blanks lie between them.  The objective line, one per parse but
+# thousands of terms long, is read by one `findall` of a term pattern, about
+# five times as fast as the scanner there; the terms must tile the line, as
+# `findall` skips what no term matches.  (A `fullmatch` over a repeated term
+# pattern would hold megabytes of backtracking stack on such a line.)  Both
+# readings accept exactly what the scanner does and read every name whole.
+# A line that fails a reading or a check is scanned again only to report
+# its line, column and reason.
 
-_LABEL = rf"{_IDENT}[ \t]*:[ \t]*"
-_LABEL_RE = re.compile(_LABEL)
-_ROW_RE = re.compile(rf"{_LABEL}([^<>=]*?)[ \t]*(<=|>=|=)[ \t]*([+-]?)[ \t]*({_NUMBER})")
-_BINARY_CHARS_RE = re.compile(r"[A-Za-z0-9_.\- \t]*")
+_LABEL_RE = re.compile(rf"{_IDENT}[ \t]*:[ \t]*")
 _NAME_SPLIT_RE = re.compile(rf"({_IDENT})")
 # one signed term: (term, sign and coefficient, name, "") or (term, "", "", signed constant)
 _TERM_RE = re.compile(rf"([ \t]*(?:([+-][ \t]*(?:{_NUMBER})?)[ \t]*({_IDENT})|([+-][ \t]*{_NUMBER})))")
@@ -243,10 +244,11 @@ _RELATIONS = {"<=": Relation.LE, ">=": Relation.GE, "=": Relation.EQ}
 # runs of blanks or digits count too.  A malformed one is not kept: its row
 # is scanned again for its fault, which ends the parse.  batch-small's 1,000
 # instances have 1,157 distinct skeletons of 23,874 characters in all.
-# 16,384 keeps 798 of them (0.49 MB by tracemalloc), and a pass over the set
-# reads 1,118 skeletons from the second pass on (3,422 per pass without this
-# cache): those that recur from instance to instance stay, while the
-# random_ilp rows' skeletons pass through and leave.
+# 16,384 keeps 798 of them (0.54 MB by tracemalloc, what `clear()` frees
+# after two passes at seed 0), and a pass over the set reads 1,118
+# skeletons from the second pass on (3,422 per pass without this cache):
+# those that recur from instance to instance stay, while the random_ilp
+# rows' skeletons pass through and leave.
 SKELETON_CACHE_CHARS = 16384
 SKELETONS = WeightedLru(SKELETON_CACHE_CHARS)
 
@@ -268,15 +270,8 @@ def _signed_number(literal):
     return -value if literal[:1] == "-" else value
 
 
-def _row_coefficient(value):
-    """An int row coefficient, or 0 when fractional, zero or beyond the cap."""
-    if value.denominator != 1 or not 0 < abs(value) <= MAX_COEFFICIENT:
-        return 0
-    return int(value)
-
-
 def _terms(body):
-    """(coefficient literals, names, constant literals) of a sum of signed terms, or None if malformed."""
+    """(coefficient literals, names, constant literals) of the objective's terms, or None if malformed."""
     if body[:1] not in "+-":
         body = "+" + body  # the first term's sign may be left out
     found = _TERM_RE.findall(body)
@@ -287,34 +282,14 @@ def _terms(body):
 
 
 def _binary_names(line):
-    """The names of a Binary line, or None if it holds more than names, spaces and tabs."""
-    names = line.split()
-    if _BINARY_CHARS_RE.fullmatch(line) is None or not all(map(IDENTIFIER_RE.match, names)):
+    """The names of a Binary line, or None if anything but blanks lies between them."""
+    parts = _NAME_SPLIT_RE.split(line)  # [gap, name, gap, ..., name, gap]
+    if "".join(parts[::2]).strip(" \t"):
         return None
-    return names
+    return parts[1::2]
 
 
-def _row_shape(skeleton):
-    """(coefficients, relation, rhs) of the rows split into `skeleton`, or None if malformed.
-
-    A malformed or too long number makes the skeleton malformed; a
-    coefficient that is fractional, zero or beyond the cap reads 0.
-    """
-    m = _ROW_RE.fullmatch("x".join(skeleton))
-    if m is None:
-        return None
-    body, relation, sign, number = m.groups()
-    terms = _terms(body)
-    if terms is None or not terms[1] or any(terms[2]):
-        return None  # also for a row without terms or with a constant term
-    coeffs = list(map(_signed_number, terms[0]))
-    rhs = _signed_number(sign + number)
-    if None in coeffs or rhs is None or rhs.denominator != 1:
-        return None
-    return tuple(map(_row_coefficient, coeffs)), _RELATIONS[relation], int(rhs)
-
-
-# -- the token scanner: locates the fault in a line the patterns rejected
+# -- the token scanner: the row grammar, and the locator of every line's fault
 
 _TOKEN_RE = re.compile(rf"[ \t]*(?:(?P<ident>{_IDENT})|(?P<number>{_NUMBER})|(?P<op><=|>=|=|\+|-|:))")
 
@@ -401,7 +376,7 @@ def _scan_objective(line, lineno):
 
 
 def _scan_row(line, lineno):
-    """Scanner reading of a constraint row: (terms with columns, right-hand side)."""
+    """Scanner reading of a constraint row: (terms with columns, relation, right-hand side)."""
     tokens = _tokenize(line, lineno)
     rowname, idx = _labelled_line(tokens, lineno)
     terms, _, idx = _parse_terms(tokens, idx, lineno, allow_constant=False)
@@ -409,6 +384,7 @@ def _scan_row(line, lineno):
         raise LpParseError(lineno, 1, f"constraint {rowname!r} has no terms")
     if idx >= len(tokens) or tokens[idx][1] not in _RELATIONS:
         raise LpParseError(lineno, tokens[idx - 1][2], "expected '<=', '>=' or '='")
+    relation = _RELATIONS[tokens[idx][1]]
     idx += 1
     sign = 1
     if idx < len(tokens) and tokens[idx][0] == "op" and tokens[idx][1] in "+-":
@@ -422,7 +398,22 @@ def _scan_row(line, lineno):
     idx += 1
     if idx != len(tokens):
         raise LpParseError(lineno, tokens[idx][2], "trailing tokens after constraint")
-    return terms, int(rhs)
+    return terms, relation, int(rhs)
+
+
+def _row_shape(skeleton):
+    """(coefficients, relation, rhs) of the rows split into `skeleton`, or None if malformed.
+
+    The skeleton is scanned as a row whose every name is `x`.  A coefficient
+    that is fractional, zero or beyond the cap reads 0: like a name's, its
+    fault is the row's own, checked once the variables are known.
+    """
+    try:
+        terms, relation, rhs = _scan_row("x".join(skeleton), 0)
+    except LpParseError:
+        return None
+    coeffs = [c if c.denominator == 1 and 0 < abs(c) <= MAX_COEFFICIENT else 0 for c, _, _ in terms]
+    return tuple(map(int, coeffs)), relation, rhs
 
 
 def _scan_binary(line, lineno, seen):
@@ -470,9 +461,9 @@ def _check_row(terms, rhs, lineno, index):
 
 
 def _locate(scan, *args):
-    """Re-read a line that failed a pattern or a check; `scan` raises its LpParseError."""
+    """Re-read a line that failed a reading or a check; `scan` raises its LpParseError."""
     scan(*args)
-    raise AssertionError(f"{scan.__name__} accepts a line the LP patterns reject: {args}")
+    raise AssertionError(f"{scan.__name__} accepts a line the LP reader rejected: {args}")
 
 
 def _read_objective(line, lineno):
@@ -504,14 +495,16 @@ def parse_lp(text, name="instance"):
     Lines starting with a backslash are comments.  Variables are declared in
     the Binary section and appear in first-declaration order in the instance.
 
-    Each line is read whole by patterns (a row through its skeleton; see the
-    notes above `_LABEL`) and its terms are checked in bulk; only a line
-    that fails is scanned again, token by token, for the line and column of
-    its first fault.  Faults of layout and numbers come first, line by line up to
-    'End'; then those of the objective's terms, then each row's in order,
-    then a repeated row name, reported at its second label.  These checks
-    are the instance's validation: they reject every fault
-    `ILPInstance.validate()` does, so it is not run again.
+    A row is read through its skeleton, which the token scanner reads once
+    per distinct skeleton, and the objective and Binary lines by patterns
+    (see the notes above `_LABEL_RE`); each line's terms are checked in
+    bulk, and only a line that fails is scanned again, token by token, for
+    the line and column of its first fault.  Faults of layout and numbers
+    come first, line by line up to 'End'; then those of the objective's
+    terms, then each row's in order, then a repeated row name, reported at
+    its second label.  These checks are the instance's validation: they
+    reject every fault `ILPInstance.validate()` does, so it is not run
+    again.
 
     A well-formed skeleton's reading, (coefficients, relation, rhs), is
     kept in `SKELETONS`, which every call and thread of the process shares
@@ -598,7 +591,7 @@ def _parse_lp(text, name):
     for rowname, names, coeffs, relation, rhs, line, ln in raw_rows:
         idx = tuple(map(index.get, names))
         if None in idx or 0 in coeffs or len(set(idx)) != len(idx) or not -MAX_RHS <= rhs <= MAX_RHS:
-            _locate(_check_row, *_scan_row(line, ln), ln, index)
+            _locate(_check_row, _scan_row(line, ln)[0], rhs, ln, index)
         constraints.append(LinearConstraint(rowname, tuple(zip(idx, coeffs)), relation, rhs))
     if len({con.name for con in constraints}) != len(constraints):
         labels = set()

@@ -17,7 +17,7 @@ from itertools import chain
 import pytest
 
 from bddsolve import dual
-from bddsolve.bdd import Trail, build_bdd
+from bddsolve.bdd import Template, Trail, build_bdd
 from bddsolve.dual import SRMP, UNIFORM, backward_pass, forward_pass, init_duals, mma_update, run
 from bddsolve.model import ILPInstance, LinearConstraint, Relation, decompose, order_variables, write_lp
 from bddsolve.primal import checkpoint_all, compute_scores, primal_search, restriction_propagation, rollback_all
@@ -385,22 +385,24 @@ def test_tables_tiled_from_templates_equal_per_diagram_reads(monkeypatch):
         r("unsat_dp", [(7, 2), (8, 3)], Relation.EQ, 1),
     ]
     rows += random_ilp(9, 5, 3).constraints + mrf_instance(1, 3, 3, 1).constraints
-    calls = []
-    flat = dual._flat_levels
-    monkeypatch.setattr(dual, "_flat_levels", lambda t: calls.append(t) or flat(t))
     bdds = [build_bdd(c) for c in rows]
-    templates = {id(b.template) for b in bdds}
+    templates = sorted({id(b.template) for b in bdds})
     assert len(templates) < len(bdds)
+    reads = []
+    level_nodes = Template.__dict__["level_nodes"]
+    monkeypatch.setattr(Template, "level_nodes", property(lambda t: reads.append(id(t)) or level_nodes.__get__(t)))
     assert [a.tolist() for a in dual._tile(bdds)] == per_diagram_reads(bdds)
-    assert len(calls) == len(templates)
+    assert sorted(reads) == templates  # each template's levels are read once
+    assert not any(b.template._derived for b in bdds)  # and nothing is kept with it
     trail = Trail()
     trail.attach(bdds)
     trail.checkpoint()
     assert bdds[0].fix(0, 0)
     assert bdds[1].fix(3, 0) and bdds[1].fix(4, 0) and not bdds[1].fix(5, 0)
     assert not bdds[0].as_built() and bdds[1].is_empty() and bdds[2].as_built()
+    del reads[:]
     assert [a.tolist() for a in dual._tile(bdds)] == per_diagram_reads(bdds)
-    assert len(calls) == len(templates)  # each template's tables are read once
+    assert sorted(reads) == templates
 
 
 @pytest.mark.parametrize("averaging", [UNIFORM, SRMP])

@@ -1,10 +1,12 @@
-"""LP parsing: every error keeps its line, column and message; well-formed text never reaches the scanner.
+"""LP parsing: every error keeps its line, column and message; the scanner reads only row skeletons of well-formed text.
 
-The row, objective and Binary patterns read well-formed lines; the token
-scanner (`_tokenize` / `_parse_terms`) re-reads only a line that failed, to
-locate its fault.  The error table below was recorded from the token-scanner
-parser that the patterns replaced; only the duplicate-row-name location
-differs (it used to read line 1, column 1).
+The token scanner (`_tokenize` / `_parse_terms`) is the row grammar: it
+reads each distinct row skeleton (a row with every name read as `x`) once,
+and re-reads a line only when it failed, to locate its fault.  The
+objective and Binary lines are read by patterns that accept exactly what
+the scanner accepts.  The error table below was recorded from the parser
+that scanned every line; only the duplicate-row-name location differs (it
+used to read line 1, column 1).
 """
 
 import random
@@ -244,17 +246,28 @@ def test_a_malformed_skeleton_raises_at_each_instance_own_line():
     assert str(err.value) == "line 5, column 19: unexpected character '?'"
 
 
-def test_well_formed_text_never_reaches_the_scanner(generated_texts, monkeypatch):
-    def refuse(line, lineno):
-        raise AssertionError(f"line {lineno} was scanned: {line!r}")
+def _skeleton_text(row):
+    return "x".join(model._NAME_SPLIT_RE.split(row)[::2])
 
-    monkeypatch.setattr(model, "_tokenize", refuse)
-    for inst, text in generated_texts:
-        assert parse_lp(text).var_names == inst.var_names
-    for _, text, *_ in ACCEPTED:
+
+def test_the_scanner_reads_only_row_skeletons_of_well_formed_text(generated_texts, monkeypatch):
+    scanned = []
+    tokenize = model._tokenize
+    monkeypatch.setattr(model, "_tokenize", lambda line, lineno: scanned.append(line) or tokenize(line, lineno))
+    texts = [text for _, text in generated_texts] + [text for _, text, *_ in ACCEPTED]
+    for text in texts:
+        rows = text.partition("Subject To\n")[2].partition("Binary\n")[0].splitlines()
+        model.SKELETONS.clear()
+        del scanned[:]
         parse_lp(text)
-    with pytest.raises(AssertionError, match="was scanned"):
+        # each distinct skeleton once, names read as `x`; no objective or Binary line
+        assert sorted(scanned) == sorted({_skeleton_text(row.strip()) for row in rows})
+        del scanned[:]
+        parse_lp(text)
+        assert scanned == []  # every skeleton now comes from `SKELETONS`
+    with pytest.raises(LpParseError):
         parse_lp(_rows("c: x + y ? 1"))
+    assert scanned == ["x: x + x ? 1", "c: x + y ? 1"]  # a malformed skeleton, then its row to locate the fault
 
 
 def test_a_long_objective_line_is_read_in_little_memory():
@@ -300,8 +313,8 @@ def _scan(scan, *args):
         return None, str(exc)
 
 
-def test_line_patterns_accept_exactly_what_the_scanner_accepts():
-    """Per line: a pattern rejects what the scanner rejects, and reads the same values.
+def test_line_readers_accept_exactly_what_the_scanner_accepts():
+    """Per line: a skeleton reads as its row, and the objective and Binary readers agree with the scanner.
 
     Every text `parse_lp` accepts also passes `ILPInstance.validate()`, which
     the parser does not run again.
@@ -311,7 +324,7 @@ def test_line_patterns_accept_exactly_what_the_scanner_accepts():
     accepted = 0
     for _ in range(6000):
         line = rng.choice((_random_line, _random_row))(rng)
-        # constraint rows: split at names, then one pattern match per skeleton
+        # constraint rows: split at names, then one scan per skeleton
         parts = model._NAME_SPLIT_RE.split(line)
         shape = model._row_shape(tuple(parts[::2]))
         scanned, error = _scan(model._scan_row, line, 1)
@@ -320,13 +333,11 @@ def test_line_patterns_accept_exactly_what_the_scanner_accepts():
             bad_numbers += "bad number" in error
         else:
             assert shape is not None, line
-            terms, rhs = scanned
-            coeffs, relation, shape_rhs = shape
+            terms, relation, rhs = scanned
             assert parts[1] == model._tokenize(line, 1)[0][1]
             assert parts[3::2] == [name for _, name, _ in terms]
-            assert relation.value in line and shape_rhs == rhs
-            assert coeffs == tuple(int(c) if c.denominator == 1 and 0 < abs(c) <= MAX_COEFFICIENT else 0
-                                   for c, _, _ in terms)
+            coeffs = tuple(int(c) if c.denominator == 1 and 0 < abs(c) <= MAX_COEFFICIENT else 0 for c, _, _ in terms)
+            assert shape == (coeffs, relation, rhs)
         # the objective line
         objective = ("obj: " + line.partition(":")[2]).strip() if rng.random() < 0.5 else line
         read, read_error = _scan(model._read_objective, objective, 1)
@@ -344,6 +355,8 @@ def test_line_patterns_accept_exactly_what_the_scanner_accepts():
         names = model._binary_names(line)
         matched = names is not None and len(set(names)) == len(names)
         assert matched == (_scan(model._scan_binary, line, 1, set())[1] is None), line
+        if matched:
+            assert names == [name for _, name, _ in model._tokenize(line, 1)]
         # the whole text, with the line as its row
         text = (f"Minimize\n {objective if read_error is None else 'obj: x'}\nSubject To\n {line}\n"
                 "Binary\n x y x-y q\nEnd\n")

@@ -1,5 +1,6 @@
 """Model layer: LP parsing/serialization, decomposition, presolve, ordering."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from bddsolve.model import (
     presolve_free,
     write_lp,
 )
+from bddsolve.solver import solve_instance
 from bddsolve.testkit import (
     cell_tracking_instance,
     graph_matching_instance,
@@ -177,6 +179,15 @@ def test_write_round_trips_thirds():
     assert back.objective == [Fraction(1, 3)]
 
 
+def test_write_uses_decimals_for_denominators_of_twos_and_fives():
+    inst = ILPInstance(["x", "y", "z"], [Fraction(1, 5), Fraction(7, 40), Fraction(-12, 5)], [],
+                       objective_offset=Fraction(-1, 5))
+    text = write_lp(inst)
+    assert " obj: 0.2 x + 0.175 y - 2.4 z - 0.2\n" in text
+    back = parse_lp(text)
+    assert back.objective == inst.objective and back.objective_offset == inst.objective_offset
+
+
 def test_instance_validation_rejects_bad_rows():
     with pytest.raises(ModelError):
         ILPInstance(["x"], [Fraction(1)], [LinearConstraint("c", ((0, 0),), Relation.LE, 1)])
@@ -229,6 +240,23 @@ VALIDATION_FAULTS = [
      "right-hand side overflow in constraint 'a'"),
     ("row fault before a repeated name", (["x"], [Fraction(1)], [_row("a", ((0, 0),)), _row("a", ((0, 1),))]),
      "zero coefficient in constraint 'a'"),
+    ("fractional coefficient", (["x", "y"], [Fraction(1)] * 2, [_row("c", ((0, Fraction(1, 2)), (1, 1)))]),
+     "non-integer coefficient in constraint 'c'"),
+    ("float coefficient", (["x", "y"], [Fraction(1)] * 2, [_row("c", ((0, 1), (1, 0.5)))]),
+     "non-integer coefficient in constraint 'c'"),
+    ("nan coefficient", (["x", "y"], [Fraction(1)] * 2, [_row("c", ((0, math.nan), (1, 1)))]),
+     "non-integer coefficient in constraint 'c'"),
+    ("fractional rhs", (["x", "y"], [Fraction(1)] * 2, [_row("c", ((0, 1), (1, 1)), Fraction(1, 2))]),
+     "non-integer right-hand side in constraint 'c'"),
+    ("float rhs", (["x", "y"], [Fraction(1)] * 2, [_row("c", ((0, 1), (1, 1)), 0.5)]),
+     "non-integer right-hand side in constraint 'c'"),
+    ("nan rhs", (["x", "y"], [Fraction(1)] * 2, [_row("c", ((0, 1), (1, 1)), math.nan)]),
+     "non-integer right-hand side in constraint 'c'"),
+    ("infinite coefficient", (["x"], [Fraction(1)], [_row("c", ((0, math.inf),))]),
+     "coefficient overflow in constraint 'c'"),
+    ("fractional coefficient before a later row's", (["x"], [Fraction(1)],
+                                                     [_row("a", ((0, 1.5),)), _row("b", ((0, 0),))]),
+     "non-integer coefficient in constraint 'a'"),
 ]
 
 
@@ -237,6 +265,12 @@ def test_instance_validation_names_the_first_fault(args, message):
     with pytest.raises(ModelError) as err:
         ILPInstance(*args)
     assert str(err.value) == message
+
+
+def test_integral_row_values_of_other_types_are_accepted_and_solve():
+    rows = [LinearConstraint("c", ((0, 1.0), (1, Fraction(2))), Relation.LE, True)]
+    report = solve_instance(ILPInstance(["x", "y"], [Fraction(-1)] * 2, rows))
+    assert (report.status, report.solution) == ("solved", [1, 0])
 
 
 def test_instance_keeps_its_own_objective_list():
@@ -339,6 +373,13 @@ def test_decompose_sorts_support_by_order():
     assert dec.order == (2, 0, 1)
 
 
+@pytest.mark.parametrize("order", [[0, 0, 1], [0, 1], [0, 1, 2, 3], [1, 2, 3]])
+def test_decompose_rejects_an_order_that_is_not_a_permutation(order):
+    inst = ILPInstance(["a", "b", "c"], [Fraction(1)] * 3, [])
+    with pytest.raises(ModelError, match="not a permutation"):
+        decompose(inst, order)
+
+
 def test_presolve_free_examples():
     inst = ILPInstance(["a", "b", "c"], [Fraction(-2), Fraction(0), Fraction(3)], [])
     dec = decompose(inst)
@@ -358,6 +399,11 @@ def test_presolve_free_none_when_all_covered():
 def test_order_input_is_identity():
     inst = parse_lp(SIMPLE)
     assert order_variables(inst, "input") == [0, 1]
+
+
+def test_order_variables_rejects_an_unknown_strategy():
+    with pytest.raises(ModelError, match="unknown ordering strategy 'reverse'"):
+        order_variables(parse_lp(SIMPLE), "reverse")
 
 
 def test_cuthill_mckee_path_bandwidth():

@@ -269,6 +269,36 @@ def test_preassigned_values_are_kept():
     assert problem.check_assignment(full_vector(problem, result.assignment))
 
 
+def _chain():
+    # x + y = 1, y + z = 1; y costs least, so the search tries y = 1 first
+    return inst(["x", "y", "z"], [0, -5, 0], [(((0, 1), (1, 1)), Relation.EQ, 1), (((1, 1), (2, 1)), Relation.EQ, 1)])
+
+
+def test_propagation_fails_on_a_decision_already_assigned_the_other_value():
+    state, _ = build_state(_chain(), passes=0)
+    trail = Trail()
+    trail.attach(state.bdds)
+    trail.checkpoint()
+    assignment, newly = {1: 1}, []
+    assert not primal.restriction_propagation(state.bdds, state.covering, assignment, 1, 0, newly)
+    assert assignment == {1: 1} and newly == [] and trail.records == []
+
+
+def test_propagation_fails_on_a_forced_literal_against_a_preassigned_value():
+    state, _ = build_state(_chain(), passes=0)
+    trail = Trail()
+    trail.attach(state.bdds)
+    mark = trail.checkpoint()
+    newly = []
+    # y = 1 leaves x + y = 1 satisfiable but forces x = 0, against x = 1
+    assert not primal.restriction_propagation(state.bdds, state.covering, {0: 1}, 1, 1, newly)
+    assert newly == [1] and not state.bdds[0].is_empty()
+    trail.rollback(mark)
+    result = primal_search(state, preassigned={0: 1})
+    assert (result.status, result.assignment) == ("solved", {0: 1, 1: 0, 2: 1})
+    assert (result.attempts, result.conflicts) == (2, 1)
+
+
 # -- counters -------------------------------------------------------------------
 
 
